@@ -3,7 +3,7 @@
 
 Runs the google-benchmark binaries (bench_obs_overhead,
 bench_fault_overhead, bench_flow_overhead, bench_int_overhead,
-bench_health_overhead) with
+bench_health_overhead, bench_event_queue) with
 --benchmark_format=json and folds every benchmark into a flat
 {name: ns_per_op} map using cpu_time; then runs
 bench_parallel_validation (a stats::Table text report) and converts each
@@ -35,6 +35,7 @@ GBENCH_BINARIES = [
     "bench_flow_overhead",
     "bench_int_overhead",
     "bench_health_overhead",
+    "bench_event_queue",
 ]
 
 # | serial (inline) | 767300   | 1.00 | 3072 |

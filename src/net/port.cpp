@@ -129,7 +129,6 @@ SRP_HOT_PATH void TxPort::try_start(sim::Time not_before) {
       std::max({sim_.now(), not_before, front.earliest_start});
   if (start > sim_.now()) {
     if (wakeup_event_ != 0) sim_.cancel(wakeup_event_);
-    // SRP_ALLOC_OK(cut-through wakeup event)
     wakeup_event_ = sim_.at(start, [this] {
       wakeup_event_ = 0;
       try_start(sim_.now());
@@ -155,7 +154,6 @@ SRP_HOT_PATH void TxPort::start_transmission(Queued item, sim::Time start) {
   current_start_ = start;
   current_end_ = start + tx_time(current_.packet->size());
 
-  // SRP_ALLOC_OK(completion event, one per transmission)
   completion_event_ =
       sim_.at(current_end_, [this] { complete_transmission(); });
 
@@ -182,7 +180,6 @@ SRP_HOT_PATH void TxPort::start_transmission(Queued item, sim::Time start) {
     const sim::Time tail = current_end_ + config_.prop_delay;
     Arrival arrival{current_.packet, peer_in_port_, head, tail,
                     config_.rate_bps};
-    // SRP_ALLOC_OK(arrival event, one per transmission)
     sim_.at(head, [peer = peer_, arrival] { peer->on_arrival(arrival); });
   }
 }

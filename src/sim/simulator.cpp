@@ -19,6 +19,8 @@ EventId Simulator::at(Time when, EventQueue::Callback cb) {
 bool Simulator::step() {
   SIRPENT_EXPECTS(std::this_thread::get_id() == owner_);
   if (events_.empty()) return false;
+  // pop() hands the callable over by value, out of its slot: the callback
+  // may schedule events that grow (and move) the queue's slot vector.
   auto [when, cb] = events_.pop();
   SIRPENT_INVARIANT(when >= now_);  // event queue returned a past event
   now_ = when;

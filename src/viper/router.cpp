@@ -215,7 +215,6 @@ SRP_SIM_VISIBLE void ViperRouter::on_arrival(const net::Arrival& arrival) {
   // byte-identical to the per-packet one (all forward timing derives from
   // arrival.head/tail, never from "processing time" within the instant).
   if (ingress_.push(arrival)) {
-    // SRP_ALLOC_OK(one drain event per same-instant burst, not per packet)
     sim_.after(0, [this] { drain_bursts(); });
   }
 }

@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event simulator substrate.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -56,6 +58,162 @@ TEST(EventQueue, CancelAfterRunIsNoop) {
 TEST(EventQueue, NextTimeOnEmptyIsInfinity) {
   EventQueue q;
   EXPECT_EQ(q.next_time(), kTimeInfinity);
+}
+
+TEST(EventQueue, StaleIdDoesNotCancelSlotReuser) {
+  EventQueue q;
+  const EventId first = q.schedule(10, [] {});
+  q.pop().second();
+  // The freed slot is recycled for the next event; the old id must no
+  // longer reach it.
+  bool ran = false;
+  const EventId second = q.schedule(20, [&] { ran = true; });
+  EXPECT_NE(first, second);
+  q.cancel(first);
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().second();
+  EXPECT_TRUE(ran);
+
+  const EventId third = q.schedule(30, [] {});
+  q.cancel(third);
+  bool fourth_ran = false;
+  q.schedule(40, [&] { fourth_ran = true; });
+  q.cancel(third);  // cancelled id, slot now reused
+  ASSERT_EQ(q.size(), 1u);
+  q.pop().second();
+  EXPECT_TRUE(fourth_ran);
+}
+
+TEST(EventQueue, CancelZeroIsNoop) {
+  EventQueue q;
+  q.cancel(0);
+  bool ran = false;
+  q.schedule(1, [&] { ran = true; });
+  q.cancel(0);
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().second();
+  EXPECT_TRUE(ran);
+  q.cancel(0);  // slot 0 is free again
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, IdsStrictlyIncreaseAndAreNonzero) {
+  EventQueue q;
+  EventId last = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 50; ++i) {
+      const EventId id = q.schedule(100 - i, [] {});
+      EXPECT_GT(id, last);
+      last = id;
+      ids.push_back(id);
+    }
+    // Free slots out of order so later rounds reuse them shuffled.
+    for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
+    while (!q.empty()) q.pop().second();
+  }
+}
+
+TEST(EventQueue, CancelReleasesCapturesImmediately) {
+  EventQueue q;
+  auto shared = std::make_shared<int>(7);
+  const EventId id = q.schedule(10, [shared] { (void)*shared; });
+  q.schedule(5, [] {});
+  EXPECT_EQ(shared.use_count(), 2);
+  q.cancel(id);
+  EXPECT_EQ(shared.use_count(), 1);
+  EXPECT_EQ(q.next_time(), 5);
+}
+
+TEST(EventQueue, MoveOnlyAndMutableCallables) {
+  EventQueue q;
+  int seen = 0;
+  auto owned = std::make_unique<int>(41);
+  q.schedule(1, [&seen, p = std::move(owned)] { seen = ++*p; });
+  int calls = 0;
+  q.schedule(2, [&calls, n = 0]() mutable { calls = ++n; });
+  q.pop().second();
+  EXPECT_EQ(seen, 42);
+  const auto [when, cb] = q.pop();
+  EXPECT_EQ(when, 2);
+  cb();
+  cb();
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(EventQueue, OversizeCaptureUsesHeapAndIsFreed) {
+  using Big = std::array<std::uint64_t, 16>;  // 128 B, beyond the buffer
+  struct Capture {
+    std::shared_ptr<int> token;
+    Big payload;
+    std::uint64_t* out;
+    void operator()() const {
+      *out = payload[15] + static_cast<std::uint64_t>(*token);
+    }
+  };
+  static_assert(!EventCallback::kFitsInline<Capture>);
+  static_assert(EventCallback::kFitsInline<
+                std::array<unsigned char, EventCallback::kInlineBytes>>);
+
+  EventQueue q;
+  auto token = std::make_shared<int>(1);
+  std::uint64_t out = 0;
+  Big payload{};
+  payload[15] = 99;
+  q.schedule(1, Capture{token, payload, &out});
+  const EventId cancelled = q.schedule(2, Capture{token, payload, &out});
+  EXPECT_EQ(token.use_count(), 3);
+  q.cancel(cancelled);
+  EXPECT_EQ(token.use_count(), 2);
+  {
+    auto [when, cb] = q.pop();
+    cb();
+  }
+  EXPECT_EQ(out, 100u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, DestroyingQueueReleasesPendingCaptures) {
+  auto shared = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    for (int i = 0; i < 10; ++i) q.schedule(i, [shared] {});
+    EXPECT_EQ(shared.use_count(), 11);
+  }
+  EXPECT_EQ(shared.use_count(), 1);
+}
+
+TEST(Simulator, EventsScheduledWhileSlotsGrowFireInOrder) {
+  // Each callback schedules several more while the slot vector grows
+  // under it, then reads its own capture again (a use-after-free under
+  // ASan if the callable still lived in a reallocated slot).  Labels
+  // follow insertion order, and a new event is never earlier than the
+  // one running, so the fired (time, label) sequence must be strictly
+  // increasing.
+  Simulator sim;
+  std::vector<std::pair<Time, int>> fired;
+  int next_label = 1;
+  long reread = 0;
+  std::function<void(int, int)> spawn = [&](int depth, int label) {
+    fired.emplace_back(sim.now(), label);
+    if (depth >= 5) return;
+    for (int c = 0; c < 4; ++c) {
+      const int child = next_label++;
+      sim.after(c % 2, [&spawn, &reread, depth, child] {
+        spawn(depth + 1, child);
+        reread += child;
+      });
+    }
+  };
+  sim.at(0, [&] { spawn(0, 0); });
+  sim.run();
+  constexpr long kEvents = 1 + 4 + 16 + 64 + 256 + 1024;
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kEvents));
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LT(fired[i - 1], fired[i]) << i;
+  }
+  EXPECT_EQ(reread, (kEvents - 1) * kEvents / 2);  // labels 1..kEvents-1
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
