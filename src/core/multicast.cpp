@@ -23,7 +23,8 @@ bool is_tree_info(std::span<const std::uint8_t> port_info) {
   return port_info.size() >= 2 && port_info[0] == kTreeInfoTag;
 }
 
-std::vector<wire::Bytes> decode_tree_info(const wire::Bytes& port_info) {
+std::vector<wire::Bytes> decode_tree_info(
+    std::span<const std::uint8_t> port_info) {
   wire::Reader r(port_info);
   if (r.u8() != kTreeInfoTag) {
     throw wire::CodecError("tree info: bad tag");

@@ -33,11 +33,12 @@ inline constexpr std::uint8_t kTreeInfoTag = 0x54;
 wire::Bytes encode_tree_info(const std::vector<wire::Bytes>& subroutes);
 
 /// True when a portInfo field carries a tree-branch block.  Takes a view
-/// so the batched data plane can ask without materializing the field.
+/// so the router can ask without materializing the field.
 bool is_tree_info(std::span<const std::uint8_t> port_info);
 
 /// Decodes the branch blobs (throws wire::CodecError on malformed input).
-std::vector<wire::Bytes> decode_tree_info(const wire::Bytes& port_info);
+std::vector<wire::Bytes> decode_tree_info(
+    std::span<const std::uint8_t> port_info);
 
 /// Agent explosion payload (mechanism 3): member route blobs + user data.
 struct AgentPayload {

@@ -186,7 +186,6 @@ void Fabric::enable_observability(const obs::Observer& observer) {
 
 void Fabric::enable_batching(viper::ViperRouter::BatchConfig config) {
   for (viper::ViperRouter* router : routers_) router->set_batching(config);
-  for (viper::ViperHost* host : hosts_) host->set_batching(true);
 }
 
 obs::PathCollector& Fabric::enable_path_telemetry(PathTelemetryConfig config) {

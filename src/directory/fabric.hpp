@@ -93,9 +93,9 @@ class Fabric {
   /// complete — components added later are not wired retroactively.
   void enable_observability(const obs::Observer& observer);
 
-  /// Switches every router built so far to the batched (arena-backed)
-  /// forward path and every host to the in-place trailer reversal pass.
-  /// Like enable_observability, not retroactive for later components.
+  /// Switches every router built so far to same-instant coalescing
+  /// (ViperRouter::set_batching).  Like enable_observability, not
+  /// retroactive for later components.
   void enable_batching(viper::ViperRouter::BatchConfig config = {});
 
   /// Turns on in-band path telemetry: every router built so far stamps

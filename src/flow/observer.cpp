@@ -64,17 +64,6 @@ SRP_HOT_PATH void FlowObserver::on_forward(const obs::FlowSample& sample) {
   record_sampled(sample);
 }
 
-SRP_HOT_PATH void FlowObserver::on_forward_burst(
-    std::span<const obs::FlowSample> samples) {
-  // Table updates first (lock-free half), then one mutex acquisition for
-  // the whole burst.  Per-sample order is preserved in both halves, so the
-  // sampler stream and the flow table are byte-identical to a loop over
-  // on_forward().
-  for (const obs::FlowSample& sample : samples) record_table(sample);
-  MutexLock lock(mutex_);
-  for (const obs::FlowSample& sample : samples) record_sampled(sample);
-}
-
 void FlowObserver::on_charge(std::uint32_t account, std::uint64_t bytes) {
   MutexLock lock(mutex_);
   auto& c = charges_[account];

@@ -55,10 +55,6 @@ class FlowObserver final : public obs::FlowSink {
 
   void on_forward(const obs::FlowSample& sample) override
       SRP_EXCLUDES(mutex_);
-  /// Batch pass: same per-sample semantics and order as on_forward(), but
-  /// the mutex is taken once for the whole burst.
-  void on_forward_burst(std::span<const obs::FlowSample> samples) override
-      SRP_EXCLUDES(mutex_);
   void on_charge(std::uint32_t account, std::uint64_t bytes) override
       SRP_EXCLUDES(mutex_);
   void feeders_toward(int out_port, sim::Time since,

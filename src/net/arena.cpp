@@ -16,6 +16,7 @@ void PacketArena::reset_slab(Packet& p) {
   p.recirculations = 0;
   p.trace_id = 0;
   p.route_digest = 0;
+  p.telemetry = false;
   p.parent.reset();
 }
 
@@ -31,7 +32,7 @@ SRP_HOT_PATH PacketPtr PacketArena::acquire() {
     PacketPtr& slot = pool_[i];
     if (slot.use_count() == 1) {
       // Same rotation as (cursor_ + step) % n, without the per-step
-      // integer division — acquire() is the batch plane's allocator.
+      // integer division — acquire() runs once per router hop.
       cursor_ = i + 1 == n ? 0 : i + 1;
       reset_slab(*slot);
       ++stats_.recycled;

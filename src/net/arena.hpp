@@ -1,15 +1,16 @@
-// Slab-reusing packet arena: the allocation backbone of the batched data
-// plane (DESIGN.md §11).
+// Slab-reusing packet arena: the allocator behind every router rewrite
+// (DESIGN.md §11).
 //
-// The per-packet forward path pays one heap-backed Writer buffer plus a
-// make_shared per derived packet.  The arena replaces both: it owns a
-// bounded pool of Packet slabs and recycles a slab the moment the pool is
-// its *only* owner (use_count() == 1).  Everything that still needs a
-// packet — an output queue, an in-flight transmission, a fault lane
-// holding a duplicate, a downstream derive's parent chain — holds a
-// PacketPtr reference and thereby blocks recycling, so a slab can never be
-// reused while any byte of it is observable.  The sim is single-threaded,
-// which makes use_count() an exact, deterministic liveness oracle.
+// A router hop produces a new packet image (remainder + return entry).
+// Allocating it fresh costs a heap-backed byte buffer plus a make_shared
+// per hop; the arena replaces both.  It owns a bounded pool of Packet
+// slabs and recycles a slab the moment the pool is its *only* owner
+// (use_count() == 1).  Everything that still needs a packet — an output
+// queue, an in-flight transmission, a fault lane holding a duplicate, a
+// downstream derive's parent chain — holds a PacketPtr reference and
+// thereby blocks recycling, so a slab can never be reused while any byte
+// of it is observable.  The sim is single-threaded, which makes
+// use_count() an exact, deterministic liveness oracle.
 //
 // A recycled slab keeps its wire::Bytes capacity, so steady-state
 // acquire()+append runs with zero allocations (pinned by

@@ -1,4 +1,4 @@
-// Same-instant arrival coalescing for the batched forward path.
+// Same-instant arrival coalescing for ViperRouter::set_batching.
 //
 // Batch boundaries must align with event boundaries to keep the sim
 // byte-identical (DESIGN.md §11): a router's on_arrival pushes each

@@ -1,5 +1,6 @@
 #include "net/ethernet.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace srp::net {
@@ -38,6 +39,14 @@ EthernetHeader EthernetHeader::decode(wire::Reader& r) {
   std::copy(s.begin(), s.end(), h.src.octets.begin());
   h.ether_type = r.u16();
   return h;
+}
+
+void EthernetHeader::reverse_wire(std::span<const std::uint8_t, kWireSize> wire,
+                                  std::span<std::uint8_t, kWireSize> out) {
+  // DstMAC and SrcMAC trade places; the EtherType stays.
+  std::copy(wire.begin() + 6, wire.begin() + 12, out.begin());
+  std::copy(wire.begin(), wire.begin() + 6, out.begin() + 6);
+  std::copy(wire.begin() + 12, wire.end(), out.begin() + 12);
 }
 
 }  // namespace srp::net

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "wire/buffer.hpp"
@@ -61,6 +62,11 @@ struct EthernetHeader {
   [[nodiscard]] EthernetHeader reversed() const {
     return EthernetHeader{src, dst, ether_type};
   }
+
+  /// reversed(), applied to an encoded header: @p out receives the
+  /// encoding of the reversal of the header encoded in @p wire.
+  static void reverse_wire(std::span<const std::uint8_t, kWireSize> wire,
+                           std::span<std::uint8_t, kWireSize> out);
 
   bool operator==(const EthernetHeader&) const = default;
 };

@@ -3,9 +3,10 @@
 // A Packet carries a real wire image (`bytes`) — VIPER headers, IP headers,
 // CVC labels are all actual encoded octets that routers parse and rewrite —
 // plus side-band bookkeeping used only for measurement (ids, timestamps,
-// flow labels).  Routers that rewrite a packet (e.g. a Sirpent router
-// moving a header segment to the trailer) produce a fresh Packet and copy
-// the bookkeeping forward via Packet::derive().
+// flow labels).  Routers that rewrite a packet produce a new Packet and
+// copy the bookkeeping forward: via Packet::derive(), or — the Sirpent
+// router moving a header segment to the trailer — into a recycled
+// net::PacketArena slab with the same bookkeeping.
 #pragma once
 
 #include <cstdint>

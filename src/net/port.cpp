@@ -117,8 +117,14 @@ SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
     --it;
   }
   // The output queue is the paper's "output buffer space": buffering a
-  // blocked packet is the deliberate allocation on this path.
-  SRP_ALLOC_OK(queue_.insert(it, std::move(item)));
+  // blocked packet is the deliberate allocation on this path.  Append
+  // with push_back: deque::insert at begin() (== end() when empty) takes
+  // push_front, allocating a front chunk the next pop_front frees.
+  if (it == queue_.end()) {
+    SRP_ALLOC_OK(queue_.push_back(std::move(item)));
+  } else {
+    SRP_ALLOC_OK(queue_.insert(it, std::move(item)));
+  }
 }
 
 SRP_HOT_PATH void TxPort::try_start(sim::Time not_before) {

@@ -99,16 +99,6 @@ class FlightRecorder {
     ring_[seq & mask_] = span;
   }
 
-  /// Batch-pass variant: one ring reservation for the whole burst, spans
-  /// landing in input order.
-  void record_burst(std::span<const SpanRecord> spans) {
-    const auto base =
-        head_.fetch_add(spans.size(), std::memory_order_relaxed);
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-      ring_[(base + i) & mask_] = spans[i];
-    }
-  }
-
   /// Total spans ever recorded (including overwritten ones).
   [[nodiscard]] std::uint64_t recorded() const {
     return head_.load(std::memory_order_relaxed);

@@ -60,8 +60,8 @@ wire::Bytes decode_field(wire::Reader& r, std::uint8_t length_byte) {
 
 /// decode_field without the copy: same framing rules (big-endian u32
 /// length escape), returns a view over @p base.  Raw-pointer twin of the
-/// Reader-based decode_field so the burst classify pass pays one bounds
-/// check per field instead of one per byte.
+/// Reader-based decode_field so the per-hop decode pays one bounds check
+/// per field instead of one per byte.
 std::span<const std::uint8_t> decode_field_view_raw(
     const std::uint8_t* base, std::size_t avail, std::size_t& pos,
     std::uint8_t length_byte) {
@@ -155,7 +155,7 @@ SRP_HOT_PATH SegmentView decode_segment_view(
   }
   // Raw-pointer parse: the fixed prefix is validated with one bounds
   // check and each field with one more, instead of the Reader's check
-  // per byte — this is the entry point of the burst classify pass.
+  // per byte — this is the entry point of every router hop.
   const std::uint8_t* base = bytes.data() + offset;
   const std::size_t avail = bytes.size() - offset;
   if (avail < 4) {
@@ -184,6 +184,16 @@ SRP_HOT_PATH SegmentView decode_segment_view(
   return v;
 }
 
+core::HeaderSegment to_segment(const SegmentView& view) {
+  core::HeaderSegment seg;
+  seg.port = view.port;
+  seg.tos = view.tos;
+  seg.flags = view.flags;
+  seg.token.assign(view.token.begin(), view.token.end());
+  seg.port_info.assign(view.port_info.begin(), view.port_info.end());
+  return seg;
+}
+
 SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,
                                      const core::TypeOfService& tos,
                                      const core::SegmentFlags& flags,
@@ -193,11 +203,11 @@ SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,
     throw wire::CodecError("VIPER: field too large");
   }
   [[maybe_unused]] const std::size_t before = out.size();
-  // Every append below lands in a caller-owned buffer that the batched
-  // data plane keeps capacity-warm (arena slabs), so the blessed sites
+  // Every append below lands in a caller-owned buffer that the router
+  // keeps capacity-warm (arena slabs), so the blessed sites
   // amortize to zero allocations (pinned by tests/alloc_budget_test.cpp).
   // The fixed prefix goes in as one insert, not four push_backs: the
-  // per-byte growth checks are measurable on the burst path.
+  // per-byte growth checks are measurable on the per-hop path.
   const std::uint8_t prefix[4] = {
       port_info.size() > 254 ? static_cast<std::uint8_t>(kLengthEscape)
                              : static_cast<std::uint8_t>(port_info.size()),
@@ -226,7 +236,8 @@ SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,
                                              field_wire_size(port_info.size()));
 }
 
-bool reverse_trailer_in_place(std::span<std::uint8_t> trailer) {
+bool reverse_trailer_in_place(std::span<std::uint8_t> trailer,
+                              std::size_t* segment_count) {
   // Segment sizes, walked off the fixed prefixes without materializing any
   // field.  A trailer holds at most one entry per traversed hop plus
   // truncation marks; 2 * kMaxSegments is a generous ceiling.
@@ -246,6 +257,7 @@ bool reverse_trailer_in_place(std::span<std::uint8_t> trailer) {
   }
   SIRPENT_INVARIANT(offset == trailer.size());
   core::reverse_records_in_place(trailer, std::span(sizes).first(count));
+  if (segment_count != nullptr) *segment_count = count;
   return true;
 }
 
@@ -261,25 +273,37 @@ std::vector<core::HeaderSegment> decode_segments(wire::Reader& r) {
   return out;
 }
 
-wire::Bytes encode_packet(const core::SourceRoute& route,
-                          std::span<const std::uint8_t> data) {
+std::size_t packet_wire_size(const core::SourceRoute& route,
+                             std::size_t data_size) {
+  std::size_t size = 2 + data_size;
+  for (const auto& seg : route.segments) size += segment_wire_size(seg);
+  return size;
+}
+
+void encode_packet(wire::Writer& w, const core::SourceRoute& route,
+                   std::span<const std::uint8_t> data) {
   if (route.segments.empty() || route.segments.size() > core::kMaxSegments) {
     throw wire::CodecError("VIPER: route length out of range");
   }
   if (data.size() > 0xFFFF) {
     throw wire::CodecError("VIPER: data exceeds 16-bit length");
   }
-  wire::Writer w;
+  [[maybe_unused]] const std::size_t start = w.size();
   for (const auto& seg : route.segments) {
     if (!seg.is_legal()) {
       throw wire::CodecError("VIPER: truncation mark in route");
     }
     encode_segment(w, seg);
   }
-  [[maybe_unused]] const std::size_t header_len = w.size();
   w.u16(static_cast<std::uint16_t>(data.size()));
   w.bytes(data);
-  SIRPENT_ENSURES(w.size() == header_len + 2 + data.size());
+  SIRPENT_ENSURES(w.size() - start == packet_wire_size(route, data.size()));
+}
+
+wire::Bytes encode_packet(const core::SourceRoute& route,
+                          std::span<const std::uint8_t> data) {
+  wire::Writer w(packet_wire_size(route, data.size()));
+  encode_packet(w, route, data);
   return std::move(w).take();
 }
 

@@ -55,10 +55,10 @@ void encode_segment(wire::Writer& w, const core::HeaderSegment& segment);
 core::HeaderSegment decode_segment(wire::Reader& r);
 
 /// A decoded segment whose variable fields are *views* into the packet
-/// buffer instead of copies — the batched data plane's header
-/// representation.  Field semantics match decode_segment exactly
-/// (including the VNT padding discard, which leaves `port_info` empty);
-/// the spans stay valid only while the underlying buffer does.
+/// buffer instead of copies — the router's header representation.  Field
+/// semantics match decode_segment exactly (including the VNT padding
+/// discard, which leaves `port_info` empty); the spans stay valid only
+/// while the underlying buffer does.
 struct SegmentView {
   std::uint8_t port = 0;
   core::TypeOfService tos;
@@ -68,7 +68,14 @@ struct SegmentView {
   std::size_t wire_size = 0;  ///< encoded size of this segment
 
   [[nodiscard]] bool is_legal() const { return !flags.trm; }
+  /// Same test as core::HeaderSegment::is_telemetry_record.
+  [[nodiscard]] bool is_telemetry_record() const {
+    return flags.trm && !flags.vnt && port == core::kTelemetryPort;
+  }
 };
+
+/// The owning segment equal to @p view (fields copied out of the buffer).
+core::HeaderSegment to_segment(const SegmentView& view);
 
 /// Decodes the segment starting at @p offset of @p bytes without copying
 /// its fields.  Byte-for-byte the same acceptance rules as decode_segment;
@@ -79,8 +86,8 @@ SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
 /// Appends the encoding of one segment to @p out by raw byte appends —
 /// byte-identical to encode_segment of the equivalent HeaderSegment, but
 /// writing into a caller-owned (typically arena-backed, capacity-warm)
-/// buffer instead of a Writer.  The batched codec must not move a single
-/// byte on the wire: golden_wire_test pins the agreement.
+/// buffer instead of a Writer.  The zero-copy rewrite must not move a
+/// single byte on the wire: golden_wire_test pins the agreement.
 void append_segment_raw(wire::Bytes& out, std::uint8_t port,
                         const core::TypeOfService& tos,
                         const core::SegmentFlags& flags,
@@ -92,8 +99,10 @@ void append_segment_raw(wire::Bytes& out, std::uint8_t port,
 /// the segment sizes with decode_segment_view, then rotates the records
 /// with core::reverse_records_in_place.  Returns false — leaving the
 /// buffer unchanged — if the bytes do not parse as a whole number of
-/// segments or there are more than 2 * core::kMaxSegments of them.
-bool reverse_trailer_in_place(std::span<std::uint8_t> trailer);
+/// segments or there are more than 2 * core::kMaxSegments of them.  On
+/// success, @p segment_count (when given) receives the number of segments.
+bool reverse_trailer_in_place(std::span<std::uint8_t> trailer,
+                              std::size_t* segment_count = nullptr);
 
 /// Encodes a full route (all segments, in order).
 wire::Bytes encode_route(const core::SourceRoute& route);
@@ -102,9 +111,19 @@ wire::Bytes encode_route(const core::SourceRoute& route);
 /// trailers).
 std::vector<core::HeaderSegment> decode_segments(wire::Reader& r);
 
-/// Builds the body of a fresh VIPER packet: route + DataLen + data, with an
-/// empty trailer.  Throws if the route is too long (core::kMaxSegments) or
-/// the data exceeds the 16-bit length field.
+/// Encoded size of the packet body encode_packet builds: every route
+/// segment, the 2-byte DataLen and @p data_size octets of data.
+std::size_t packet_wire_size(const core::SourceRoute& route,
+                             std::size_t data_size);
+
+/// Appends the body of a fresh VIPER packet to @p w: route + DataLen +
+/// data, with an empty trailer.  Throws if the route is too long
+/// (core::kMaxSegments), holds a truncation mark, or the data exceeds the
+/// 16-bit length field.
+void encode_packet(wire::Writer& w, const core::SourceRoute& route,
+                   std::span<const std::uint8_t> data);
+
+/// encode_packet into an exactly sized buffer of its own.
 wire::Bytes encode_packet(const core::SourceRoute& route,
                           std::span<const std::uint8_t> data);
 

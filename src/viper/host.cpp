@@ -6,6 +6,22 @@
 #include "check/contract.hpp"
 
 namespace srp::viper {
+namespace {
+
+/// Decodes one in-band telemetry record onto @p path, counting payloads
+/// that do not decode.
+void add_postcard(std::vector<obs::HopTelemetry>& path,
+                  std::span<const std::uint8_t> payload,
+                  std::size_t& decode_errors) {
+  const auto hop = obs::decode_hop_telemetry(payload);
+  if (hop.has_value()) {
+    path.push_back(*hop);
+  } else {
+    ++decode_errors;
+  }
+}
+
+}  // namespace
 
 ViperHost::ViperHost(sim::Simulator& sim, std::string name,
                      net::PacketFactory& packets)
@@ -62,12 +78,15 @@ void ViperHost::set_observer(const obs::Observer& observer) {
 std::uint64_t ViperHost::send(const core::SourceRoute& route,
                               std::span<const std::uint8_t> data,
                               const SendOptions& options) {
-  wire::Writer w;
+  // One exactly sized buffer: the first hop's link header (on a LAN), the
+  // route, DataLen and the data.
+  const std::size_t link_size =
+      options.link.has_value() ? net::EthernetHeader::kWireSize : 0;
+  wire::Writer w(link_size + packet_wire_size(route, data.size()));
   if (options.link.has_value()) {
     options.link->encode(w);
   }
-  wire::Bytes body = encode_packet(route, data);
-  w.bytes(body);
+  encode_packet(w, route, data);
 
   net::PacketPtr packet =
       packets_.make(std::move(w).take(), sim_.now(), options.flow);
@@ -117,42 +136,81 @@ SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
   sim_.at(arrival.tail, [this, arrival] { process(arrival); });
 }
 
-bool ViperHost::decode_body_reversed(wire::Reader& r, DeliveredBody& body) {
-  // Probe on a copy so a bail-out leaves the caller's reader untouched for
-  // the reference path.
-  wire::Reader probe = r;
-  if (probe.remaining() < 2) return false;
-  const std::uint16_t data_len = probe.u16();
-  if (probe.remaining() < data_len) return false;  // truncated in flight
-  wire::Bytes data = probe.bytes(data_len);
-  const auto raw_trailer = probe.view(probe.remaining());
-  trailer_scratch_.assign(raw_trailer.begin(), raw_trailer.end());
-  if (!reverse_trailer_in_place(trailer_scratch_)) return false;
-  wire::Reader tr(trailer_scratch_);
-  body.trailer = decode_segments(tr);  // already in return order
-  body.data = std::move(data);
-  r = probe;
+bool ViperHost::take_reversed_body(std::span<const std::uint8_t> body,
+                                   Delivery& delivery, bool& truncation_mark,
+                                   std::size_t& telemetry_errors) {
+  if (body.size() < 2) return false;
+  const std::size_t data_len = static_cast<std::size_t>(body[0]) << 8 |
+                               static_cast<std::size_t>(body[1]);
+  if (body.size() - 2 < data_len) return false;  // truncated in flight
+  const std::span<const std::uint8_t> trailer = body.subspan(2 + data_len);
+  trailer_scratch_.assign(trailer.begin(), trailer.end());
+  std::size_t count = 0;
+  if (!reverse_trailer_in_place(trailer_scratch_, &count)) return false;
+
+  const std::span<const std::uint8_t> data = body.subspan(2, data_len);
+  delivery.data.assign(data.begin(), data.end());
+  // The entries come out in return order: the route is the trailer's
+  // legal segments, then the local segment, RPF set on all.
+  std::vector<core::HeaderSegment>& segments = delivery.return_route.segments;
+  segments.reserve(count + 1);
+  for (std::size_t offset = 0; offset < trailer_scratch_.size();) {
+    const SegmentView entry = decode_segment_view(trailer_scratch_, offset);
+    offset += entry.wire_size;
+    if (entry.is_telemetry_record()) {
+      // Hop order — not trailer position — orders the path (sorted by the
+      // caller), so newest-first records reconstruct it the same.
+      add_postcard(delivery.path, entry.port_info, telemetry_errors);
+    } else if (entry.flags.trm) {
+      truncation_mark = true;
+    } else {
+      segments.push_back(to_segment(entry));
+    }
+  }
+  core::HeaderSegment local;
+  local.port = core::kLocalPort;
+  local.flags.vnt = true;
+  segments.push_back(std::move(local));
+  delivery.return_route.set_rpf();
   return true;
 }
 
 void ViperHost::process(const net::Arrival& arrival) {
   const net::Packet& packet = *arrival.packet;
+  const std::span<const std::uint8_t> bytes = packet.bytes;
   std::optional<net::EthernetHeader> link;
-  core::HeaderSegment local_seg;
-  DeliveredBody body;
-  bool reversed_in_place = false;
+  std::optional<std::uint64_t> endpoint;
+  Delivery delivery;
+  bool truncation_mark = false;
+  std::size_t telemetry_decode_errors = 0;
   try {
-    wire::Reader r(packet.bytes);
+    wire::Reader r(bytes);
     if (port_kind(arrival.in_port) == PortKind::kLan) {
       link = net::EthernetHeader::decode(r);
     }
-    local_seg = decode_segment(r);
+    const SegmentView local_seg = decode_segment_view(bytes, r.position());
     if (local_seg.port != core::kLocalPort || !local_seg.is_legal()) {
       ++stats_.misrouted;
       return;
     }
-    if (batched_) reversed_in_place = decode_body_reversed(r, body);
-    if (!reversed_in_place) body = decode_delivered_body(r);
+    endpoint = decode_endpoint_id(local_seg.port_info);
+    const std::span<const std::uint8_t> body =
+        bytes.subspan(r.position() + local_seg.wire_size);
+    if (!take_reversed_body(body, delivery, truncation_mark,
+                            telemetry_decode_errors)) {
+      // Cut short in flight, or a trailer that does not parse: the
+      // copying decode recovers what arrived, and a surviving TRM mark.
+      wire::Reader rest(body);
+      DeliveredBody fallback = decode_delivered_body(rest);
+      core::TrailerInfo trailer =
+          core::classify_trailer(std::move(fallback.trailer));
+      delivery.data = std::move(fallback.data);
+      for (const core::HeaderSegment& rec : trailer.telemetry) {
+        add_postcard(delivery.path, rec.port_info, telemetry_decode_errors);
+      }
+      delivery.return_route = core::build_return_route(trailer.entries);
+      truncation_mark = trailer.truncated;
+    }
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
     // A marked packet too damaged to parse still carries its postcard:
@@ -163,62 +221,25 @@ void ViperHost::process(const net::Arrival& arrival) {
     return;
   }
 
-  const auto endpoint = decode_endpoint_id(local_seg.port_info);
-
   if (endpoint.has_value() && *endpoint == kControlEndpoint) {
     ++stats_.control_received;
     if (control_handler_) {
-      control_handler_(std::move(body.data), arrival.in_port);
+      control_handler_(std::move(delivery.data), arrival.in_port);
     }
     return;
   }
 
-  // classify_trailer's TRM filter preserves relative order, so it commutes
-  // with the in-place reversal: filtering the reversed entries yields the
-  // reversal of the filtered forward-order entries.
-  core::TrailerInfo trailer = core::classify_trailer(std::move(body.trailer));
-  Delivery delivery;
-  delivery.data = std::move(body.data);
-  std::size_t telemetry_decode_errors = 0;
-  if (!trailer.telemetry.empty()) {
-    // Decode the in-band records.  Hop order — not trailer position —
-    // orders the path, so the reference (forward-order) and in-place
-    // reversed (newest-first) decodes reconstruct identically.
-    delivery.path.reserve(trailer.telemetry.size());
-    for (const core::HeaderSegment& rec : trailer.telemetry) {
-      const auto hop = obs::decode_hop_telemetry(rec.port_info);
-      if (hop.has_value()) {
-        delivery.path.push_back(*hop);
-      } else {
-        ++telemetry_decode_errors;
-      }
-    }
-    std::sort(delivery.path.begin(), delivery.path.end(),
-              [](const obs::HopTelemetry& a, const obs::HopTelemetry& b) {
-                return a.hop < b.hop;
-              });
-  }
-  if (reversed_in_place) {
-    // Entries are already in return order: append the local segment and
-    // set RPF directly instead of re-reversing through build_return_route.
-    core::SourceRoute route;
-    route.segments = std::move(trailer.entries);
-    core::HeaderSegment local;
-    local.port = core::kLocalPort;
-    local.flags.vnt = true;
-    route.segments.push_back(std::move(local));
-    route.set_rpf();
-    delivery.return_route = std::move(route);
-  } else {
-    delivery.return_route = core::build_return_route(trailer.entries);
-  }
+  std::sort(delivery.path.begin(), delivery.path.end(),
+            [](const obs::HopTelemetry& a, const obs::HopTelemetry& b) {
+              return a.hop < b.hop;
+            });
   // A reply along this route must terminate at the origin host's local
   // port, marked RPF so routers honour reverse-charged tokens.
   SIRPENT_ENSURES(!delivery.return_route.empty() &&
                   delivery.return_route.segments.back().port ==
                       core::kLocalPort);
   if (link.has_value()) delivery.reply_link = link->reversed();
-  delivery.truncated = trailer.truncated || packet.effectively_truncated();
+  delivery.truncated = truncation_mark || packet.effectively_truncated();
   delivery.endpoint = endpoint.value_or(0);
   delivery.packet_id = packet.id;
   delivery.flow = packet.flow;

@@ -104,15 +104,6 @@ class ViperHost : public net::PortedNode {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Switches delivery to the batched-plane trailer pass: the raw trailer
-  /// bytes are copied once into a reused scratch buffer and reversed *in
-  /// place* (core::reverse_records_in_place), so the decoded segments come
-  /// out already in return order and build_return_route's re-reversal is
-  /// skipped.  Falls back to the reference path — byte-identically — when
-  /// the packet was truncated in flight or the trailer fails to parse.
-  void set_batching(bool enabled) { batched_ = enabled; }
-  [[nodiscard]] bool batching_enabled() const { return batched_; }
-
   /// Wires the host to an observability sink.  With a recorder present,
   /// every packet this host originates is traced: send() mints a trace
   /// context (trace id = packet id) that rides the packet's measurement
@@ -135,13 +126,17 @@ class ViperHost : public net::PortedNode {
  private:
   void process(const net::Arrival& arrival);
 
-  /// Batched-plane body parse: reads [DataLen][Data], then reverses the
-  /// remaining trailer bytes in place on trailer_scratch_ and decodes the
-  /// segments — already in return order.  Returns false, leaving @p r
-  /// untouched, when the data was truncated in flight or the trailer does
-  /// not parse as whole segments; the caller then takes the reference
-  /// decode_delivered_body path.
-  bool decode_body_reversed(wire::Reader& r, DeliveredBody& body);
+  /// Parses [DataLen][Data][Trailer] into @p delivery: the data, and the
+  /// return route built from the trailer reversed *in place* on
+  /// trailer_scratch_ — one vector sized from the reversal's segment
+  /// count, truncation marks and telemetry records filtered out as it
+  /// fills, entries already in return order.  Returns false, leaving
+  /// @p delivery untouched, when the data was cut short in flight or the
+  /// trailer does not parse as whole segments; the caller then falls back
+  /// to decode_delivered_body.
+  bool take_reversed_body(std::span<const std::uint8_t> body,
+                          Delivery& delivery, bool& truncation_mark,
+                          std::size_t& telemetry_errors);
 
   net::PacketFactory& packets_;
   std::vector<PortKind> port_kinds_;
@@ -161,8 +156,6 @@ class ViperHost : public net::PortedNode {
   obs::PathCollector* collector_ = nullptr;
   std::optional<flow::TelemetryMarker> marker_;
 
-  // Batched-plane delivery state (set_batching).
-  bool batched_ = false;
   /// Reused trailer image for the in-place reversal; capacity survives
   /// across deliveries so the steady state re-allocates nothing.
   wire::Bytes trailer_scratch_;

@@ -17,6 +17,12 @@ net::TxMeta meta_for(const core::TypeOfService& tos) {
                      tos.drop_if_blocked};
 }
 
+/// Room a rewrite may need beyond the arrival image, its outgoing link
+/// header and its return portInfo: the dropped front is at least as long
+/// as the return entry's prefix and echoed token, leaving two length
+/// escapes and one telemetry record.
+constexpr std::size_t kRewriteSlack = 8 + 4 + obs::kHopTelemetryWire;
+
 }  // namespace
 
 /// Port field of the packet's next segment, or 0 when the remainder does
@@ -27,10 +33,10 @@ net::TxMeta meta_for(const core::TypeOfService& tos) {
 /// of materializing them the way decode_segment would — this runs once
 /// per forward, and srp-lint's hot-path pass budget assumes it stays
 /// allocation-free.
-SRP_HOT_PATH std::uint8_t peek_next_port(const wire::Bytes& bytes,
+SRP_HOT_PATH std::uint8_t peek_next_port(std::span<const std::uint8_t> bytes,
                                          std::size_t offset) {
   if (offset >= bytes.size()) return 0;
-  wire::Reader r{std::span{bytes}.subspan(offset)};
+  wire::Reader r{bytes.subspan(offset)};
   try {
     const std::uint8_t info_len = r.u8();
     const std::uint8_t token_len = r.u8();
@@ -59,7 +65,8 @@ wire::Bytes encode_endpoint_id(std::uint64_t id) {
   return std::move(w).take();
 }
 
-std::optional<std::uint64_t> decode_endpoint_id(const wire::Bytes& info) {
+std::optional<std::uint64_t> decode_endpoint_id(
+    std::span<const std::uint8_t> info) {
   if (info.size() != 8) return std::nullopt;
   wire::Reader r(info);
   return r.u64();
@@ -105,12 +112,13 @@ void ViperRouter::inject_from_tunnel(std::uint8_t tunnel_port_id,
   net::Arrival arrival;
   arrival.packet = packet;
   arrival.in_port = 0;  // not a physical port; the trailer entry names the
-                        // tunnel port instead (see make_return_entry)
+                        // tunnel port instead (see parse_front)
   arrival.head = sim_.now();
   arrival.tail = sim_.now();
   arrival.rate_bps = 0.0;  // forces store-and-forward timing
-  handle_packet(arrival, packet->bytes, /*synthetic_tree_copy=*/true,
-                std::make_pair(tunnel_port_id, std::move(reverse_info)));
+  route(arrival, packet->bytes,
+        Ingress{/*link_framed=*/false, /*tunnel=*/true, tunnel_port_id,
+                reverse_info});
 }
 
 void ViperRouter::enable_delay_lines(sim::Time latency,
@@ -176,42 +184,17 @@ void ViperRouter::count_token_outcome(obs::TokenOutcome outcome) {
   if (c != nullptr) c->add();
 }
 
-SRP_HOT_PATH void ViperRouter::record_flow(
-    const net::Arrival& arrival, const ParsedFront& front, int out_port,
-    const wire::Bytes& bytes, bool cut_through, std::uint32_t account,
-    sim::Time now) {
-  obs::FlowSample sample;
-  sample.route_digest = arrival.packet->route_digest;
-  sample.packet_id = arrival.packet->id;
-  sample.trace_id = arrival.packet->trace_id;
-  sample.account = account;
-  sample.tos_class = front.segment.tos.priority;
-  sample.cut_through = cut_through;
-  sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
-  sample.out_port = static_cast<std::uint16_t>(out_port);
-  // The admitted byte count — the same value admit_token charged, which
-  // is what makes per-account roll-ups reconcile with the ledger.
-  sample.bytes = static_cast<std::uint32_t>(bytes.size());
-  sample.now = now;
-  // Link header + first segment, exactly as received: the excerpt source
-  // for sampled-packet capture.
-  sample.header =
-      std::span(bytes).first(std::min(front.consumed, bytes.size()));
-  obs_flow_->on_forward(sample);
-}
-
 SRP_SIM_VISIBLE void ViperRouter::on_arrival(const net::Arrival& arrival) {
   ++stats_.received;
   arrival.packet->last_in_port = arrival.in_port;
   if (!batching_) {
-    handle_packet(arrival, arrival.packet->bytes,
-                  /*synthetic_tree_copy=*/false);
+    route(arrival, arrival.packet->bytes, ingress_of(arrival));
     return;
   }
-  // Batched plane: coalesce every arrival of this instant and drain once.
-  // The drain event is scheduled at +0, so same-time FIFO ordering places
-  // it after all arrivals already delivered at this instant — the batch
-  // boundary IS the event boundary, which is what keeps the batched sim
+  // Coalesce every arrival of this instant and drain once.  The drain
+  // event is scheduled at +0, so same-time FIFO ordering places it after
+  // all arrivals already delivered at this instant — the batch boundary IS
+  // the event boundary, which is what keeps the coalesced sim
   // byte-identical to the per-packet one (all forward timing derives from
   // arrival.head/tail, never from "processing time" within the instant).
   if (ingress_.push(arrival)) {
@@ -235,39 +218,15 @@ SRP_SIM_VISIBLE void ViperRouter::drain_bursts() {
 
 SRP_HOT_PATH void ViperRouter::forward_burst(
     std::span<const net::Arrival> burst) {
-  // Pass 1: classify.  Pure — no counters move, nothing is charged — so a
-  // slow item replays through handle_packet() from scratch with no
-  // double-count and a fast item is guaranteed to reach admission.
-  burst_slots_.clear();
+  prefetch_burst_tokens(burst);
   for (const net::Arrival& arrival : burst) {
-    // capacity-warm scratch; classify writes the view in place
-    SRP_ALLOC_OK(BurstSlot& slot = burst_slots_.emplace_back());
-    slot.fast = classify_fast(arrival, slot.view);
+    route(arrival, arrival.packet->bytes, ingress_of(arrival));
   }
-
-  // Pass 2: prefetch validation tickets for this burst's uncached tokens.
-  prefetch_burst_tokens();
-
-  // Pass 3: per-item, in strict arrival order.  Slow items flush the
-  // accumulated observability first so the flow sampler draws in exactly
-  // the per-packet order.
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    const net::Arrival& arrival = burst[i];
-    if (burst_slots_[i].fast) {
-      forward_fast(arrival, burst_slots_[i].view);
-    } else {
-      flush_burst_obs();
-      handle_packet(arrival, arrival.packet->bytes,
-                    /*synthetic_tree_copy=*/false);
-    }
-  }
-  flush_burst_obs();
-
-  // Every prefetched ticket is normally consumed by its fast item's
-  // admission above.  The one escape: a slow item sharing the token value
-  // entered pending_verifies_ first, orphaning the fast item's ticket —
-  // settle such strays now so the engine's await-every-ticket contract
-  // holds.
+  // A prefetched ticket is normally consumed by its packet's admission
+  // above.  Strays — the packet never reached admission (dropped,
+  // delivered locally, branched), or another packet with the same token
+  // value entered pending_verifies_ first — are settled now so the
+  // engine's await-every-ticket contract holds.
   if (!pending_tickets_.empty()) {
     for (const auto& [key, ticket] : SRP_ORDER_OK(pending_tickets_)) {
       (void)key;
@@ -277,56 +236,38 @@ SRP_HOT_PATH void ViperRouter::forward_burst(
   }
 }
 
-SRP_HOT_PATH bool ViperRouter::classify_fast(const net::Arrival& arrival,
-                                             SegmentView& view) const {
-  if (port_kind(arrival.in_port) == PortKind::kLan) return false;
-  try {
-    view = decode_segment_view(arrival.packet->bytes, 0);
-  } catch (const wire::CodecError&) {
-    return false;  // handle_packet counts the malformed drop
-  }
-  if (!view.is_legal()) return false;
-  if (view.port == core::kLocalPort) return false;
-  if (core::is_tree_info(view.port_info)) return false;
-  if (!tunnel_ports_.empty() && tunnel_ports_.contains(view.port)) {
-    return false;
-  }
-  if (!logical_ports_.empty() && logical_ports_.contains(view.port)) {
-    return false;
-  }
-  if (view.port > port_count()) return false;  // slow path counts the drop
-  if (port_kind(view.port) == PortKind::kLan) return false;
-  // kBlocking admission defers the packet with a copied image; keep that
-  // cold machinery on the reference path.
-  if (config_.require_tokens && authority_ != nullptr &&
-      config_.uncached_policy == tokens::UncachedPolicy::kBlocking) {
-    return false;
-  }
-  return true;
-}
-
-SRP_HOT_PATH void ViperRouter::prefetch_burst_tokens() {
+SRP_HOT_PATH void ViperRouter::prefetch_burst_tokens(
+    std::span<const net::Arrival> burst) {
   if (!config_.require_tokens || authority_ == nullptr ||
       validation_engine_ == nullptr) {
     return;
   }
   prefetch_tokens_.clear();
   prefetch_keys_.clear();
-  for (const BurstSlot& slot : burst_slots_) {
-    if (!slot.fast || slot.view.token.empty()) continue;
-    const std::uint64_t key = tokens::TokenCache::key_of(slot.view.token);
+  for (const net::Arrival& arrival : burst) {
+    // Any parsed token qualifies: one whose packet never reaches
+    // admission is a stray, settled at the end of the burst.
+    LinkScratch link;
+    Front front;
+    if (!parse_front(arrival, arrival.packet->bytes, ingress_of(arrival),
+                     link, front) ||
+        front.segment.token.empty()) {
+      continue;
+    }
+    const SegmentView& seg = front.segment;
+    const std::uint64_t key = tokens::TokenCache::key_of(seg.token);
     // Skip tokens already verifying, already ticketed, already cached —
     // and dedup within the burst — so exactly one submission exists per
-    // distinct uncached token, the same as the per-packet path.
+    // distinct uncached token, the same as without coalescing.
     if (pending_verifies_.contains(key)) continue;
     if (!pending_tickets_.empty() && pending_tickets_.contains(key)) continue;
     if (std::find(prefetch_keys_.begin(), prefetch_keys_.end(), key) !=
         prefetch_keys_.end()) {
       continue;
     }
-    if (token_cache_.probe(slot.view.token)) continue;
+    if (token_cache_.probe(seg.token)) continue;
     SRP_ALLOC_OK(prefetch_keys_.push_back(key));       // capacity-warm
-    SRP_ALLOC_OK(prefetch_tokens_.push_back(slot.view.token));
+    SRP_ALLOC_OK(prefetch_tokens_.push_back(seg.token));
   }
   if (prefetch_tokens_.empty()) return;
   prefetch_tickets_.clear();
@@ -339,186 +280,71 @@ SRP_HOT_PATH void ViperRouter::prefetch_burst_tokens() {
   }
 }
 
-SRP_HOT_PATH void ViperRouter::forward_fast(const net::Arrival& arrival,
-                                            const SegmentView& v) {
-  const int physical_port = v.port;  // classified: a plain physical port
-  net::TxPort& out = port(physical_port);
-  const wire::Bytes& bytes = arrival.packet->bytes;
-
-  const auto decision = admit_token_ref(
-      TokenRef{v.token, v.port, v.tos.priority, v.flags.rpf}, physical_port,
-      bytes.size());
-  if (!decision.has_value()) return;
-  // kBlocking was classified slow, so admission never defers here.
-  SIRPENT_INVARIANT(decision->extra_delay == 0);
-
-  // The zero-copy rewrite: remainder + return entry appended straight into
-  // a recycled arena slab whose capacity is warm — no Writer, no derive
-  // allocation, header fields as views throughout.
-  net::PacketPtr derived = arena_.acquire();
-  wire::Bytes& out_bytes = derived->bytes;
-  SRP_ALLOC_OK(out_bytes.insert(
-      out_bytes.end(),
-      bytes.begin() + static_cast<std::ptrdiff_t>(v.wire_size), bytes.end()));
-  {
-    // Byte-identical twin of make_return_entry() + encode_segment() for a
-    // point-to-point, non-tunnel arrival: return port = arrival port, DIB
-    // mirrored from the type of service, VNT set (no link header), token
-    // echoed when reversible.
-    core::SegmentFlags return_flags;
-    return_flags.vnt = true;
-    return_flags.dib = v.tos.drop_if_blocked;
-    append_segment_raw(out_bytes, static_cast<std::uint8_t>(arrival.in_port),
-                       v.tos, return_flags,
-                       decision->reversible
-                           ? v.token
-                           : std::span<const std::uint8_t>{},
-                       {});
+SRP_HOT_PATH bool ViperRouter::parse_front(const net::Arrival& arrival,
+                                           std::span<const std::uint8_t> bytes,
+                                           const Ingress& ingress,
+                                           LinkScratch& link,
+                                           Front& front) const {
+  std::size_t offset = 0;
+  front.return_port = static_cast<std::uint8_t>(arrival.in_port);
+  front.return_info = {};
+  if (ingress.link_framed) {
+    // "with an Ethernet header, the destination and source addresses are
+    // swapped" so the stored header is a correct return hop.
+    if (bytes.size() < link.size()) return false;
+    net::EthernetHeader::reverse_wire(
+        bytes.first<net::EthernetHeader::kWireSize>(), link);
+    front.return_info = link;
+    offset = link.size();
   }
-
-  const ForwardTiming timing =
-      forward_timing(arrival, v.wire_size, physical_port);
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    // Same stamp, same placement as forward(): after the return entry,
-    // before the MTU cut — so the cut may slice through the newest record
-    // on either path, byte-identically.
-    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing,
-                    decision->outcome);
+  if (ingress.tunnel) {
+    // Tunnel ingress: the return hop re-enters the tunnel toward the far
+    // gateway learned from the encapsulation header.
+    front.return_port = ingress.tunnel_port;
+    front.return_info = ingress.tunnel_info;
   }
-
-  bool truncated = false;
-  if (out_bytes.size() > out.config().mtu_bytes) {
-    // Same cut as forward(): resize to MTU minus the 4-byte truncation
-    // mark, then append the mark (an illegal segment, §2).
-    static constexpr std::size_t kMarkWire = 4;
-    SIRPENT_INVARIANT(out.config().mtu_bytes >= kMarkWire);
-    SRP_ALLOC_OK(out_bytes.resize(out.config().mtu_bytes - kMarkWire));
-    const core::HeaderSegment mark = core::HeaderSegment::truncation_marker();
-    append_segment_raw(out_bytes, mark.port, mark.tos, mark.flags, {}, {});
-    truncated = true;
-    ++stats_.truncated_forwards;
-    SIRPENT_ENSURES(out_bytes.size() == out.config().mtu_bytes);
-  }
-
-  // Packet::derive()'s bookkeeping, applied to the slab.
-  const net::Packet& src = *arrival.packet;
-  derived->id = src.id;
-  derived->created = src.created;
-  derived->flow = src.flow;
-  derived->hops = src.hops + 1;
-  derived->trace_id = src.trace_id;
-  derived->route_digest = src.route_digest;
-  derived->parent = arrival.packet;
-  derived->truncated = truncated;
-  derived->last_in_port = arrival.in_port;
-  derived->feedforward = src.feedforward;
-  derived->telemetry = src.telemetry;
-
-  const net::TxMeta meta = meta_for(v.tos);
-
-  ++stats_.forwarded;
-  if (obs_hop_latency_ != nullptr) {
-    obs_hop_latency_->record(
-        static_cast<std::uint64_t>(timing.earliest - arrival.head));
-  }
-  if (obs_flow_ != nullptr) {
-    obs::FlowSample sample;
-    sample.route_digest = src.route_digest;
-    sample.packet_id = src.id;
-    sample.trace_id = src.trace_id;
-    sample.account = decision->account;
-    sample.tos_class = v.tos.priority;
-    sample.cut_through = timing.cut_through;
-    sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    sample.out_port = static_cast<std::uint16_t>(physical_port);
-    sample.bytes = static_cast<std::uint32_t>(bytes.size());
-    sample.now = timing.earliest;
-    sample.header =
-        std::span(bytes).first(std::min(v.wire_size, bytes.size()));
-    SRP_ALLOC_OK(burst_samples_.push_back(sample));  // flushed this drain
-  }
-  if (obs_recorder_ != nullptr && derived->trace_id != 0) {
-    obs::SpanRecord span;
-    span.trace_id = derived->trace_id;
-    span.hop = src.hops;
-    span.kind = obs::SpanKind::kHop;
-    span.token = decision->outcome;
-    span.cut_through = timing.cut_through;
-    span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = static_cast<std::uint16_t>(physical_port);
-    span.start = arrival.head;
-    span.decision = timing.decision;
-    span.end = timing.earliest;
-    span.set_component(name());
-    SRP_ALLOC_OK(burst_spans_.push_back(span));  // flushed this drain
-  }
-  if (shaper_) {
-    // The shaper lookahead is the only consumer of the next-hop peek, so
-    // the second segment decode is skipped entirely when no congestion
-    // layer is attached.
-    const std::uint8_t next_port = peek_next_port(bytes, v.wire_size);
-    if (shaper_(physical_port, next_port, derived, meta, timing.earliest)) {
-      return;  // congestion layer took custody
-    }
-  }
-  out.enqueue(std::move(derived), meta, timing.earliest);
-}
-
-SRP_HOT_PATH void ViperRouter::flush_burst_obs() {
-  if (!burst_samples_.empty()) {
-    obs_flow_->on_forward_burst(burst_samples_);
-    burst_samples_.clear();
-  }
-  if (!burst_spans_.empty()) {
-    obs_recorder_->record_burst(burst_spans_);
-    burst_spans_.clear();
-  }
-}
-
-SRP_HOT_PATH void ViperRouter::handle_packet(
-    const net::Arrival& arrival, const wire::Bytes& bytes,
-    bool synthetic_tree_copy,
-    std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return) {
-  ParsedFront front;
-  front.tunnel_return = std::move(tunnel_return);
   try {
-    wire::Reader r(bytes);
-    if (!synthetic_tree_copy &&
-        port_kind(arrival.in_port) == PortKind::kLan) {
-      front.link = net::EthernetHeader::decode(r);
-    }
-    front.segment = decode_segment(r);
-    front.consumed = r.position();
+    front.segment = decode_segment_view(bytes, offset);
   } catch (const wire::CodecError&) {
+    return false;
+  }
+  front.consumed = offset + front.segment.wire_size;
+  return true;
+}
+
+SRP_HOT_PATH void ViperRouter::route(const net::Arrival& arrival,
+                                     std::span<const std::uint8_t> bytes,
+                                     const Ingress& ingress) {
+  LinkScratch link;
+  Front front;
+  if (!parse_front(arrival, bytes, ingress, link, front) ||
+      !front.segment.is_legal()) {
     ++stats_.dropped_malformed;
     return;
   }
-  // Everything downstream slices `bytes` at `consumed`; the reader position
+  // Everything downstream slices `bytes` at `consumed`; the parse offset
   // is by construction inside the packet.
   SIRPENT_INVARIANT(front.consumed <= bytes.size());
-  if (!front.segment.is_legal()) {
-    ++stats_.dropped_malformed;
-    return;
-  }
+  const SegmentView& seg = front.segment;
 
-  if (front.segment.port == core::kLocalPort) {
+  if (seg.port == core::kLocalPort) {
     deliver_control(arrival, front, bytes);
     return;
   }
 
   // Blazenet-style tree multicast: the continuation lives in the branches.
-  if (core::is_tree_info(front.segment.port_info)) {
+  if (core::is_tree_info(seg.port_info)) {
     branch_tree(arrival, front, bytes);
     return;
   }
 
-  const auto tunnel = tunnel_ports_.find(front.segment.port);
+  const auto tunnel = tunnel_ports_.find(seg.port);
   if (tunnel != tunnel_ports_.end()) {
     forward_into_tunnel(arrival, front, tunnel->second, bytes);
     return;
   }
 
-  const auto logical = logical_ports_.find(front.segment.port);
+  const auto logical = logical_ports_.find(seg.port);
   if (logical != logical_ports_.end()) {
     const LogicalPort& lp = logical->second;
     if (lp.members.empty()) {
@@ -529,7 +355,7 @@ SRP_HOT_PATH void ViperRouter::handle_packet(
       // Multicast mechanism 1: reserved multi-port value.
       for (std::size_t i = 0; i < lp.members.size(); ++i) {
         if (i > 0) ++stats_.fanout_copies;
-        forward(arrival, front, lp.members[i], bytes);
+        forward_to_port(arrival, front, lp.members[i], bytes, ingress);
       }
       return;
     }
@@ -550,20 +376,19 @@ SRP_HOT_PATH void ViperRouter::handle_packet(
         best_bytes = p.queue_bytes();
       }
     }
-    forward(arrival, front, best, bytes);
+    forward_to_port(arrival, front, best, bytes, ingress);
     return;
   }
 
-  if (front.segment.port > port_count()) {
+  if (seg.port > port_count()) {
     ++stats_.dropped_no_port;
     return;
   }
-  forward(arrival, front, front.segment.port, bytes);
+  forward_to_port(arrival, front, seg.port, bytes, ingress);
 }
 
-void ViperRouter::branch_tree(const net::Arrival& arrival,
-                              const ParsedFront& front,
-                              const wire::Bytes& bytes) {
+void ViperRouter::branch_tree(const net::Arrival& arrival, const Front& front,
+                              std::span<const std::uint8_t> bytes) {
   std::vector<wire::Bytes> branches;
   try {
     branches = core::decode_tree_info(front.segment.port_info);
@@ -571,89 +396,66 @@ void ViperRouter::branch_tree(const net::Arrival& arrival,
     ++stats_.dropped_malformed;
     return;
   }
-  const std::span<const std::uint8_t> rest =
-      std::span(bytes).subspan(front.consumed);
+  const std::span<const std::uint8_t> rest = bytes.subspan(front.consumed);
   for (const auto& blob : branches) {
     ++stats_.tree_copies;
     wire::Bytes copy;
     copy.reserve(blob.size() + rest.size());
     copy.insert(copy.end(), blob.begin(), blob.end());
     copy.insert(copy.end(), rest.begin(), rest.end());
-    handle_packet(arrival, copy, /*synthetic_tree_copy=*/true);
+    // A branch copy carries no link header and names the arrival port.
+    route(arrival, copy, Ingress{});
   }
 }
 
 void ViperRouter::deliver_control(const net::Arrival& arrival,
-                                  const ParsedFront& front,
-                                  const wire::Bytes& bytes) {
+                                  const Front& front,
+                                  std::span<const std::uint8_t> bytes) {
   if (!control_handler_) {
     ++stats_.dropped_no_port;
     return;
   }
   try {
-    wire::Reader r{std::span{bytes}.subspan(front.consumed)};
+    wire::Reader r{bytes.subspan(front.consumed)};
     DeliveredBody body = decode_delivered_body(r);
     ++stats_.delivered_control;
-    control_handler_(front.segment, std::move(body.data), arrival.in_port);
+    control_handler_(to_segment(front.segment), std::move(body.data),
+                     arrival.in_port);
   } catch (const wire::CodecError&) {
     ++stats_.dropped_malformed;
   }
 }
 
-core::HeaderSegment ViperRouter::make_return_entry(
-    const net::Arrival& arrival, const ParsedFront& front,
-    bool token_reversible) const {
-  core::HeaderSegment entry;
-  entry.port = static_cast<std::uint8_t>(arrival.in_port);
-  entry.tos = front.segment.tos;
-  entry.flags.dib = front.segment.tos.drop_if_blocked;
-  if (token_reversible) entry.token = front.segment.token;
-  if (front.tunnel_return.has_value()) {
-    // Tunnel ingress: the return hop re-enters the tunnel toward the far
-    // gateway learned from the encapsulation header.
-    entry.port = front.tunnel_return->first;
-    entry.port_info = front.tunnel_return->second;
-    entry.flags.vnt = entry.port_info.empty();
-    return entry;
-  }
-  if (front.link.has_value()) {
-    // "with an Ethernet header, the destination and source addresses are
-    // swapped" so the stored header is a correct return hop.
-    wire::Writer w(net::EthernetHeader::kWireSize);
-    front.link->reversed().encode(w);
-    entry.port_info = std::move(w).take();
-    entry.flags.vnt = false;
-  } else {
-    entry.flags.vnt = true;
-  }
-  return entry;
+SRP_HOT_PATH void ViperRouter::append_rewrite(
+    wire::Bytes& out, std::span<const std::uint8_t> bytes, const Front& front,
+    bool token_reversible) {
+  const std::span<const std::uint8_t> rest = bytes.subspan(front.consumed);
+  SRP_ALLOC_OK(out.insert(out.end(), rest.begin(), rest.end()));
+  const SegmentView& seg = front.segment;
+  core::SegmentFlags flags;
+  flags.dib = seg.tos.drop_if_blocked;
+  flags.vnt = front.return_info.empty();
+  append_segment_raw(out, front.return_port, seg.tos, flags,
+                     token_reversible ? seg.token
+                                      : std::span<const std::uint8_t>{},
+                     front.return_info);
 }
 
 SRP_HOT_PATH std::optional<ViperRouter::TokenDecision>
-ViperRouter::admit_token(const core::HeaderSegment& seg, int physical_port,
-                         std::size_t packet_bytes) {
-  return admit_token_ref(
-      TokenRef{seg.token, seg.port, seg.tos.priority, seg.flags.rpf},
-      physical_port, packet_bytes);
-}
-
-SRP_HOT_PATH std::optional<ViperRouter::TokenDecision>
-ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
-                             std::size_t packet_bytes) {
+ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
   if (!config_.require_tokens || authority_ == nullptr) {
     // Enforcement disabled: echo any supplied token into the trailer so
     // the receiver can reuse it on the return route.
-    return TokenDecision{0, !ref.token.empty()};
+    return TokenDecision{0, !seg.token.empty()};
   }
-  (void)physical_port;
-  if (ref.token.empty()) {
+  if (seg.token.empty()) {
     ++stats_.dropped_unauthorized;
     count_token_outcome(obs::TokenOutcome::kRejected);
     return std::nullopt;
   }
 
   const std::optional<tokens::TokenCache::Entry> entry =
-      token_cache_.lookup(ref.token);
+      token_cache_.lookup(seg.token);
   if (entry.has_value()) {
     if (entry->flagged) {
       ++stats_.dropped_unauthorized;
@@ -665,9 +467,9 @@ ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
     // reverse charging is granted and the packet is marked RPF ("the
     // token can be used for the return route as well", §2.2).
     const bool port_ok =
-        entry->body.port == ref.port ||
-        (ref.rpf && entry->body.reverse_ok);
-    if (!port_ok || core::priority_rank(ref.priority) >
+        entry->body.port == seg.port ||
+        (seg.flags.rpf && entry->body.reverse_ok);
+    if (!port_ok || core::priority_rank(seg.tos.priority) >
                         core::priority_rank(entry->body.max_priority)) {
       ++stats_.dropped_unauthorized;
       count_token_outcome(obs::TokenOutcome::kRejected);
@@ -681,7 +483,7 @@ ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
       return std::nullopt;
     }
     SIRPENT_INVARIANT(ledger_ != nullptr);
-    if (token_cache_.charge(ref.token, packet_bytes, *ledger_) !=
+    if (token_cache_.charge(seg.token, packet_bytes, *ledger_) !=
         tokens::TokenCache::ChargeResult::kCharged) {
       ++stats_.dropped_token_limit;
       count_token_outcome(obs::TokenOutcome::kRejected);
@@ -701,18 +503,18 @@ ViperRouter::admit_token_ref(const TokenRef& ref, int physical_port,
   // below awaits the ticket at exactly the instant the serial code would
   // have computed the same (pure-function) result, so the simulation
   // schedule is bit-identical either way.
-  const std::uint64_t key = tokens::TokenCache::key_of(ref.token);
+  const std::uint64_t key = tokens::TokenCache::key_of(seg.token);
   if (!pending_verifies_.contains(key)) {
     // Verification slow path: one-time bookkeeping per distinct token
     // value, not per packet — the blessed allocations below amortize to
     // zero in steady state (pinned by tests/alloc_budget_test.cpp).
     SRP_ALLOC_OK(pending_verifies_.insert(key));
     SRP_ALLOC_OK(
-        wire::Bytes token_copy(ref.token.begin(), ref.token.end()));
+        wire::Bytes token_copy(seg.token.begin(), seg.token.end()));
     const std::uint64_t first_packet_bytes = packet_bytes;
     std::optional<tokens::ValidationEngine::Ticket> ticket;
     if (validation_engine_ != nullptr) {
-      // A batched drain prefetched this burst's uncached tokens; consume
+      // A coalescing drain prefetched this burst's uncached tokens; consume
       // the parked ticket instead of re-submitting.
       const auto prefetched = pending_tickets_.find(key);
       if (prefetched != pending_tickets_.end()) {
@@ -836,178 +638,200 @@ SRP_HOT_PATH ViperRouter::ForwardTiming ViperRouter::forward_timing(
   return timing;
 }
 
-SRP_HOT_PATH void ViperRouter::forward(const net::Arrival& arrival,
-                                       const ParsedFront& front,
-                                       int physical_port,
-                                       const wire::Bytes& bytes,
-                                       bool was_blocked) {
+SRP_HOT_PATH void ViperRouter::forward_to_port(
+    const net::Arrival& arrival, const Front& front, int physical_port,
+    std::span<const std::uint8_t> bytes, const Ingress& ingress,
+    bool was_blocked) {
   if (physical_port <= 0 || physical_port > port_count()) {
     ++stats_.dropped_no_port;
     return;
   }
   net::TxPort& out = port(physical_port);
+  const SegmentView& seg = front.segment;
 
-  const auto decision =
-      admit_token(front.segment, physical_port, bytes.size());
+  const auto decision = admit_token(seg, bytes.size());
   if (!decision.has_value()) return;
-
   if (decision->extra_delay > 0 &&
       config_.uncached_policy == tokens::UncachedPolicy::kBlocking) {
-    // Blocking admission: retry once the verification has landed in the
-    // cache (the packet is fully buffered by then).  Copying the packet
-    // image for the deferral is the price of the kBlocking policy, not of
-    // the steady-state forward path.
-    net::Arrival deferred = arrival;
-    SRP_ALLOC_OK(wire::Bytes bytes_copy = bytes);
-    SRP_ALLOC_OK(ParsedFront front_copy = front);
-    // SRP_ALLOC_OK(deferred-retry event, kBlocking policy only)
-    sim_.after(decision->extra_delay,
-               [this, deferred, front_copy = std::move(front_copy),
-                physical_port, bytes_copy = std::move(bytes_copy)] {
-                 forward(deferred, front_copy, physical_port, bytes_copy,
-                         /*was_blocked=*/true);
-               });
+    defer_blocked(arrival, physical_port, bytes, ingress,
+                  decision->extra_delay);
     return;
   }
-
-  // The one per-forward buffer: the rewritten packet image (remainder +
-  // this hop's return entry).  The batched zero-copy refactor (ROADMAP
-  // item 1) replaces this with an arena slab; until then it is the
-  // documented baseline cost.
-  SRP_ALLOC_OK(wire::Writer w(bytes.size() + 32));
-  if (port_kind(physical_port) == PortKind::kLan) {
-    if (front.segment.port_info.size() < net::EthernetHeader::kWireSize) {
-      ++stats_.dropped_malformed;
-      return;
-    }
-    // The segment's portInfo is the link header for the next network.
-    w.bytes(front.segment.port_info);
+  const bool link_out = port_kind(physical_port) == PortKind::kLan;
+  if (link_out && seg.port_info.size() < net::EthernetHeader::kWireSize) {
+    ++stats_.dropped_malformed;
+    return;
   }
-  w.bytes(std::span(bytes).subspan(front.consumed));
-  encode_segment(w, make_return_entry(arrival, front, decision->reversible));
-  wire::Bytes out_bytes = std::move(w).take();
+  const obs::TokenOutcome outcome =
+      was_blocked ? obs::TokenOutcome::kMissBlocking : decision->outcome;
+
+  // The zero-copy rewrite into a recycled arena slab whose capacity is
+  // warm: the next network's link header (the segment's portInfo) when the
+  // egress is a LAN, the remainder, then this hop's return entry.
+  net::PacketPtr derived = arena_.acquire();
+  wire::Bytes& out_bytes = derived->bytes;
+  // Sized once for the whole image, so filling never regrows the slab.
+  SRP_ALLOC_OK(out_bytes.reserve(bytes.size() + seg.port_info.size() +
+                                 front.return_info.size() + kRewriteSlack));
+  if (link_out) {
+    SRP_ALLOC_OK(out_bytes.insert(out_bytes.end(), seg.port_info.begin(),
+                                  seg.port_info.end()));
+  }
+  append_rewrite(out_bytes, bytes, front, decision->reversible);
 
   // forward_timing is pure; computed here so the telemetry stamp can
   // carry the hop's departure time before the MTU cut decides its fate.
   const ForwardTiming timing =
       forward_timing(arrival, front.consumed, physical_port);
   if (telemetry_enabled_ && arrival.packet->telemetry) {
-    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing,
-                    was_blocked ? obs::TokenOutcome::kMissBlocking
-                                : decision->outcome);
+    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing, outcome);
   }
 
   bool truncated = false;
-  if (out_bytes.size() > out.config().mtu_bytes) {
+  const std::size_t mtu = out.config().mtu_bytes;
+  if (out_bytes.size() > mtu) {
     // Cut-through discovers oversize mid-transmission; the packet is cut
     // and a truncation mark (an illegal segment) is appended (§2).
+    static constexpr std::size_t kMarkWire = 4;
+    SIRPENT_INVARIANT(mtu >= kMarkWire);
+    SRP_ALLOC_OK(out_bytes.resize(mtu - kMarkWire));  // shrinks
     const core::HeaderSegment mark = core::HeaderSegment::truncation_marker();
-    SRP_ALLOC_OK(wire::Writer mw(4));
-    encode_segment(mw, mark);
-    const wire::Bytes mark_bytes = std::move(mw).take();
-    SIRPENT_INVARIANT(out.config().mtu_bytes >= mark_bytes.size());
-    SRP_ALLOC_OK(out_bytes.resize(out.config().mtu_bytes - mark_bytes.size()));
-    SRP_ALLOC_OK(
-        out_bytes.insert(out_bytes.end(), mark_bytes.begin(), mark_bytes.end()));
+    append_segment_raw(out_bytes, mark.port, mark.tos, mark.flags, {}, {});
     truncated = true;
     ++stats_.truncated_forwards;
     // A truncated forward is cut exactly to the output MTU with the mark as
     // its final segment — "not a legal Sirpent header segment".
-    SIRPENT_ENSURES(out_bytes.size() == out.config().mtu_bytes);
+    SIRPENT_ENSURES(out_bytes.size() == mtu);
   }
 
-  const std::uint8_t next_port = peek_next_port(bytes, front.consumed);
-  net::PacketPtr derived = arrival.packet->derive(std::move(out_bytes));
+  // Packet::derive()'s bookkeeping, applied to the slab.
+  const net::Packet& src = *arrival.packet;
+  derived->id = src.id;
+  derived->created = src.created;
+  derived->flow = src.flow;
+  derived->hops = src.hops + 1;
+  derived->trace_id = src.trace_id;
+  derived->route_digest = src.route_digest;
+  derived->telemetry = src.telemetry;
+  derived->parent = arrival.packet;
   derived->truncated = truncated;
   derived->last_in_port = arrival.in_port;
   // Feed-forward load info rides one hop: stamped by the upstream shaper,
   // read by this router's congested-port monitor (paper §2.2).
-  derived->feedforward = arrival.packet->feedforward;
+  derived->feedforward = src.feedforward;
 
-  const net::TxMeta meta = meta_for(front.segment.tos);
+  record_forward(arrival, front, physical_port, bytes, timing, outcome,
+                 decision->account);
+  const net::TxMeta meta = meta_for(seg.tos);
+  // The shaper lookahead is the only consumer of the next-hop peek, so
+  // the second segment is never read when no congestion layer is attached.
+  if (shaper_ && shaper_(physical_port, peek_next_port(bytes, front.consumed),
+                         derived, meta, timing.earliest)) {
+    return;  // congestion layer took custody
+  }
+  out.enqueue(std::move(derived), meta, timing.earliest);
+}
 
+void ViperRouter::defer_blocked(const net::Arrival& arrival,
+                                int physical_port,
+                                std::span<const std::uint8_t> bytes,
+                                const Ingress& ingress, sim::Time delay) {
+  // Retry once the verification has landed in the cache (the packet is
+  // fully buffered by then).  Copying the image for the deferral is the
+  // price of the kBlocking policy, not of the steady-state forward path;
+  // the retry re-parses its front from the copy.
+  wire::Bytes image(bytes.begin(), bytes.end());
+  wire::Bytes tunnel_info(ingress.tunnel_info.begin(),
+                          ingress.tunnel_info.end());
+  sim_.after(delay, [this, arrival, physical_port,
+                     link_framed = ingress.link_framed,
+                     tunnel = ingress.tunnel,
+                     tunnel_port = ingress.tunnel_port,
+                     image = std::move(image),
+                     tunnel_info = std::move(tunnel_info)] {
+    const Ingress again{link_framed, tunnel, tunnel_port, tunnel_info};
+    LinkScratch link;
+    Front front;
+    // These bytes parsed before the deferral; they parse again.
+    if (!parse_front(arrival, image, again, link, front)) return;
+    forward_to_port(arrival, front, physical_port, image, again,
+            /*was_blocked=*/true);
+  });
+}
+
+void ViperRouter::forward_into_tunnel(const net::Arrival& arrival,
+                                      const Front& front,
+                                      const TunnelTransmit& transmit,
+                                      std::span<const std::uint8_t> bytes) {
+  const SegmentView& seg = front.segment;
+  const auto decision = admit_token(seg, bytes.size());
+  if (!decision.has_value()) return;
+  // Encapsulated image: exactly what a physical forward would put on the
+  // wire, minus framing.
+  wire::Bytes encap;
+  encap.reserve(bytes.size() + front.return_info.size() + kRewriteSlack);
+  append_rewrite(encap, bytes, front, decision->reversible);
+  // Tunnel hops are store-and-forward by construction; the hop closes
+  // when the encapsulated image is handed to the tunnel transmit hook.
+  ForwardTiming timing;
+  timing.decision = arrival.tail;
+  timing.earliest = std::max(arrival.tail, sim_.now());
+  if (telemetry_enabled_ && arrival.packet->telemetry) {
+    // No TxPort to sample; the record still pins the hop's identity and
+    // times.
+    stamp_telemetry(encap, arrival, seg.port, nullptr, timing,
+                    decision->outcome);
+  }
+  record_forward(arrival, front, seg.port, bytes, timing, decision->outcome,
+                 decision->account);
+  transmit(wire::Bytes(seg.port_info.begin(), seg.port_info.end()),
+           std::move(encap), seg.tos);
+}
+
+SRP_HOT_PATH void ViperRouter::record_forward(
+    const net::Arrival& arrival, const Front& front, int out_port,
+    std::span<const std::uint8_t> bytes, const ForwardTiming& timing,
+    obs::TokenOutcome outcome, std::uint32_t account) {
   ++stats_.forwarded;
   if (obs_hop_latency_ != nullptr) {
     obs_hop_latency_->record(
         static_cast<std::uint64_t>(timing.earliest - arrival.head));
   }
+  const net::Packet& src = *arrival.packet;
   if (obs_flow_ != nullptr) {
-    record_flow(arrival, front, physical_port, bytes, timing.cut_through,
-                decision->account, timing.earliest);
+    obs::FlowSample sample;
+    sample.route_digest = src.route_digest;
+    sample.packet_id = src.id;
+    sample.trace_id = src.trace_id;
+    sample.account = account;
+    sample.tos_class = front.segment.tos.priority;
+    sample.cut_through = timing.cut_through;
+    sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
+    sample.out_port = static_cast<std::uint16_t>(out_port);
+    // The admitted byte count — the same value admit_token charged, which
+    // is what makes per-account roll-ups reconcile with the ledger.
+    sample.bytes = static_cast<std::uint32_t>(bytes.size());
+    sample.now = timing.earliest;
+    // Link header + first segment, exactly as received: the excerpt
+    // source for sampled-packet capture.
+    sample.header = bytes.first(std::min(front.consumed, bytes.size()));
+    obs_flow_->on_forward(sample);
   }
-  if (obs_recorder_ != nullptr && derived->trace_id != 0) {
+  if (obs_recorder_ != nullptr && src.trace_id != 0) {
     obs::SpanRecord span;
-    span.trace_id = derived->trace_id;
-    span.hop = arrival.packet->hops;
+    span.trace_id = src.trace_id;
+    span.hop = src.hops;
     span.kind = obs::SpanKind::kHop;
-    span.token = was_blocked ? obs::TokenOutcome::kMissBlocking
-                             : decision->outcome;
+    span.token = outcome;
     span.cut_through = timing.cut_through;
     span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = static_cast<std::uint16_t>(physical_port);
+    span.out_port = static_cast<std::uint16_t>(out_port);
     span.start = arrival.head;
     span.decision = timing.decision;
     span.end = timing.earliest;
     span.set_component(name());
     obs_recorder_->record(span);
   }
-  if (shaper_ &&
-      shaper_(physical_port, next_port, derived, meta, timing.earliest)) {
-    return;  // congestion layer took custody
-  }
-  out.enqueue(std::move(derived), meta, timing.earliest);
-}
-
-void ViperRouter::forward_into_tunnel(const net::Arrival& arrival,
-                                       const ParsedFront& front,
-                                       const TunnelTransmit& transmit,
-                                       const wire::Bytes& bytes) {
-  const auto decision =
-      admit_token(front.segment, /*physical_port=*/0, bytes.size());
-  if (!decision.has_value()) return;
-  // Encapsulated image: the remainder plus this hop's return entry —
-  // exactly what a physical forward would put on the wire, minus framing.
-  wire::Writer w(bytes.size() + 32);
-  w.bytes(std::span{bytes}.subspan(front.consumed));
-  encode_segment(w, make_return_entry(arrival, front, decision->reversible));
-  wire::Bytes encap = std::move(w).take();
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    // Tunnel egress has no TxPort to sample and is store-and-forward by
-    // construction; the record still pins the hop's identity and times.
-    ForwardTiming timing;
-    timing.decision = arrival.tail;
-    timing.earliest = std::max(arrival.tail, sim_.now());
-    stamp_telemetry(encap, arrival, front.segment.port, nullptr, timing,
-                    decision->outcome);
-  }
-  ++stats_.forwarded;
-  if (obs_hop_latency_ != nullptr) {
-    obs_hop_latency_->record(
-        static_cast<std::uint64_t>(arrival.tail - arrival.head));
-  }
-  if (obs_flow_ != nullptr) {
-    // Tunnel hops are store-and-forward by construction.
-    record_flow(arrival, front, front.segment.port, bytes,
-                /*cut_through=*/false, decision->account,
-                std::max(arrival.tail, sim_.now()));
-  }
-  if (obs_recorder_ != nullptr && arrival.packet->trace_id != 0) {
-    // Tunnel hops are store-and-forward by construction; the span closes
-    // when the encapsulated image is handed to the tunnel transmit hook.
-    obs::SpanRecord span;
-    span.trace_id = arrival.packet->trace_id;
-    span.hop = arrival.packet->hops;
-    span.kind = obs::SpanKind::kHop;
-    span.token = decision->outcome;
-    span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = front.segment.port;
-    span.start = arrival.head;
-    span.decision = arrival.tail;
-    span.end = std::max(arrival.tail, sim_.now());
-    span.set_component(name());
-    obs_recorder_->record(span);
-  }
-  transmit(front.segment.port_info, std::move(encap), front.segment.tos);
 }
 
 void ViperRouter::emit_to_port(int out_port, net::PacketPtr packet,

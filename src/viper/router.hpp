@@ -90,7 +90,7 @@ struct LogicalPort {
 /// cut-through fast path: reads the fixed 4-byte prefix and skips the
 /// variable fields without materializing them, so it is allocation-free
 /// (pinned by tests/alloc_budget_test.cpp).
-SRP_HOT_PATH std::uint8_t peek_next_port(const wire::Bytes& bytes,
+SRP_HOT_PATH std::uint8_t peek_next_port(std::span<const std::uint8_t> bytes,
                                          std::size_t offset);
 
 class ViperRouter : public net::PortedNode {
@@ -230,68 +230,110 @@ class ViperRouter : public net::PortedNode {
   [[nodiscard]] tokens::TokenCache& token_cache() { return token_cache_; }
   [[nodiscard]] std::uint32_t router_id() const { return config_.router_id; }
 
-  // --- batched data plane (DESIGN.md §11) ---
+  // --- same-instant coalescing (DESIGN.md §11) ---
 
-  /// Tuning for the batched forward path.
+  /// Tuning for the coalescing drain.
   struct BatchConfig {
-    /// Packets handed to one forward_burst() call.  Larger bursts amortize
-    /// better; batch boundaries still align to event boundaries, so this
-    /// is a pure engine knob with no effect on simulated behaviour.
+    /// Packets handed to one forward_burst() call.  Batch boundaries align
+    /// to event boundaries, so this is a pure engine knob with no effect
+    /// on simulated behaviour.
     std::size_t max_burst = 16;
     /// Packet slabs the arena may pool (free slabs recycle, zero-alloc).
     std::size_t arena_capacity = net::PacketArena::kDefaultCapacity;
   };
 
-  /// Switches the forward path to run-to-completion bursts: same-instant
-  /// arrivals coalesce into one drain event that runs token validation,
-  /// header parsing, flow accounting and observability as batch passes
-  /// over arena-backed buffers.  Off by default; the per-packet and
-  /// batched paths produce byte-identical simulations (pinned by
+  /// Coalesces same-instant arrivals into one drain event, which prefetches
+  /// the burst's token verifications and then forwards every packet
+  /// through the same per-packet path on_arrival() uses.  Off by default;
+  /// on or off, the simulation is byte-identical (pinned by
   /// tests/batch_equivalence_test.cpp).
   void set_batching(BatchConfig config);
   void disable_batching() { batching_ = false; }
   [[nodiscard]] bool batching_enabled() const { return batching_; }
+  /// The slab pool every forward rewrites into.
   [[nodiscard]] const net::PacketArena& arena() const { return arena_; }
 
   /// Forwards @p burst — a vector of same-instant arrivals, in arrival
-  /// order — through the batch passes.  Requires set_batching().  Public
-  /// so burst-capable drivers (benches, the alloc-budget test) can hand
-  /// a dequeued vector straight to the engine; in the sim proper the
-  /// drain event scheduled by on_arrival() is the only caller.
+  /// order: token prefetch, then the per-packet path item by item.  Public
+  /// so burst-capable drivers (benches) can hand a dequeued vector
+  /// straight to the engine; in the sim proper the drain event scheduled
+  /// by on_arrival() is the only caller.
   void forward_burst(std::span<const net::Arrival> burst);
 
   void on_arrival(const net::Arrival& arrival) override;
 
  private:
-  struct ParsedFront {
-    std::optional<net::EthernetHeader> link;  ///< present on LAN arrivals
-    core::HeaderSegment segment;              ///< first VIPER segment
-    std::size_t consumed = 0;                 ///< front bytes consumed
-    /// Set on tunnel ingress: (tunnel port id, reverse tunnel info) for
-    /// the trailer entry instead of arrival port / link header.
-    std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return;
+  /// How an image reached this hop: whether a link header precedes its
+  /// first segment and, on tunnel ingress, the tunnel port and far-end
+  /// info its return entry names instead of the arrival port.
+  struct Ingress {
+    bool link_framed = false;
+    bool tunnel = false;
+    std::uint8_t tunnel_port = 0;
+    std::span<const std::uint8_t> tunnel_info;
   };
 
-  void handle_packet(
-      const net::Arrival& arrival, const wire::Bytes& bytes,
-      bool synthetic_tree_copy,
-      std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return =
-          std::nullopt);
-  /// @p was_blocked marks a re-entry after a blocking token admission, so
-  /// the hop span keeps the miss-blocking outcome instead of the hit the
-  /// retry sees.
-  void forward(const net::Arrival& arrival, const ParsedFront& front,
-               int physical_port, const wire::Bytes& bytes,
-               bool was_blocked = false);
-  void deliver_control(const net::Arrival& arrival, const ParsedFront& front,
-                       const wire::Bytes& bytes);
-  void branch_tree(const net::Arrival& arrival, const ParsedFront& front,
-                   const wire::Bytes& bytes);
+  /// The front of an image: its first segment as views into the image,
+  /// and the return entry this hop appends for it.
+  struct Front {
+    SegmentView segment;
+    std::size_t consumed = 0;  ///< link header + first segment
+    std::uint8_t return_port = 0;
+    /// Return entry portInfo: the reversed link header (LAN ingress), the
+    /// tunnel's far-end info, or empty (VNT set).
+    std::span<const std::uint8_t> return_info;
+  };
 
-  /// Builds the trailer entry for the reverse hop through this router.
-  [[nodiscard]] core::HeaderSegment make_return_entry(
-      const net::Arrival& arrival, const ParsedFront& front,
-      bool token_reversible) const;
+  /// Stack storage for a LAN arrival's reversed link header, which
+  /// Front::return_info points into.
+  using LinkScratch =
+      std::array<std::uint8_t, net::EthernetHeader::kWireSize>;
+
+  [[nodiscard]] Ingress ingress_of(const net::Arrival& arrival) const {
+    Ingress ingress;
+    ingress.link_framed = port_kind(arrival.in_port) == PortKind::kLan;
+    return ingress;
+  }
+
+  /// Parses the link header (when framed) and first segment of @p bytes
+  /// into @p front.  Pure — no counters move; false when the front does
+  /// not decode.
+  bool parse_front(const net::Arrival& arrival,
+                   std::span<const std::uint8_t> bytes,
+                   const Ingress& ingress, LinkScratch& link,
+                   Front& front) const;
+
+  /// Per-packet dispatch of one image: control delivery, tree branching,
+  /// tunnel, logical or physical port.
+  void route(const net::Arrival& arrival, std::span<const std::uint8_t> bytes,
+             const Ingress& ingress);
+  /// Admission and the zero-copy rewrite into an arena slab, then
+  /// enqueue.  @p was_blocked marks a re-entry after a blocking token
+  /// admission, so the hop span keeps the miss-blocking outcome instead of
+  /// the hit the retry sees.
+  void forward_to_port(const net::Arrival& arrival, const Front& front,
+                       int physical_port, std::span<const std::uint8_t> bytes,
+                       const Ingress& ingress, bool was_blocked = false);
+  /// kBlocking admission: re-runs forward_to_port() on a copy of the image
+  /// once the verification has landed.
+  void defer_blocked(const net::Arrival& arrival, int physical_port,
+                     std::span<const std::uint8_t> bytes,
+                     const Ingress& ingress, sim::Time delay);
+  void deliver_control(const net::Arrival& arrival, const Front& front,
+                       std::span<const std::uint8_t> bytes);
+  void branch_tree(const net::Arrival& arrival, const Front& front,
+                   std::span<const std::uint8_t> bytes);
+  void forward_into_tunnel(const net::Arrival& arrival, const Front& front,
+                           const TunnelTransmit& transmit,
+                           std::span<const std::uint8_t> bytes);
+
+  /// The one header rewrite: appends the remainder of @p bytes after the
+  /// front, then this hop's return entry (return port, the segment's type
+  /// of service, DIB mirrored from it, VNT when there is no portInfo, the
+  /// token echoed when reversible).
+  static void append_rewrite(wire::Bytes& out,
+                             std::span<const std::uint8_t> bytes,
+                             const Front& front, bool token_reversible);
 
   /// Token admission.  Returns nullopt when the packet must be dropped;
   /// otherwise the extra delay (0 for cache hits / optimistic) and whether
@@ -302,52 +344,14 @@ class ViperRouter : public net::PortedNode {
     obs::TokenOutcome outcome = obs::TokenOutcome::kNone;
     std::uint32_t account = 0;  ///< charged account (cache hits only)
   };
-  std::optional<TokenDecision> admit_token(const core::HeaderSegment& seg,
-                                           int physical_port,
+  std::optional<TokenDecision> admit_token(const SegmentView& segment,
                                            std::size_t packet_bytes);
 
-  /// The token-relevant slice of a segment as *views* — what admission
-  /// needs, without materializing a HeaderSegment.
-  struct TokenRef {
-    std::span<const std::uint8_t> token;
-    std::uint8_t port = 0;
-    std::uint8_t priority = 0;
-    bool rpf = false;
-  };
-  /// The real admission logic; admit_token() is a thin wrapper over this.
-  std::optional<TokenDecision> admit_token_ref(const TokenRef& ref,
-                                               int physical_port,
-                                               std::size_t packet_bytes);
-
-  // --- batched forward path internals ---
-
-  /// Per-item classification result for one burst.
-  struct BurstSlot {
-    SegmentView view;
-    bool fast = false;  ///< eligible for forward_fast()
-  };
-
-  /// True when @p arrival can take the zero-copy fast path: plain
-  /// point-to-point in and out, a legal physical-port segment, no tunnel /
-  /// logical / tree / control dispatch, and no blocking token policy.
-  /// Pure — no counters move — so a slow item replays from scratch.
-  bool classify_fast(const net::Arrival& arrival, SegmentView& view) const;
-
-  /// Batch pass 2: submits validation tickets for the burst's distinct
-  /// uncached tokens before any packet is admitted, so the engine's
-  /// workers overlap the whole burst.  Tickets are parked in
-  /// pending_tickets_ and consumed by admit_token_ref()'s miss path.
-  void prefetch_burst_tokens();
-
-  /// The zero-copy per-item pass: admission, in-place header rewrite into
-  /// an arena slab, timing, accounting.  Mirrors forward() exactly for the
-  /// packets classify_fast() accepts.
-  void forward_fast(const net::Arrival& arrival, const SegmentView& view);
-
-  /// Publishes the burst's accumulated flow samples and hop spans through
-  /// the batch-pass observer hooks.  Called before any slow-path item (to
-  /// keep the sampler stream in strict item order) and at burst end.
-  void flush_burst_obs();
+  /// Submits validation tickets for the burst's distinct uncached tokens
+  /// before any packet is admitted, so the engine's workers overlap the
+  /// whole burst.  Tickets are parked in pending_tickets_ and consumed by
+  /// admit_token()'s miss path.
+  void prefetch_burst_tokens(std::span<const net::Arrival> burst);
 
   /// Drain event body: forwards everything coalesced at this instant.
   void drain_bursts();
@@ -368,16 +372,17 @@ class ViperRouter : public net::PortedNode {
   /// Appends this hop's telemetry record to @p out_bytes (the rewritten
   /// image, return entry already in place).  @p out is the egress TxPort
   /// whose queue state the record samples — null for tunnel egress.
-  /// Identical byte effect on the reference and zero-copy paths.
   void stamp_telemetry(wire::Bytes& out_bytes, const net::Arrival& arrival,
                        int out_port, const net::TxPort* out,
                        const ForwardTiming& timing,
                        obs::TokenOutcome outcome);
 
-  void forward_into_tunnel(const net::Arrival& arrival,
-                           const ParsedFront& front,
-                           const TunnelTransmit& transmit,
-                           const wire::Bytes& bytes);
+  /// Accounts one forwarded packet: the forwarded counter, the hop
+  /// latency, the flow sample and the hop span.
+  void record_forward(const net::Arrival& arrival, const Front& front,
+                      int out_port, std::span<const std::uint8_t> bytes,
+                      const ForwardTiming& timing, obs::TokenOutcome outcome,
+                      std::uint32_t account);
 
   RouterConfig config_;
   std::vector<PortKind> port_kinds_;  // indexed by port id
@@ -390,17 +395,17 @@ class ViperRouter : public net::PortedNode {
   tokens::TokenCache token_cache_;
   std::unordered_set<std::uint64_t> pending_verifies_;
 
-  // Batched data plane state.  The scratch vectors keep their capacity
-  // across bursts, so the steady-state drain is allocation-free.
+  /// Slab pool every forward rewrites into: a recycled slab keeps its
+  /// byte capacity, so the steady-state rewrite allocates nothing.
+  net::PacketArena arena_;
+
+  // Coalescing state (set_batching).  The scratch vectors keep their
+  // capacity across bursts, so the steady-state drain is allocation-free.
   bool batching_ = false;
   BatchConfig batch_config_;
-  net::PacketArena arena_;
   net::ArrivalBurst ingress_;
-  std::vector<BurstSlot> burst_slots_;
-  std::vector<obs::FlowSample> burst_samples_;
-  std::vector<obs::SpanRecord> burst_spans_;
   /// Verification tickets prefetched for the burst in flight, by token
-  /// cache key.  Consumed by admit_token_ref() within the same drain.
+  /// cache key.  Consumed by admit_token() within the same drain.
   std::unordered_map<std::uint64_t, tokens::ValidationEngine::Ticket>
       pending_tickets_;
   std::vector<std::span<const std::uint8_t>> prefetch_tokens_;
@@ -412,12 +417,6 @@ class ViperRouter : public net::PortedNode {
   Stats stats_;
   bool telemetry_enabled_ = false;  ///< set_path_telemetry()
 
-  /// Publishes one obs::FlowSample for a forwarded packet, when a flow
-  /// sink is wired.
-  void record_flow(const net::Arrival& arrival, const ParsedFront& front,
-                   int out_port, const wire::Bytes& bytes, bool cut_through,
-                   std::uint32_t account, sim::Time now);
-
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_hop_latency_ = nullptr;
   std::array<stats::Counter*, 6> obs_token_counters_{};  // by TokenOutcome
@@ -427,7 +426,8 @@ class ViperRouter : public net::PortedNode {
 
 /// 8-byte local endpoint id carried in a port-0 segment's portInfo.
 wire::Bytes encode_endpoint_id(std::uint64_t id);
-std::optional<std::uint64_t> decode_endpoint_id(const wire::Bytes& info);
+std::optional<std::uint64_t> decode_endpoint_id(
+    std::span<const std::uint8_t> info);
 
 /// Well-known control endpoint present on every router and host.
 inline constexpr std::uint64_t kControlEndpoint = 0xC0'00'00'00'00'00'00'01ULL;

@@ -1,6 +1,7 @@
-// Differential batch-equivalence harness: the batched (arena-backed)
-// data plane must be *observationally identical* to the per-packet
-// reference path.  Because batch boundaries are aligned to event
+// Differential batch-equivalence harness: same-instant coalescing (one
+// drain event per instant, token prefetch, then the per-packet path item
+// by item) must be *observationally identical* to dispatching every
+// arrival in its own event.  Because batch boundaries are aligned to event
 // boundaries and every derived time comes from the arrival timestamps,
 // not from when the drain pass runs, the simulation output — delivered
 // bytes, span timelines, flow rollups, ledger state, fault counters —
@@ -48,7 +49,7 @@ std::function<void(dir::Fabric&)> batching_on(std::size_t max_burst) {
 }
 
 TEST(BatchEquivalence, ChaosDigestIdenticalAcrossBatchSizes) {
-  // Reference: the per-packet path, untouched.
+  // Reference: no coalescing.
   const ChaosOutcome reference = run_chaos(kSeed);
   EXPECT_GT(reference.ok, 0);
   EXPECT_NE(reference.response_hash, 0u);
@@ -64,7 +65,7 @@ TEST(BatchEquivalence, ChaosDigestIdenticalAcrossBatchSizes) {
         },
         batching_on(batch));
     EXPECT_EQ(batched, reference) << "batch size " << batch;
-    // The equivalence is not vacuous: the arena-backed fast path really
+    // The equivalence is not vacuous: the arena-backed rewrite really
     // carried traffic.
     EXPECT_GT(arena_acquired, 0u) << "batch size " << batch;
   }
@@ -72,9 +73,9 @@ TEST(BatchEquivalence, ChaosDigestIdenticalAcrossBatchSizes) {
 
 /// All SpanRecord fields folded into one comparable key.  Spans recorded
 /// within the same picosecond may land in the ring in a different order
-/// (the burst flush writes them contiguously), so timelines are compared
-/// as sorted multisets, which is order-blind only between equal-time
-/// records — the timeline itself is pinned by the timestamps.
+/// (the drain runs after every other event of its instant), so timelines
+/// are compared as sorted multisets, which is order-blind only between
+/// equal-time records — the timeline itself is pinned by the timestamps.
 std::vector<std::string> span_multiset(const obs::FlightRecorder& recorder) {
   std::vector<std::string> keys;
   for (const auto& span : recorder.spans()) {

@@ -9,7 +9,7 @@
 // the system-level contracts: a wired-but-unmarked fabric is
 // byte-identical to an unwired one, the collector's reconstruction agrees
 // with the FlightRecorder's first-person hop spans under full chaos, the
-// batched plane stamps byte-identically across batch sizes, and the
+// coalescing drain stamps byte-identically across batch sizes, and the
 // exporter output for the `int.*` namespace is pinned by goldens.
 #include <gtest/gtest.h>
 
@@ -549,10 +549,10 @@ TEST(IntChaos, TelemetryRunIsDeterministic) {
 }
 
 TEST(IntBatch, ReconstructionIdenticalAcrossBatchSizes) {
-  // The batched plane must stamp byte-identically: queue-state reads at
-  // stamp time happen just before this packet's enqueue in both modes, so
-  // every reconstructed journey — not just the totals — matches the
-  // per-packet reference for every batch size.
+  // The coalescing drain must stamp byte-identically: queue-state reads
+  // at stamp time happen just before this packet's enqueue in both modes,
+  // so every reconstructed journey — not just the totals — matches the
+  // uncoalesced run for every batch size.
   const test::ChaosDigest reference = telemetry_chaos_digest();
   EXPECT_GT(reference.at("int.hops_stamped"), 0u);
   for (const std::size_t batch : {std::size_t{1}, std::size_t{4},

@@ -243,7 +243,7 @@ struct ChaosOutcome {
 /// diamond while a deterministic FaultPlan attacks every link.  The world
 /// is built from scratch each call so reruns share no state but the seed.
 /// @p configure, when set, sees the fabric after the topology and the
-/// standard enables but before any traffic — the hook the batched-plane
+/// standard enables but before any traffic — the hook the coalescing
 /// equivalence suite uses to flip Fabric::enable_batching.  @p inspect,
 /// when set, sees the drained fabric before teardown (for cross-checking
 /// external planes against fabric-owned state like the ledger).
