@@ -8,17 +8,14 @@ bench_health_overhead, bench_event_queue) with
 {name: ns_per_op} map using cpu_time; then runs
 bench_parallel_validation (a stats::Table text report) and converts each
 configuration's tokens/s into ns per token (1e9 / tokens_per_s) under
-parallel_validation.<workers>; then runs bench_scalability and records
-its BATCH_GATE line (the batched data plane's engine cost and speedup)
-under scalability.*; then runs bench_header_overhead and records its
-INT_BYTES line (trailer bytes per hop with path telemetry off/on) under
-header.int_*.
+parallel_validation.<workers>; then runs bench_header_overhead and
+records its INT_BYTES line (trailer bytes per hop with path telemetry
+off/on) under header.int_*.
 
 The output (default BENCH_PR10.json) is what CI uploads as the per-build
 performance artifact, so the schema is deliberately trivial: one flat
 object, names stable across runs, values in nanoseconds (except the
-dimensionless scalability.batch_speedup and the byte-valued
-header.int_* entries).
+byte-valued header.int_* entries).  Every metric is lower-is-better.
 
 Usage: bench_to_json.py --bindir build/bench [--out BENCH_PR10.json]
 """
@@ -41,11 +38,6 @@ GBENCH_BINARIES = [
 # | serial (inline) | 767300   | 1.00 | 3072 |
 TABLE_ROW = re.compile(
     r"^\|\s*(?P<label>[^|]+?)\s*\|\s*(?P<tokens>\d+)\s*\|")
-
-# BATCH_GATE per_packet_ns=311.3 batched_ns=61.6 speedup=5.05
-BATCH_GATE = re.compile(
-    r"BATCH_GATE\s+per_packet_ns=([\d.]+)\s+batched_ns=([\d.]+)\s+"
-    r"speedup=([\d.]+)")
 
 # INT_BYTES per_hop_off=4 per_hop_on=40 record=36
 INT_BYTES = re.compile(
@@ -83,19 +75,6 @@ def run_parallel_validation(bindir, results):
                  "from bench_parallel_validation")
 
 
-def run_scalability(bindir, results):
-    out = subprocess.run(
-        [f"{bindir}/bench_scalability"],
-        capture_output=True, text=True, check=True).stdout
-    match = BATCH_GATE.search(out)
-    if match is None:
-        sys.exit("error: no BATCH_GATE line in bench_scalability output")
-    per_packet, batched, speedup = (float(g) for g in match.groups())
-    results["scalability.per_packet_engine"] = per_packet
-    results["scalability.batched_engine"] = batched
-    results["scalability.batch_speedup"] = speedup
-
-
 def run_header_overhead(bindir, results):
     out = subprocess.run(
         [f"{bindir}/bench_header_overhead"],
@@ -121,7 +100,6 @@ def main():
     for name in GBENCH_BINARIES:
         run_gbench(args.bindir, name, results)
     run_parallel_validation(args.bindir, results)
-    run_scalability(args.bindir, results)
     run_header_overhead(args.bindir, results)
 
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -4,11 +4,10 @@
 Every PR commits its microbenchmark results as BENCH_PR<n>.json (one
 flat {name: ns_per_op} object, written by bench_to_json.py).  This gate
 compares the two newest artifacts and fails if any metric present in
-both regressed by more than the threshold (default 25%):
+both regressed by more than the threshold (default 25%); every metric is
+lower-is-better (ns/op, or bytes):
 
-  ns/op metrics:               new / old  > 1 + threshold   -> FAIL
-  scalability.batch_speedup:   old / new  > 1 + threshold   -> FAIL
-                               (higher is better, so the ratio flips)
+  new / old  > 1 + threshold   -> FAIL
 
 The threshold is deliberately loose — the artifacts come from different
 CI machines on different days — but it still catches the failure mode
@@ -30,11 +29,6 @@ import sys
 
 BENCH_RE = re.compile(r"BENCH_PR(\d+)\.json$")
 
-# Metrics where larger is better: the regression ratio inverts.
-HIGHER_IS_BETTER = frozenset((
-    "scalability.batch_speedup",
-))
-
 
 def find_artifacts(directory):
     """All BENCH_PR<n>.json under directory, sorted by PR number."""
@@ -53,10 +47,7 @@ def compare(old, new, threshold):
         old_value, new_value = float(old[name]), float(new[name])
         if old_value <= 0 or new_value <= 0:
             continue
-        if name in HIGHER_IS_BETTER:
-            ratio = old_value / new_value
-        else:
-            ratio = new_value / old_value
+        ratio = new_value / old_value
         if ratio > 1 + threshold:
             regressions.append((name, old_value, new_value, ratio))
     skipped = sorted(set(old) ^ set(new))
@@ -95,9 +86,8 @@ def run_gate(directory, threshold):
 
 
 def self_test():
-    """The comparison logic must flag both regression directions only."""
-    old = {"BM_Fast": 100.0, "scalability.batch_speedup": 5.0,
-           "BM_Retired": 10.0}
+    """The comparison logic must flag regressions only."""
+    old = {"BM_Fast": 100.0, "BM_Retired": 10.0}
     failures = 0
 
     def check(label, new, expect_names):
@@ -111,18 +101,11 @@ def self_test():
             print(f"self-test FAIL: {label}: got {names}, "
                   f"expected {expect_names}")
 
-    check("within threshold passes",
-          {"BM_Fast": 124.0, "scalability.batch_speedup": 4.1}, [])
-    check("ns/op regression flagged",
-          {"BM_Fast": 126.0, "scalability.batch_speedup": 5.0}, ["BM_Fast"])
-    check("speedup drop flagged (inverted ratio)",
-          {"BM_Fast": 100.0, "scalability.batch_speedup": 3.9},
-          ["scalability.batch_speedup"])
-    check("improvement never flagged",
-          {"BM_Fast": 10.0, "scalability.batch_speedup": 50.0}, [])
+    check("within threshold passes", {"BM_Fast": 124.0}, [])
+    check("ns/op regression flagged", {"BM_Fast": 126.0}, ["BM_Fast"])
+    check("improvement never flagged", {"BM_Fast": 10.0}, [])
     check("new-only metric skipped",
-          {"BM_Fast": 100.0, "scalability.batch_speedup": 5.0,
-           "BM_Brand_New": 9999.0}, [])
+          {"BM_Fast": 100.0, "BM_Brand_New": 9999.0}, [])
     return 1 if failures else 0
 
 

@@ -18,11 +18,9 @@
 //   SRP_HOT_PATH      function on the per-packet forward path.  The
 //                     allocation pass forbids operator new / malloc /
 //                     allocating std container calls in its body unless
-//                     the site is wrapped in SRP_ALLOC_OK(...).  This is
-//                     the baseline the batched zero-copy refactor
-//                     (ROADMAP item 1) will tighten: every blessed site
-//                     is a known, counted allocation, pinned at runtime
-//                     by tests/alloc_budget_test.cpp.
+//                     the site is wrapped in SRP_ALLOC_OK(...).  Every
+//                     blessed site is a known, counted allocation, pinned
+//                     at runtime by tests/alloc_budget_test.cpp.
 //
 //   SRP_ALLOC_OK(...) expression/declaration passthrough blessing the
 //                     allocation(s) inside it within an SRP_HOT_PATH

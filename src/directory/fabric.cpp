@@ -184,10 +184,6 @@ void Fabric::enable_observability(const obs::Observer& observer) {
   for (auto& controller : controllers_) controller->set_observer(observer);
 }
 
-void Fabric::enable_batching(viper::ViperRouter::BatchConfig config) {
-  for (viper::ViperRouter* router : routers_) router->set_batching(config);
-}
-
 obs::PathCollector& Fabric::enable_path_telemetry(PathTelemetryConfig config) {
   collector_ = std::make_unique<obs::PathCollector>(
       observer_.registry, observer_.recorder, config.collector);

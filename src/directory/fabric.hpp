@@ -93,11 +93,6 @@ class Fabric {
   /// complete — components added later are not wired retroactively.
   void enable_observability(const obs::Observer& observer);
 
-  /// Switches every router built so far to same-instant coalescing
-  /// (ViperRouter::set_batching).  Like enable_observability, not
-  /// retroactive for later components.
-  void enable_batching(viper::ViperRouter::BatchConfig config = {});
-
   /// Turns on in-band path telemetry: every router built so far stamps
   /// obs::HopTelemetry records onto telemetry-marked packets, every host
   /// marks 1-in-`sample_period` sends and feeds marked deliveries into a

@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <vector>
 
 #include "flow/export.hpp"
+#include "stats/format.hpp"
 
 namespace srp::obs {
 namespace {
 
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
+using stats::append_fmt;
 
 void append_flow_record(std::string& out, const flow::FlowRecord& r) {
   append_fmt(out,
@@ -47,7 +43,7 @@ std::string Introspector::snapshot_json(sim::Time now) {
     if (!first) out += ",";
     first = false;
     out += "\"";
-    out += router->name();
+    stats::append_json_escaped(out, router->name());
     out += "\":{";
 
     const auto& s = router->stats();
@@ -113,7 +109,7 @@ std::string Introspector::snapshot_json(sim::Time now) {
     if (!first) out += ",";
     first = false;
     out += "\"";
-    out += host->name();
+    stats::append_json_escaped(out, host->name());
     append_fmt(out,
                "\":{\"sent\":%" PRIu64 ",\"delivered\":%" PRIu64
                ",\"truncated\":%" PRIu64 "}",

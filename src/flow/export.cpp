@@ -1,17 +1,14 @@
 #include "flow/export.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <iterator>
+
+#include "stats/format.hpp"
 
 namespace srp::flow {
 namespace {
 
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
+using stats::append_fmt;
 
 void append_record(std::string& out, const FlowRecord& r) {
   append_fmt(out, "{\"route\":\"%016" PRIx64 "\"", r.key.route_digest);
@@ -53,7 +50,9 @@ std::string to_json(const FlowPlane& plane, std::size_t top_k) {
   for (const auto* observer : plane.observers()) {
     if (!first) out += ",";
     first = false;
-    append_fmt(out, "\"%s\":{", observer->name().c_str());
+    out += "\"";
+    stats::append_json_escaped(out, observer->name());
+    out += "\":{";
     const auto stats = observer->table().stats();
     append_fmt(out,
                "\"stats\":{\"recorded\":%" PRIu64 ",\"evictions\":%" PRIu64

@@ -2,37 +2,15 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <vector>
+
+#include "stats/format.hpp"
 
 namespace srp::health {
 namespace {
 
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          append_fmt(out, "\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
+using stats::append_fmt;
+using stats::json_escape;
 
 std::vector<const Alert*> label_sorted(const AlertEngine& engine,
                                        bool active_only) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
 #include <functional>
 #include <string_view>
 #include <utility>
@@ -11,9 +10,12 @@
 #include "flow/plane.hpp"
 #include "obs/recorder.hpp"
 #include "obs/telemetry.hpp"
+#include "stats/format.hpp"
 
 namespace srp::health {
 namespace {
+
+using stats::append_fmt;
 
 bool ends_with(std::string_view name, std::string_view suffix) {
   return name.size() >= suffix.size() &&
@@ -33,12 +35,6 @@ std::string instance_segment(std::string_view metric) {
       second == std::string_view::npos ? std::string_view::npos
                                        : second - first - 1;
   return std::string(metric.substr(first + 1, len));
-}
-
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
 }
 
 }  // namespace

@@ -1,28 +1,17 @@
 #include "mc/counterexample.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+
+#include "stats/format.hpp"
 
 namespace srp::mc {
 namespace {
 
 void append_escaped(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        out->push_back(ch);
-    }
-  }
+  stats::append_json_escaped(*out, s);
   out->push_back('"');
 }
 
@@ -67,7 +56,11 @@ class Reader {
       char ch = text_[pos_++];
       if (ch == '\\' && pos_ < text_.size()) {
         const char esc = text_[pos_++];
-        ch = esc == 'n' ? '\n' : esc;
+        if (esc == 'u') {
+          ch = unicode_escape();
+        } else {
+          ch = esc == 'n' ? '\n' : esc == 't' ? '\t' : esc;
+        }
       }
       out.push_back(ch);
     }
@@ -93,6 +86,20 @@ class Reader {
   }
 
  private:
+  /// The byte a \uXXXX escape names.  The writer emits \u00XX only, so
+  /// a malformed escape or a code point past 0xFF fails the parse.
+  char unicode_escape() {
+    const std::string hex = text_.substr(pos_, 4);
+    pos_ += hex.size();
+    const bool digits =
+        hex.size() == 4 && std::all_of(hex.begin(), hex.end(), [](char c) {
+          return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+        });
+    const unsigned long value = digits ? std::stoul(hex, nullptr, 16) : 0;
+    if (!digits || value > 0xFF) fail();
+    return static_cast<char>(value);
+  }
+
   const std::string& text_;
   std::size_t pos_ = 0;
   bool ok_ = true;

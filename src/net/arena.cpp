@@ -44,7 +44,7 @@ SRP_HOT_PATH PacketPtr PacketArena::acquire() {
   // under capacity; past capacity it is a one-off the caller fully owns.
   ++stats_.fresh;
   SRP_ALLOC_OK(PacketPtr fresh = std::make_shared<Packet>());
-  if (pool_.size() < capacity_) {
+  if (pool_.size() < kCapacity) {
     SRP_ALLOC_OK(pool_.push_back(fresh));
     cursor_ = 0;
   }

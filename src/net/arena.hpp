@@ -34,28 +34,23 @@ class PacketArena {
     std::uint64_t scan_steps = 0; ///< pool slots inspected across acquires
   };
 
-  explicit PacketArena(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
-
   /// A packet slab with empty (capacity-preserving) bytes and zeroed
   /// side-band, ready to be filled as a derived image.  Recycles a free
   /// slab when one exists; falls back to a fresh allocation otherwise.
   PacketPtr acquire();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t pooled() const { return pool_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  static constexpr std::size_t kDefaultCapacity = 256;
+  /// Slabs the pool keeps; past it, acquire() hands out one-offs.
+  static constexpr std::size_t kCapacity = 256;
 
  private:
   /// Scrubs a slab for reuse.  Only called when the pool is the sole
   /// owner, so no holder can observe the reset.
   static void reset_slab(Packet& p);
 
-  std::vector<PacketPtr> pool_;  ///< every slab ever pooled (≤ capacity_)
+  std::vector<PacketPtr> pool_;  ///< every slab ever pooled (≤ kCapacity)
   std::size_t cursor_ = 0;       ///< rotating scan start
-  std::size_t capacity_;
   Stats stats_;
 };
 

@@ -64,12 +64,6 @@ SRP_HOT_PATH void TxPort::enqueue(PacketPtr packet, TxMeta meta,
   enqueue_unfiltered(std::move(packet), meta, earliest_start);
 }
 
-SRP_HOT_PATH void TxPort::enqueue_burst(std::span<BurstItem> burst) {
-  for (BurstItem& item : burst) {
-    enqueue(std::move(item.packet), item.meta, item.earliest_start);
-  }
-}
-
 SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
                                              sim::Time earliest_start) {
   ++stats_.enqueued;

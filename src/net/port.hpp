@@ -11,7 +11,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <span>
 #include <string>
 
 #include "net/node.hpp"
@@ -95,22 +94,6 @@ class TxPort {
   /// second time.
   void enqueue_unfiltered(PacketPtr packet, TxMeta meta,
                           sim::Time earliest_start = 0);
-
-  /// One ready-to-transmit packet of a burst handoff.
-  struct BurstItem {
-    PacketPtr packet;
-    TxMeta meta;
-    sim::Time earliest_start = 0;
-  };
-
-  /// Hands a whole burst to the port, in order.  Semantically a loop over
-  /// enqueue() — deliberately so: per-item fault hooks, blocked-packet
-  /// policy and transmission starts must behave exactly as if the packets
-  /// had been handed over one by one (the first item may start
-  /// transmitting before the second is examined, which a deferred design
-  /// would get wrong).  The burst form exists so batched callers cross the
-  /// port boundary once per burst.
-  void enqueue_burst(std::span<BurstItem> burst);
 
   /// Bounds the queue in bytes (the paper's "output buffer space").
   /// Unlimited by default.

@@ -1,12 +1,16 @@
 #include "obs/export.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <map>
 #include <string_view>
 
+#include "stats/format.hpp"
+
 namespace srp::obs {
 namespace {
+
+using stats::append_fmt;
+using stats::json_escape;
 
 // ts/dur in the Chrome trace format are microseconds; sim::Time is
 // picoseconds, so six decimal places preserve full resolution.
@@ -16,32 +20,6 @@ std::string prom_name(std::string_view metric) {
   std::string out;
   out.reserve(metric.size());
   for (char c : metric) out.push_back((c == '.' || c == '-') ? '_' : c);
-  return out;
-}
-
-void append_fmt(std::string& out, const char* fmt, auto... args) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, fmt, args...);
-  out += buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          append_fmt(out, "\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 

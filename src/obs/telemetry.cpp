@@ -196,8 +196,7 @@ void PathCollector::on_delivery(const DeliveredTelemetry& delivered,
                                 std::size_t decode_errors) {
   // The in-place trailer reversal hands records newest-first, the
   // reference decode oldest-first: hop order makes both canonical, so the
-  // collector state is byte-path independent (the batch-equivalence
-  // contract extends through reconstruction).
+  // collector state does not depend on which decode the host ran.
   std::sort(hops.begin(), hops.end(),
             [](const HopTelemetry& a, const HopTelemetry& b) {
               return a.hop < b.hop;

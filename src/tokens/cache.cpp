@@ -24,12 +24,6 @@ SRP_HOT_PATH std::optional<TokenCache::Entry> TokenCache::lookup(
   return it->second;
 }
 
-SRP_HOT_PATH bool TokenCache::probe(
-    std::span<const std::uint8_t> token) const {
-  MutexLock lock(mutex_);
-  return entries_.find(key_of(token)) != entries_.end();
-}
-
 TokenCache::Entry TokenCache::store(std::span<const std::uint8_t> token,
                                     std::optional<TokenBody> body) {
   return store_and_settle(token, std::move(body), 0, nullptr).entry;

@@ -110,13 +110,6 @@ class TokenCache {
   std::optional<Entry> lookup(std::span<const std::uint8_t> token)
       SRP_EXCLUDES(mutex_);
 
-  /// Existence check that mutates *nothing* — no hit/miss counting.  The
-  /// batched forward path probes before prefetch-submitting verifications
-  /// so the later lookup() still counts exactly one miss per packet, the
-  /// same as the per-packet path.
-  [[nodiscard]] bool probe(std::span<const std::uint8_t> token) const
-      SRP_EXCLUDES(mutex_);
-
   /// Records the outcome of a (slow) verification.  nullopt body = invalid
   /// token: the entry is flagged so subsequent users are blocked.  Returns
   /// a snapshot of the stored entry.

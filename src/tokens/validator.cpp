@@ -78,20 +78,6 @@ std::vector<std::optional<TokenBody>> ValidationEngine::validate_batch(
   return results;
 }
 
-void ValidationEngine::submit_batch(
-    std::uint32_t router_id,
-    std::span<const std::span<const std::uint8_t>> tokens,
-    std::vector<Ticket>& out) {
-  if (tokens.empty()) return;
-  {
-    MutexLock lock(mutex_);
-    ++stats_.batches;
-  }
-  for (const auto token : tokens) {
-    out.push_back(submit(router_id, wire::Bytes(token.begin(), token.end())));
-  }
-}
-
 ValidationEngine::Stats ValidationEngine::stats() const {
   MutexLock lock(mutex_);
   return stats_;

@@ -72,15 +72,6 @@ class ValidationEngine {
       std::uint32_t router_id, const std::vector<wire::Bytes>& batch)
       SRP_EXCLUDES(mutex_);
 
-  /// Batch ticket submission for the batched forward path: one submission
-  /// per distinct uncached token of a burst, issued before the per-packet
-  /// admission pass so the workers overlap the whole burst.  Appends one
-  /// ticket per input token to @p out, in input order; each ticket follows
-  /// the usual await-exactly-once contract.
-  void submit_batch(std::uint32_t router_id,
-                    std::span<const std::span<const std::uint8_t>> tokens,
-                    std::vector<Ticket>& out) SRP_EXCLUDES(mutex_);
-
   [[nodiscard]] Stats stats() const SRP_EXCLUDES(mutex_);
   [[nodiscard]] bool parallel() const { return pool_ != nullptr; }
 

@@ -187,97 +187,7 @@ void ViperRouter::count_token_outcome(obs::TokenOutcome outcome) {
 SRP_SIM_VISIBLE void ViperRouter::on_arrival(const net::Arrival& arrival) {
   ++stats_.received;
   arrival.packet->last_in_port = arrival.in_port;
-  if (!batching_) {
-    route(arrival, arrival.packet->bytes, ingress_of(arrival));
-    return;
-  }
-  // Coalesce every arrival of this instant and drain once.  The drain
-  // event is scheduled at +0, so same-time FIFO ordering places it after
-  // all arrivals already delivered at this instant — the batch boundary IS
-  // the event boundary, which is what keeps the coalesced sim
-  // byte-identical to the per-packet one (all forward timing derives from
-  // arrival.head/tail, never from "processing time" within the instant).
-  if (ingress_.push(arrival)) {
-    sim_.after(0, [this] { drain_bursts(); });
-  }
-}
-
-void ViperRouter::set_batching(BatchConfig config) {
-  if (config.max_burst == 0) config.max_burst = 1;
-  batch_config_ = config;
-  arena_ = net::PacketArena(batch_config_.arena_capacity);
-  batching_ = true;
-}
-
-SRP_SIM_VISIBLE void ViperRouter::drain_bursts() {
-  while (!ingress_.empty()) {
-    forward_burst(ingress_.take(batch_config_.max_burst));
-  }
-  ingress_.reset();  // drop held packet references, re-arm scheduling
-}
-
-SRP_HOT_PATH void ViperRouter::forward_burst(
-    std::span<const net::Arrival> burst) {
-  prefetch_burst_tokens(burst);
-  for (const net::Arrival& arrival : burst) {
-    route(arrival, arrival.packet->bytes, ingress_of(arrival));
-  }
-  // A prefetched ticket is normally consumed by its packet's admission
-  // above.  Strays — the packet never reached admission (dropped,
-  // delivered locally, branched), or another packet with the same token
-  // value entered pending_verifies_ first — are settled now so the
-  // engine's await-every-ticket contract holds.
-  if (!pending_tickets_.empty()) {
-    for (const auto& [key, ticket] : SRP_ORDER_OK(pending_tickets_)) {
-      (void)key;
-      (void)validation_engine_->await(ticket);
-    }
-    pending_tickets_.clear();
-  }
-}
-
-SRP_HOT_PATH void ViperRouter::prefetch_burst_tokens(
-    std::span<const net::Arrival> burst) {
-  if (!config_.require_tokens || authority_ == nullptr ||
-      validation_engine_ == nullptr) {
-    return;
-  }
-  prefetch_tokens_.clear();
-  prefetch_keys_.clear();
-  for (const net::Arrival& arrival : burst) {
-    // Any parsed token qualifies: one whose packet never reaches
-    // admission is a stray, settled at the end of the burst.
-    LinkScratch link;
-    Front front;
-    if (!parse_front(arrival, arrival.packet->bytes, ingress_of(arrival),
-                     link, front) ||
-        front.segment.token.empty()) {
-      continue;
-    }
-    const SegmentView& seg = front.segment;
-    const std::uint64_t key = tokens::TokenCache::key_of(seg.token);
-    // Skip tokens already verifying, already ticketed, already cached —
-    // and dedup within the burst — so exactly one submission exists per
-    // distinct uncached token, the same as without coalescing.
-    if (pending_verifies_.contains(key)) continue;
-    if (!pending_tickets_.empty() && pending_tickets_.contains(key)) continue;
-    if (std::find(prefetch_keys_.begin(), prefetch_keys_.end(), key) !=
-        prefetch_keys_.end()) {
-      continue;
-    }
-    if (token_cache_.probe(seg.token)) continue;
-    SRP_ALLOC_OK(prefetch_keys_.push_back(key));       // capacity-warm
-    SRP_ALLOC_OK(prefetch_tokens_.push_back(seg.token));
-  }
-  if (prefetch_tokens_.empty()) return;
-  prefetch_tickets_.clear();
-  validation_engine_->submit_batch(config_.router_id, prefetch_tokens_,
-                                   prefetch_tickets_);
-  SIRPENT_INVARIANT(prefetch_tickets_.size() == prefetch_keys_.size());
-  for (std::size_t i = 0; i < prefetch_keys_.size(); ++i) {
-    SRP_ALLOC_OK(
-        pending_tickets_.emplace(prefetch_keys_[i], prefetch_tickets_[i]));
-  }
+  route(arrival, arrival.packet->bytes, ingress_of(arrival));
 }
 
 SRP_HOT_PATH bool ViperRouter::parse_front(const net::Arrival& arrival,
@@ -514,15 +424,7 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
     const std::uint64_t first_packet_bytes = packet_bytes;
     std::optional<tokens::ValidationEngine::Ticket> ticket;
     if (validation_engine_ != nullptr) {
-      // A coalescing drain prefetched this burst's uncached tokens; consume
-      // the parked ticket instead of re-submitting.
-      const auto prefetched = pending_tickets_.find(key);
-      if (prefetched != pending_tickets_.end()) {
-        ticket = prefetched->second;
-        pending_tickets_.erase(prefetched);
-      } else {
-        ticket = validation_engine_->submit(config_.router_id, token_copy);
-      }
+      ticket = validation_engine_->submit(config_.router_id, token_copy);
     }
     // SRP_ALLOC_OK(verification completion event, once per token value)
     sim_.after(config_.verify_delay, [this, token_copy = std::move(token_copy),

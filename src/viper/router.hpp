@@ -26,7 +26,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,7 +34,6 @@
 #include "core/segment.hpp"
 #include "core/trailer.hpp"
 #include "net/arena.hpp"
-#include "net/burst.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
 #include "obs/flow_sink.hpp"
@@ -230,35 +228,8 @@ class ViperRouter : public net::PortedNode {
   [[nodiscard]] tokens::TokenCache& token_cache() { return token_cache_; }
   [[nodiscard]] std::uint32_t router_id() const { return config_.router_id; }
 
-  // --- same-instant coalescing (DESIGN.md §11) ---
-
-  /// Tuning for the coalescing drain.
-  struct BatchConfig {
-    /// Packets handed to one forward_burst() call.  Batch boundaries align
-    /// to event boundaries, so this is a pure engine knob with no effect
-    /// on simulated behaviour.
-    std::size_t max_burst = 16;
-    /// Packet slabs the arena may pool (free slabs recycle, zero-alloc).
-    std::size_t arena_capacity = net::PacketArena::kDefaultCapacity;
-  };
-
-  /// Coalesces same-instant arrivals into one drain event, which prefetches
-  /// the burst's token verifications and then forwards every packet
-  /// through the same per-packet path on_arrival() uses.  Off by default;
-  /// on or off, the simulation is byte-identical (pinned by
-  /// tests/batch_equivalence_test.cpp).
-  void set_batching(BatchConfig config);
-  void disable_batching() { batching_ = false; }
-  [[nodiscard]] bool batching_enabled() const { return batching_; }
   /// The slab pool every forward rewrites into.
   [[nodiscard]] const net::PacketArena& arena() const { return arena_; }
-
-  /// Forwards @p burst — a vector of same-instant arrivals, in arrival
-  /// order: token prefetch, then the per-packet path item by item.  Public
-  /// so burst-capable drivers (benches) can hand a dequeued vector
-  /// straight to the engine; in the sim proper the drain event scheduled
-  /// by on_arrival() is the only caller.
-  void forward_burst(std::span<const net::Arrival> burst);
 
   void on_arrival(const net::Arrival& arrival) override;
 
@@ -347,15 +318,6 @@ class ViperRouter : public net::PortedNode {
   std::optional<TokenDecision> admit_token(const SegmentView& segment,
                                            std::size_t packet_bytes);
 
-  /// Submits validation tickets for the burst's distinct uncached tokens
-  /// before any packet is admitted, so the engine's workers overlap the
-  /// whole burst.  Tickets are parked in pending_tickets_ and consumed by
-  /// admit_token()'s miss path.
-  void prefetch_burst_tokens(std::span<const net::Arrival> burst);
-
-  /// Drain event body: forwards everything coalesced at this instant.
-  void drain_bursts();
-
   /// When the switch decision happens and when output may start (§2.1).
   struct ForwardTiming {
     sim::Time decision = 0;  ///< header+segment in hand, route resolved
@@ -398,19 +360,6 @@ class ViperRouter : public net::PortedNode {
   /// Slab pool every forward rewrites into: a recycled slab keeps its
   /// byte capacity, so the steady-state rewrite allocates nothing.
   net::PacketArena arena_;
-
-  // Coalescing state (set_batching).  The scratch vectors keep their
-  // capacity across bursts, so the steady-state drain is allocation-free.
-  bool batching_ = false;
-  BatchConfig batch_config_;
-  net::ArrivalBurst ingress_;
-  /// Verification tickets prefetched for the burst in flight, by token
-  /// cache key.  Consumed by admit_token() within the same drain.
-  std::unordered_map<std::uint64_t, tokens::ValidationEngine::Ticket>
-      pending_tickets_;
-  std::vector<std::span<const std::uint8_t>> prefetch_tokens_;
-  std::vector<std::uint64_t> prefetch_keys_;
-  std::vector<tokens::ValidationEngine::Ticket> prefetch_tickets_;
 
   ControlHandler control_handler_;
   Shaper shaper_;

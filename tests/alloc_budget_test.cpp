@@ -10,9 +10,9 @@
 // accounting — the budget assertion moves and the regression is
 // attributable to the change that made it, not discovered in a profile
 // much later.  The end-to-end cost of a 2-router line is pinned at the
-// measured cost plus modest headroom; a warm router hop (with or without
-// same-instant coalescing) and a warm scheduler schedule + pop must be
-// exactly zero, and an idle output port nearly so.
+// measured cost plus modest headroom; a warm router hop and a warm
+// scheduler schedule + pop must be exactly zero, and an idle output port
+// nearly so.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -131,11 +131,11 @@ TEST(AllocBudget, SteadyStateLineForwardingStaysWithinBudget) {
       << " allocations/packet — tighten kSteadyStatePacketBudget";
 }
 
-/// The router hop itself, without coalescing: once the arena has a warm
-/// slab, on_arrival's decode → admit → rewrite → enqueue allocates
-/// nothing — the derived packet is a recycled slab whose byte capacity
-/// survives reset, header fields are views into the arrival buffer, and
-/// the rewrite appends in place.  Measured on the router alone (output
+/// The router hop itself: once the arena has a warm slab, on_arrival's
+/// decode → admit → rewrite → enqueue allocates nothing — the derived
+/// packet is a recycled slab whose byte capacity survives reset, header
+/// fields are views into the arrival buffer, and the rewrite appends in
+/// place.  Measured on the router alone (output
 /// port administratively down, so enqueue drops without link machinery
 /// and the slab frees at once; driving through sim events would charge
 /// the event queue's own storage to the forward path).
@@ -173,57 +173,6 @@ TEST(AllocBudget, PerPacketForwardIsAllocationFreeOnceWarm) {
   EXPECT_EQ(router.stats().forwarded, kWarm + kPackets);
   EXPECT_EQ(router.port(2).stats().dropped_down, kWarm + kPackets);
   EXPECT_EQ(router.arena().stats().fresh, 1u);
-}
-
-/// The same zero, with same-instant coalescing on: forward_burst's token
-/// prefetch and per-item pass add nothing once the scratch is warm.
-TEST(AllocBudget, BatchedForwardPathIsAllocationFreeOnceWarm) {
-  sim::Simulator sim;
-  viper::ViperRouter router(sim, "r.batch", {});
-  const net::LinkConfig link;
-  router.add_port(link);         // port 1: ingress side
-  router.add_port(link);         // port 2: egress
-  router.port(2).set_up(false);  // drop at enqueue, zero events
-  viper::ViperRouter::BatchConfig batch;
-  batch.max_burst = 64;
-  router.set_batching(batch);
-
-  core::SourceRoute route;
-  route.segments.push_back(test::p2p_segment(2));
-  route.segments.push_back(test::local_segment());
-  const wire::Bytes bytes = viper::encode_packet(route, pattern_bytes(256));
-
-  net::PacketFactory packets;
-  std::vector<net::Arrival> burst;
-  for (int i = 0; i < 64; ++i) {
-    net::Arrival arrival;
-    arrival.packet = packets.make(bytes, 0);
-    arrival.in_port = 1;
-    arrival.head = 0;
-    arrival.tail = 2048;
-    arrival.rate_bps = link.rate_bps;
-    burst.push_back(std::move(arrival));
-  }
-
-  // Warm-up: the arena pool fills and slab byte capacities grow to the
-  // packet size.
-  constexpr std::uint64_t kWarmBursts = 8;
-  for (std::uint64_t i = 0; i < kWarmBursts; ++i) {
-    router.forward_burst(burst);
-  }
-
-  constexpr std::uint64_t kBursts = 100;
-  const std::uint64_t before = allocation_count();
-  for (std::uint64_t i = 0; i < kBursts; ++i) router.forward_burst(burst);
-  EXPECT_EQ(allocation_count() - before, 0u)
-      << "the steady-state batched forward path must not allocate; a new "
-         "allocation here breaks the zero-copy arena design (DESIGN.md "
-         "§11)";
-
-  EXPECT_EQ(router.stats().forwarded, (kWarmBursts + kBursts) * 64);
-  // The measured window really ran on recycled slabs, not fresh ones.
-  EXPECT_GT(router.arena().stats().recycled, kBursts * 64 - 1);
-  EXPECT_LE(router.arena().stats().fresh, 64u);
 }
 
 /// An output port that is idle at every enqueue — the common case on a

@@ -153,12 +153,12 @@ std::pair<std::map<std::string, std::uint64_t>, std::size_t> chaos_once(
 }
 
 // ---------------------------------------------------------------------------
-// Batched (arena-backed) port: the fault lanes must compose with slab
-// reuse.  The engine's corrupt and duplicate lanes clone the packet before
-// touching it, so an injected copy owns its bytes outright — a recycled
-// slab must never scribble over a delayed duplicate's payload, and lane
-// conservation (arrivals + drops == forwarded + duplicates) must hold on
-// the batched path exactly as on the per-packet one.
+// Arena-backed port: the fault lanes must compose with slab reuse.  The
+// engine's corrupt and duplicate lanes clone the packet before touching
+// it, so an injected copy owns its bytes outright — a recycled slab must
+// never scribble over a delayed duplicate's payload, and lane conservation
+// (arrivals + drops == forwarded + duplicates) must hold on the router's
+// default arena.
 
 /// Sink that records (packet id, decoded payload hash) and then releases
 /// the packet immediately — unlike SinkNode it holds no PacketPtr, so
@@ -192,7 +192,7 @@ class DigestSink : public net::PortedNode {
   std::vector<Record> records;
 };
 
-struct BatchedPortFixture {
+struct ArenaPortFixture {
   sim::Simulator sim;
   net::Network net{sim};
   net::PacketFactory packets;
@@ -202,17 +202,13 @@ struct BatchedPortFixture {
   test::SinkNode* src = nullptr;
   int src_port = 0;
 
-  BatchedPortFixture() {
+  ArenaPortFixture() {
     src = &net.add<test::SinkNode>("src");
     router = &net.add<viper::ViperRouter>("r", viper::RouterConfig{});
     dst = &net.add<DigestSink>("dst");
     const net::LinkConfig link{1e9, 5 * sim::kMicrosecond, 1500};
     src_port = net.duplex(*src, *router, link).first;  // router port 1
     net.duplex(*router, *dst, link);                   // router port 2
-    viper::ViperRouter::BatchConfig batch;
-    batch.max_burst = 16;
-    batch.arena_capacity = 8;  // tiny pool: aggressive slab reuse
-    router->set_batching(batch);
   }
 
   /// Sends @p n packets with distinct payloads; returns id -> payload
@@ -237,8 +233,8 @@ struct BatchedPortFixture {
   }
 };
 
-TEST(BatchedPortFaults, LanesConservePacketsOnTheArenaBackedPort) {
-  BatchedPortFixture world;
+TEST(ArenaPortFaults, LanesConservePacketsOnTheArenaBackedPort) {
+  ArenaPortFixture world;
   FaultPlan plan;
   plan.seed = 11;
   auto& lane = plan.lane(world.router->port(2).name());
@@ -259,8 +255,8 @@ TEST(BatchedPortFaults, LanesConservePacketsOnTheArenaBackedPort) {
   EXPECT_GT(drops, 0u);
   EXPECT_GT(dups, 0u);
   EXPECT_GT(engine.count(name, "corrupt"), 0u);
-  // Every packet took the batched fast path, and conservation holds:
-  // nothing vanished except counted drops, nothing appeared except
+  // Every packet was forwarded through an arena slab, and conservation
+  // holds: nothing vanished except counted drops, nothing appeared except
   // counted duplicates.
   EXPECT_EQ(world.router->stats().forwarded,
             static_cast<std::uint64_t>(kPackets));
@@ -270,8 +266,8 @@ TEST(BatchedPortFaults, LanesConservePacketsOnTheArenaBackedPort) {
   EXPECT_GT(world.router->arena().stats().recycled, 0u);
 }
 
-TEST(BatchedPortFaults, DuplicatesCarryTheirOwnBytesAcrossSlabRecycling) {
-  BatchedPortFixture world;
+TEST(ArenaPortFaults, DuplicatesCarryTheirOwnBytesAcrossSlabRecycling) {
+  ArenaPortFixture world;
   FaultPlan plan;
   plan.seed = 23;
   auto& lane = plan.lane(world.router->port(2).name());

@@ -8,9 +8,8 @@
 // still localizes the damage), the kMaxTelemetryHops stamping bound, and
 // the system-level contracts: a wired-but-unmarked fabric is
 // byte-identical to an unwired one, the collector's reconstruction agrees
-// with the FlightRecorder's first-person hop spans under full chaos, the
-// coalescing drain stamps byte-identically across batch sizes, and the
-// exporter output for the `int.*` namespace is pinned by goldens.
+// with the FlightRecorder's first-person hop spans under full chaos, and
+// the exporter output for the `int.*` namespace is pinned by goldens.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -500,8 +499,7 @@ TEST(IntChaos, CollectorAgreesWithFlightRecorder) {
 }
 
 /// ChaosOutcome + collector totals, flattened for EXPECT_EQ diffing.
-test::ChaosDigest telemetry_chaos_digest(
-    const std::function<void(dir::Fabric&)>& extra_configure = {}) {
+test::ChaosDigest telemetry_chaos_digest() {
   test::ChaosDigest digest;
   const test::ChaosOutcome outcome = run_chaos(
       kSeed, {},
@@ -534,10 +532,7 @@ test::ChaosDigest telemetry_chaos_digest(
         }
         digest["int.journey_hash"] = journeys;
       },
-      [&](dir::Fabric& fabric) {
-        telemetry_on(2)(fabric);
-        if (extra_configure) extra_configure(fabric);
-      });
+      telemetry_on(2));
   digest["chaos.ok"] = static_cast<std::uint64_t>(outcome.ok);
   digest["chaos.completed"] = static_cast<std::uint64_t>(outcome.completed);
   digest["chaos.response_hash"] = outcome.response_hash;
@@ -546,25 +541,6 @@ test::ChaosDigest telemetry_chaos_digest(
 
 TEST(IntChaos, TelemetryRunIsDeterministic) {
   expect_deterministic([] { return telemetry_chaos_digest(); });
-}
-
-TEST(IntBatch, ReconstructionIdenticalAcrossBatchSizes) {
-  // The coalescing drain must stamp byte-identically: queue-state reads
-  // at stamp time happen just before this packet's enqueue in both modes,
-  // so every reconstructed journey — not just the totals — matches the
-  // uncoalesced run for every batch size.
-  const test::ChaosDigest reference = telemetry_chaos_digest();
-  EXPECT_GT(reference.at("int.hops_stamped"), 0u);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{16}, std::size_t{64}}) {
-    const test::ChaosDigest batched =
-        telemetry_chaos_digest([batch](dir::Fabric& fabric) {
-          viper::ViperRouter::BatchConfig config;
-          config.max_burst = batch;
-          fabric.enable_batching(config);
-        });
-    EXPECT_EQ(batched, reference) << "batch size " << batch;
-  }
 }
 
 // --- exporter goldens --------------------------------------------------------

@@ -292,6 +292,28 @@ TEST(CounterExampleJson, LabelsWithEscapesRoundTrip) {
   EXPECT_EQ(back->events[0].label, cx.events[0].label);
 }
 
+TEST(CounterExampleJson, ControlCharactersEscapedAndRoundTrip) {
+  CounterExample cx;
+  cx.model = "vmtp";
+  cx.invariant = "tab\there";
+  cx.events.push_back(Event{1, 2, 3, 4, std::string("bell\x01 cr\r")});
+  const std::string json = to_json(cx);
+  EXPECT_NE(json.find("\"tab\\there\""), std::string::npos);
+  EXPECT_NE(json.find("bell\\u0001 cr\\u000d"), std::string::npos);
+  for (const char ch : json) {
+    EXPECT_TRUE(ch == '\n' || static_cast<unsigned char>(ch) >= 0x20)
+        << "raw control character " << static_cast<int>(ch);
+  }
+  const auto back = from_json(json);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, cx);
+  const auto upper = from_json("{\"model\": \"\\u0041\"}");
+  ASSERT_TRUE(upper.has_value());
+  EXPECT_EQ(upper->model, "A");
+  EXPECT_FALSE(from_json("{\"model\": \"\\u01ff\"}").has_value());
+  EXPECT_FALSE(from_json("{\"model\": \"\\u00g1\"}").has_value());
+}
+
 // --- Counterexample → FaultPlan conversion -----------------------------
 
 TEST(ReplayPlan, VmtpFaultEventsBecomeScriptedLanes) {

@@ -301,6 +301,28 @@ TEST(Exporter, JsonHistogramCountAndSumMatchRecords) {
   EXPECT_NE(json.find("\"sum\": 5000901"), std::string::npos);
 }
 
+TEST(Exporter, LongInstanceNamesExportWhole) {
+  // A line longer than any fixed format buffer: the value and the newline
+  // (Prometheus) and the closing quote (JSON) must survive.
+  const std::string instance(130, 'x');
+  stats::Registry registry;
+  registry.counter("viper." + instance + ".forwarded").add(7);
+  registry.histogram("viper." + instance + ".hop_latency_ps").record(900);
+  const auto snapshot = registry.full_snapshot();
+
+  const auto prom = obs::to_prometheus(snapshot);
+  EXPECT_NE(prom.find("\nviper_" + instance + "_forwarded 7\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("viper_" + instance + "_hop_latency_ps_count 1\n"),
+            std::string::npos);
+
+  const auto json = obs::to_json(snapshot);
+  EXPECT_NE(json.find("\"viper." + instance + ".forwarded\": 7"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"viper." + instance + ".hop_latency_ps\": {"),
+            std::string::npos);
+}
+
 TEST(Exporter, EmptySnapshotsAreWellFormed) {
   EXPECT_EQ(obs::to_prometheus({}), "");
   const auto json = obs::to_json({});

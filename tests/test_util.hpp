@@ -211,8 +211,8 @@ void expect_deterministic(Scenario scenario) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos harness (hoisted from chaos_test.cpp so the batch-equivalence suite
-// can run the identical scenario with a differently-configured fabric).
+// Chaos harness (hoisted from chaos_test.cpp so other suites can run the
+// identical scenario with a differently-configured fabric).
 
 namespace chaos {
 constexpr sim::Time kTrafficEnd = 600 * sim::kMillisecond;
@@ -243,8 +243,8 @@ struct ChaosOutcome {
 /// diamond while a deterministic FaultPlan attacks every link.  The world
 /// is built from scratch each call so reruns share no state but the seed.
 /// @p configure, when set, sees the fabric after the topology and the
-/// standard enables but before any traffic — the hook the coalescing
-/// equivalence suite uses to flip Fabric::enable_batching.  @p inspect,
+/// standard enables but before any traffic (e.g. to turn on path
+/// telemetry).  @p inspect,
 /// when set, sees the drained fabric before teardown (for cross-checking
 /// external planes against fabric-owned state like the ledger).
 inline ChaosOutcome run_chaos(
