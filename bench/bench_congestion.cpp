@@ -123,10 +123,12 @@ CongestionResult run_case(bool with_cc, std::size_t buffer_bytes,
   sim.run_until(duration);
 
   CongestionResult result;
+  // Read the port first: it reports a start no event marked before the
+  // queue average is closed.
+  const auto& port_stats = r1.port(bottleneck_port).stats();
   queue_stat.finish(sim::to_seconds(sim.now()));
   result.mean_queue_pkts = queue_stat.average();
   result.max_queue_pkts = queue_stat.max_value();
-  const auto& port_stats = r1.port(bottleneck_port).stats();
   result.utilization = static_cast<double>(port_stats.busy_time) /
                        static_cast<double>(duration);
   result.drops = port_stats.dropped_full;

@@ -12,10 +12,11 @@
 // and mean wait against the closed forms.
 #include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "bench_util.hpp"
+#include "obs/recorder.hpp"
 #include "stats/queueing.hpp"
+#include "stats/registry.hpp"
 
 namespace srp::bench {
 namespace {
@@ -53,34 +54,16 @@ QueueObservation run_port(double rho, const wl::PacketSizeModel* sizes,
   const sim::Time mean_interarrival =
       sim::from_seconds(mean_service_s / rho);
 
-  // Time-average of "number in system" = queue + (1 if transmitting).
-  stats::TimeWeighted in_system;
-  std::size_t queued_now = 0;
-  auto record = [&] {
-    in_system.update(sim::to_seconds(sim.now()),
-                     static_cast<double>(queued_now) +
-                         (port.busy() ? 1.0 : 0.0));
-  };
-  port.on_queue_change = [&](sim::Time, std::size_t n) {
-    queued_now = n;
-    record();
-  };
-  // Wait times: enqueue -> departure minus own service time.
-  std::map<std::uint64_t, sim::Time> enqueue_time;
-  stats::Summary wait_units;
-  port.on_enqueue = [&](const net::Packet& p) {
-    enqueue_time[p.id] = sim.now();
-    record();
-  };
-  port.on_depart = [&](const net::Packet& p) {
-    const auto it = enqueue_time.find(p.id);
-    if (it != enqueue_time.end()) {
-      const sim::Time sojourn = sim.now() - it->second;
-      const sim::Time service = port.tx_time(p.size());
-      wait_units.add(sim::to_seconds(sojourn - service) / mean_service_s);
-      enqueue_time.erase(it);
-    }
-    record();
+  // Mean wait: the port's own queue-wait histogram (start minus enqueue).
+  stats::Registry registry;
+  port.set_observer(obs::Observer{&registry, nullptr});
+  const stats::Histogram& wait_ps = registry.histogram(
+      "port." + stats::metric_component(port.name()) + ".queue_wait_ps");
+  // Time-average queue length; the one in service adds the utilization.
+  stats::TimeWeighted queued;
+  queued.update(0.0, 0.0);
+  port.on_queue_change = [&](sim::Time t, std::size_t n) {
+    queued.update(sim::to_seconds(t), static_cast<double>(n));
   };
 
   wl::PoissonSource source(sim, seed * 7 + 1, mean_interarrival, [&] {
@@ -95,11 +78,16 @@ QueueObservation run_port(double rho, const wl::PacketSizeModel* sizes,
   sim.run();  // drain
 
   QueueObservation result;
-  in_system.finish(sim::to_seconds(sim.now()));
-  result.mean_in_system = in_system.average();
-  result.mean_wait_units = wait_units.mean();
   result.utilization = static_cast<double>(port.stats().busy_time) /
                        static_cast<double>(duration);
+  queued.finish(sim::to_seconds(sim.now()));
+  result.mean_in_system = queued.average() + result.utilization;
+  if (wait_ps.count() > 0) {
+    const double mean_wait_s = static_cast<double>(wait_ps.sum()) /
+                               static_cast<double>(wait_ps.count()) /
+                               static_cast<double>(sim::kSecond);
+    result.mean_wait_units = mean_wait_s / mean_service_s;
+  }
   return result;
 }
 

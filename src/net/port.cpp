@@ -1,5 +1,6 @@
 #include "net/port.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "check/analysis.hpp"
@@ -15,11 +16,21 @@ FaultHook drop_when(std::function<bool(const Packet&)> predicate) {
 }
 
 TxPort::TxPort(sim::Simulator& sim, std::string name, LinkConfig config)
-    : sim_(sim), name_(std::move(name)), config_(config) {}
+    : sim::ClockDriven(sim),
+      sim_(sim),
+      name_(std::move(name)),
+      config_(config) {}
 
 void TxPort::connect(Node* peer, int peer_in_port) {
+  settle();
   peer_ = peer;
   peer_in_port_ = peer_in_port;
+  // A committed packet that has not started yet would have resolved the
+  // new peer at its start: re-commit it, same start, towards the new peer.
+  if (committed_) {
+    revoke();
+    try_start();
+  }
 }
 
 void TxPort::set_buffer_limit(std::size_t bytes) { buffer_limit_ = bytes; }
@@ -38,8 +49,8 @@ void TxPort::set_observer(const obs::Observer& observer) {
   obs_recorder_ = observer.recorder;
 }
 
-void TxPort::notify_queue_change() {
-  if (on_queue_change) on_queue_change(sim_.now(), queue_.size());
+void TxPort::notify_queue_change(sim::Time at) const {
+  if (on_queue_change) on_queue_change(at, queue_.size());
   if (obs_queue_depth_ != nullptr) {
     obs_queue_depth_->set(static_cast<std::int64_t>(queue_.size()));
   }
@@ -71,6 +82,7 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
     ++stats_.dropped_down;
     return;
   }
+  settle();
 
   Queued item{std::move(packet), meta, sim_.now(), earliest_start};
 
@@ -81,27 +93,33 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
   }
 
   // "Blocked" per the paper: the packet cannot go straight onto the wire —
-  // a transmission is in progress or others are already waiting.
+  // a transmission is in progress or others (a committed head included)
+  // are already waiting.
   const bool blocked = transmitting_ || !queue_.empty();
   if (blocked && meta.drop_if_blocked) {
     ++stats_.dropped_blocked;
-    return;
-  }
-  if (queue_bytes_ + item.packet->size() > buffer_limit_) {
+  } else if (queue_bytes_ + item.packet->size() > buffer_limit_) {
     if (overflow_handler && overflow_handler(item.packet, item.meta)) {
       ++stats_.deflected;
-      return;
+    } else {
+      ++stats_.dropped_full;
     }
-    ++stats_.dropped_full;
-    return;
+  } else {
+    if (on_enqueue) on_enqueue(*item.packet);
+    // A higher rank overtakes a committed head before its start: the port
+    // would now start this packet instead.
+    if (committed_ && meta.rank > queue_.front().meta.rank) revoke();
+    queue_bytes_ += item.packet->size();
+    insert_by_rank(std::move(item));
+    notify_queue_change(sim_.now());
+    // The packet waits behind a transmission: its turn comes at the end.
+    if ((transmitting_ || committed_) && completion_event_ == 0) {
+      schedule_completion();
+    }
   }
-  if (on_enqueue) on_enqueue(*item.packet);
-  queue_bytes_ += item.packet->size();
-  insert_by_rank(std::move(item));
-  notify_queue_change();
-  // If idle, the packet still waits for its cut-through bound via the
-  // queue head; try_start() decides when it may actually go.
-  if (!transmitting_) try_start(sim_.now());
+  // An idle port decides its head now — after an abort too, when the
+  // preemptor itself was dropped and only the waiting packets remain.
+  try_start();
 }
 
 SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
@@ -121,42 +139,36 @@ SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
   }
 }
 
-SRP_HOT_PATH void TxPort::try_start(sim::Time not_before) {
-  if (transmitting_ || queue_.empty() || !up_) return;
+SRP_HOT_PATH void TxPort::try_start() {
+  if (transmitting_ || committed_ || queue_.empty() || !up_) return;
 
-  Queued& front = queue_.front();
-  const sim::Time start =
-      std::max({sim_.now(), not_before, front.earliest_start});
-  if (start > sim_.now()) {
-    if (wakeup_event_ != 0) sim_.cancel(wakeup_event_);
-    wakeup_event_ = sim_.at(start, [this] {
-      wakeup_event_ = 0;
-      try_start(sim_.now());
-    });
-    return;
+  const Queued& head = queue_.front();
+  committed_ = true;
+  current_start_ = std::max(sim_.now(), head.earliest_start);
+  current_end_ = current_start_ + tx_time(head.packet->size());
+  if (queue_.size() > 1) schedule_completion();
+  arrival_event_ = 0;
+  if (peer_ != nullptr) {
+    const Arrival arrival{head.packet, peer_in_port_,
+                          current_start_ + config_.prop_delay,
+                          current_end_ + config_.prop_delay, config_.rate_bps};
+    arrival_event_ = sim_.at(
+        arrival.head, [peer = peer_, arrival] { peer->on_arrival(arrival); });
   }
-
-  Queued item = std::move(queue_.front());
-  queue_.pop_front();
-  SIRPENT_INVARIANT(queue_bytes_ >= item.packet->size());
-  queue_bytes_ -= item.packet->size();
-  // Start first, notify after: observers of the queue change must see the
-  // port already busy (time-weighted "in system" statistics depend on it).
-  start_transmission(std::move(item), start);
-  notify_queue_change();
+  settle();  // starts at once unless the cut-through bound lies ahead
 }
 
-SRP_HOT_PATH void TxPort::start_transmission(Queued item, sim::Time start) {
-  SIRPENT_EXPECTS(!transmitting_);
-  SIRPENT_EXPECTS(start >= item.earliest_start);
+SRP_HOT_PATH void TxPort::begin_transmission() const {
+  SIRPENT_EXPECTS(committed_ && !transmitting_);
+  committed_ = false;
   transmitting_ = true;
-  current_ = std::move(item);
-  current_start_ = start;
-  current_end_ = start + tx_time(current_.packet->size());
+  current_ = std::move(queue_.front());
+  queue_.pop_front();
+  SIRPENT_INVARIANT(queue_bytes_ >= current_.packet->size());
+  queue_bytes_ -= current_.packet->size();
 
-  completion_event_ =
-      sim_.at(current_end_, [this] { complete_transmission(); });
-
+  const sim::Time start = current_start_;
+  SIRPENT_EXPECTS(start >= current_.earliest_start);
   const sim::Time queue_wait = start - current_.enqueue_time;
   if (obs_queue_wait_ != nullptr) {
     obs_queue_wait_->record(static_cast<std::uint64_t>(queue_wait));
@@ -174,26 +186,30 @@ SRP_HOT_PATH void TxPort::start_transmission(Queued item, sim::Time start) {
     span.set_component(name_);
     obs_recorder_->record(span);
   }
-
-  if (peer_ != nullptr) {
-    const sim::Time head = start + config_.prop_delay;
-    const sim::Time tail = current_end_ + config_.prop_delay;
-    Arrival arrival{current_.packet, peer_in_port_, head, tail,
-                    config_.rate_bps};
-    sim_.at(head, [peer = peer_, arrival] { peer->on_arrival(arrival); });
-  }
+  // Start first, notify after: observers of the queue change must see the
+  // port already busy.
+  notify_queue_change(start);
 }
 
-SRP_HOT_PATH void TxPort::complete_transmission() {
+SRP_HOT_PATH void TxPort::end_transmission() const {
   SIRPENT_EXPECTS(transmitting_);
   ++stats_.sent;
   stats_.bytes_sent += current_.packet->size();
   stats_.busy_time += current_end_ - current_start_;
-  completion_event_ = 0;
   transmitting_ = false;
-  if (on_depart) on_depart(*current_.packet);
   current_ = Queued{};
-  try_start(sim_.now());
+}
+
+SRP_HOT_PATH void TxPort::schedule_completion() {
+  completion_event_ =
+      sim_.at(current_end_, [this] { complete_transmission(); });
+}
+
+SRP_HOT_PATH void TxPort::complete_transmission() {
+  completion_event_ = 0;
+  settle();
+  SIRPENT_ENSURES(!transmitting_ && !committed_);
+  try_start();
 }
 
 void TxPort::abort_transmission() {
@@ -210,21 +226,27 @@ void TxPort::abort_transmission() {
   current_ = Queued{};
 }
 
+void TxPort::revoke() {
+  SIRPENT_EXPECTS(committed_);
+  sim_.cancel(arrival_event_);
+  sim_.cancel(completion_event_);
+  completion_event_ = 0;
+  committed_ = false;
+}
+
 void TxPort::set_up(bool up) {
   if (up == up_) return;
+  settle();
   up_ = up;
   if (!up_) {
     if (transmitting_) abort_transmission();
+    if (committed_) revoke();
     stats_.dropped_down += queue_.size();
     queue_.clear();
     queue_bytes_ = 0;
-    notify_queue_change();
-    if (wakeup_event_ != 0) {
-      sim_.cancel(wakeup_event_);
-      wakeup_event_ = 0;
-    }
+    notify_queue_change(sim_.now());
   } else {
-    try_start(sim_.now());
+    try_start();
   }
 }
 

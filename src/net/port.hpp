@@ -5,6 +5,20 @@
 // of service), or — for VIPER priorities 6/7 — *preempts* the transmission
 // in progress, which is aborted mid-packet and arrives truncated at the
 // peer.  Queue order is by priority rank, FIFO within a rank.
+//
+// Lifecycle.  The port decides a transmission the moment it can: try_start()
+// *commits* the queue head at start = max(now, earliest_start) and
+// schedules the peer's arrival right away.  Until `start` the committed
+// packet stays at the queue head and counts as queued; from `start` it is
+// on the wire, and it ends at start + tx_time by the clock alone.  settle()
+// brings that state up to now() at the top of every operation and
+// accessor, so at every sim time the port reads exactly as if it had run a
+// wakeup event at `start` and a completion event at the end.  A completion
+// event exists only while a packet waits behind the transmission: it
+// commits the next one at the end instant.  A commit is revoked — arrival
+// and completion cancelled, the packet left at the head — whenever, before
+// `start`, the decision would have come out differently: a higher-rank
+// enqueue, the link going down, or connect() to a new peer.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +72,7 @@ using FaultHook = std::function<FaultVerdict(
 FaultHook drop_when(std::function<bool(const Packet&)> predicate);
 
 /// Transmitter of one simplex channel, with a bounded priority queue.
-class TxPort {
+class TxPort final : private sim::ClockDriven {
  public:
   struct Stats {
     std::uint64_t enqueued = 0;
@@ -104,18 +118,36 @@ class TxPort {
   void set_up(bool up);
   [[nodiscard]] bool is_up() const { return up_; }
 
-  [[nodiscard]] bool busy() const { return transmitting_; }
+  /// True while a transmission is on the wire.
+  [[nodiscard]] bool busy() const {
+    settle();
+    return transmitting_;
+  }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// Counters; a transmission counts as sent once it has ended.
+  [[nodiscard]] const Stats& stats() const {
+    settle();
+    return stats_;
+  }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Node* peer() const { return peer_; }
   [[nodiscard]] int peer_in_port() const { return peer_in_port_; }
 
   /// Queue introspection — congestion control reads the source routes of
   /// waiting packets to identify upstream feeders (paper §2.2).
-  [[nodiscard]] const std::deque<Queued>& queue() const { return queue_; }
-  [[nodiscard]] std::size_t queue_bytes() const { return queue_bytes_; }
-  [[nodiscard]] std::size_t queue_packets() const { return queue_.size(); }
+  /// A committed packet whose start is still ahead is queued.
+  [[nodiscard]] const std::deque<Queued>& queue() const {
+    settle();
+    return queue_;
+  }
+  [[nodiscard]] std::size_t queue_bytes() const {
+    settle();
+    return queue_bytes_;
+  }
+  [[nodiscard]] std::size_t queue_packets() const {
+    settle();
+    return queue_.size();
+  }
 
   /// Fault-injection hook; empty (one untaken branch) in normal operation.
   FaultHook fault_hook;
@@ -126,11 +158,12 @@ class TxPort {
   /// false falls through to the normal drop.
   std::function<bool(PacketPtr, TxMeta)> overflow_handler;
 
-  /// Observation hooks for the congestion controller / stats collectors.
-  /// Called after a packet is accepted, and after each departure.
+  /// Observation hook for the congestion controller: called after a packet
+  /// is accepted.
   std::function<void(const Packet&)> on_enqueue;
-  std::function<void(const Packet&)> on_depart;
-  /// Called when the queue length changes (for time-weighted averages).
+  /// Called with each queue-length change and the sim time it took effect
+  /// (for time-weighted averages).  A change at a transmission's start is
+  /// reported by the next operation on the port, stamped with the start.
   std::function<void(sim::Time, std::size_t queued_packets)> on_queue_change;
 
   /// Serialization time of @p bytes on this link.
@@ -146,12 +179,32 @@ class TxPort {
   void set_observer(const obs::Observer& observer);
 
  private:
-  void try_start(sim::Time not_before);
-  void start_transmission(Queued item, sim::Time start);
+  /// End of a transmission no completion event will mark.
+  [[nodiscard]] sim::Time lazy_end() const override {
+    return (committed_ || transmitting_) && completion_event_ == 0
+               ? current_end_
+               : 0;
+  }
+  void catch_up() override { settle(); }
+  /// Advances the lifecycle to now(): starts a committed transmission
+  /// whose start has passed, and ends one whose end has passed unless a
+  /// completion event will.
+  void settle() const {
+    if (committed_ && sim_.now() >= current_start_) begin_transmission();
+    if (transmitting_ && completion_event_ == 0 &&
+        sim_.now() >= current_end_) {
+      end_transmission();
+    }
+  }
+  void try_start();
+  void begin_transmission() const;
+  void end_transmission() const;
+  void schedule_completion();
   void complete_transmission();
   void abort_transmission();
+  void revoke();
   void insert_by_rank(Queued item);
-  void notify_queue_change();
+  void notify_queue_change(sim::Time at) const;
 
   sim::Simulator& sim_;
   std::string name_;
@@ -160,23 +213,24 @@ class TxPort {
   int peer_in_port_ = 0;
   bool up_ = true;
 
-  std::deque<Queued> queue_;
-  std::size_t queue_bytes_ = 0;
+  // Lifecycle state, advanced by settle() from the const accessors too.
+  mutable std::deque<Queued> queue_;
+  mutable std::size_t queue_bytes_ = 0;
+  mutable bool committed_ = false;     ///< queue head committed, not started
+  mutable bool transmitting_ = false;  ///< current_ is on the wire
+  mutable Queued current_;
+  mutable Stats stats_;
+  sim::Time current_start_ = 0;  ///< of the committed or current packet
+  sim::Time current_end_ = 0;
+  sim::EventId arrival_event_ = 0;     ///< the committed packet's arrival
+  sim::EventId completion_event_ = 0;  ///< only while a packet waits behind
+
   std::size_t buffer_limit_ = std::numeric_limits<std::size_t>::max();
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Gauge* obs_queue_depth_ = nullptr;
   stats::Histogram* obs_queue_wait_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
-
-  bool transmitting_ = false;
-  Queued current_;
-  sim::Time current_start_ = 0;
-  sim::Time current_end_ = 0;
-  sim::EventId completion_event_ = 0;
-  sim::EventId wakeup_event_ = 0;
-
-  Stats stats_;
 };
 
 }  // namespace srp::net

@@ -1,15 +1,44 @@
 // The discrete-event simulator driving every Sirpent experiment.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace srp::sim {
+
+class Simulator;
+
+/// Base of a component whose state advances with the clock alone, with no
+/// event at the instants where it changes (net::TxPort starts and ends
+/// transmissions this way).  The simulator keeps that state exact between
+/// runs: when run() drains the queue it first advances the clock to the
+/// latest lazy end still ahead, where the event it replaces would have
+/// left it, and every run*() ends by calling catch_up() on each live
+/// component.
+class ClockDriven {
+ public:
+  explicit ClockDriven(Simulator& sim);
+  virtual ~ClockDriven();
+  ClockDriven(const ClockDriven&) = delete;
+  ClockDriven& operator=(const ClockDriven&) = delete;
+
+  /// End of the activity in progress that no event marks; 0 if none.
+  [[nodiscard]] virtual Time lazy_end() const = 0;
+  /// Brings the component's state up to now().
+  virtual void catch_up() = 0;
+
+ private:
+  friend class Simulator;
+  Simulator* sim_;         ///< null once the simulator is gone
+  std::size_t index_ = 0;  ///< slot in the simulator's registry
+};
 
 /// Single-threaded discrete-event simulator.
 ///
@@ -28,6 +57,7 @@ namespace srp::sim {
 class Simulator {
  public:
   Simulator() = default;
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -45,7 +75,9 @@ class Simulator {
   /// Cancels a pending event (no-op if it already ran).
   void cancel(EventId id) { events_.cancel(id); }
 
-  /// Runs until the event queue drains.  Returns the number of events run.
+  /// Runs until the event queue drains, then advances the clock to the
+  /// latest ClockDriven::lazy_end() still ahead.  Returns the number of
+  /// events run.
   std::uint64_t run();
 
   /// Runs events with time <= @p deadline, then sets the clock to
@@ -59,10 +91,15 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return events_.size(); }
 
  private:
+  friend class ClockDriven;
+
   bool step();
+  /// Ends a run: brings every ClockDriven component up to now().
+  void finish_run();
 
   EventQueue events_;
   Time now_ = 0;
+  std::vector<ClockDriven*> clock_driven_;
   std::thread::id owner_ = std::this_thread::get_id();
 };
 

@@ -453,6 +453,69 @@ TEST(HealthGroundTruth, FaultedRunAlertsAreDeterministic) {
   });
 }
 
+// --- conservation residue across the port lifecycle -----------------------
+
+/// A watched port with a sink peer; tick() runs the monitor at now() and
+/// returns the cumulative conservation residue it published: handed minus
+/// cleared, down and local drops, minus what the port still holds.
+struct ResidueRig {
+  sim::Simulator sim;
+  stats::Registry registry;
+  health::HealthMonitor monitor{sim, registry, health::HealthConfig{}};
+  test::SinkNode peer{sim, "peer"};
+  net::TxPort port{sim, "r1:p1",
+                   net::LinkConfig{1e9, 2 * sim::kMicrosecond, 1500}};
+  net::PacketFactory packets;
+
+  ResidueRig() {
+    port.connect(&peer, 1);
+    monitor.watch_link(port, "r1");
+  }
+
+  std::int64_t tick() {
+    monitor.tick();
+    const auto count = [&](const char* what) {
+      return static_cast<std::int64_t>(
+          registry.counter(std::string("port.r1_p1.") + what).value());
+    };
+    EXPECT_EQ(count("wire_loss"), 0);
+    const auto held = static_cast<std::int64_t>(
+        port.queue_packets() + (port.busy() ? 1 : 0));
+    return count("handed") - count("cleared") - count("down_drops") -
+           count("local_drops") - held;
+  }
+};
+
+TEST(HealthResidue, TickInsideCommitWindowReadsZero) {
+  ResidueRig rig;
+  rig.sim.run_until(sim::kMicrosecond);
+  // Committed at once, but its cut-through bound lies 9 us ahead: the
+  // packet is still queued and not yet sent.
+  rig.port.enqueue(rig.packets.make(pattern_bytes(1000), rig.sim.now()),
+                   net::TxMeta{}, 10 * sim::kMicrosecond);
+  rig.sim.run_until(5 * sim::kMicrosecond);
+  EXPECT_EQ(rig.port.queue_packets(), 1u);
+  EXPECT_EQ(rig.port.stats().sent, 0u);
+  EXPECT_EQ(rig.tick(), 0);
+  rig.sim.run();
+  EXPECT_EQ(rig.tick(), 0);
+}
+
+TEST(HealthResidue, TickInsideLazilyEndedTransmissionReadsZero) {
+  ResidueRig rig;
+  rig.port.enqueue(rig.packets.make(pattern_bytes(1000), 0), net::TxMeta{},
+                   0);
+  rig.sim.run_until(3 * sim::kMicrosecond);  // on the wire until 8 us
+  EXPECT_TRUE(rig.port.busy());
+  EXPECT_EQ(rig.tick(), 0);
+  // No event marks the end; the tick at 20 us finds it sent by the clock.
+  rig.sim.run_until(20 * sim::kMicrosecond);
+  EXPECT_EQ(rig.peer.arrivals.size(), 1u);
+  EXPECT_EQ(rig.tick(), 0);
+  EXPECT_FALSE(rig.port.busy());
+  EXPECT_EQ(rig.port.stats().sent, 1u);
+}
+
 // --- exports ---------------------------------------------------------------
 
 std::string golden_path(const std::string& name) {

@@ -1,15 +1,15 @@
 // Parameterized property sweeps across the stack.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 
 #include "cvc/host.hpp"
 #include "cvc/switch.hpp"
 #include "directory/fabric.hpp"
 #include "ip/builder.hpp"
+#include "obs/recorder.hpp"
 #include "stats/queueing.hpp"
-#include "stats/summary.hpp"
+#include "stats/registry.hpp"
 #include "test_util.hpp"
 #include "transport/vmtp.hpp"
 #include "workload/sources.hpp"
@@ -42,15 +42,11 @@ TEST_P(Md1Sweep, SimMatchesClosedFormWithinTolerance) {
 
   constexpr std::size_t kSize = 1000;
   const double service_s = kSize * 8.0 / 1e9;
-  std::map<std::uint64_t, sim::Time> enq;
-  stats::Summary wait_units;
-  port.on_enqueue = [&](const net::Packet& p) { enq[p.id] = sim.now(); };
-  port.on_depart = [&](const net::Packet& p) {
-    const sim::Time sojourn = sim.now() - enq[p.id];
-    wait_units.add(sim::to_seconds(sojourn - port.tx_time(p.size())) /
-                   service_s);
-    enq.erase(p.id);
-  };
+  // Each packet's wait (start minus enqueue) from the port's histogram.
+  stats::Registry registry;
+  port.set_observer(obs::Observer{&registry, nullptr});
+  const stats::Histogram& wait_ps = registry.histogram(
+      "port." + stats::metric_component(port.name()) + ".queue_wait_ps");
   wl::PoissonSource source(
       sim, 42 + static_cast<std::uint64_t>(rho * 100),
       sim::from_seconds(service_s / rho), [&] {
@@ -62,9 +58,14 @@ TEST_P(Md1Sweep, SimMatchesClosedFormWithinTolerance) {
   source.stop();
   sim.run();
 
+  ASSERT_GT(wait_ps.count(), 0u);
+  const double mean_wait_units = static_cast<double>(wait_ps.sum()) /
+                                 static_cast<double>(wait_ps.count()) /
+                                 static_cast<double>(sim::kSecond) /
+                                 service_s;
   const double expected = stats::md1_mean_wait_service_units(rho);
   // 12% relative + small absolute tolerance for simulation noise.
-  EXPECT_NEAR(wait_units.mean(), expected, 0.12 * expected + 0.03)
+  EXPECT_NEAR(mean_wait_units, expected, 0.12 * expected + 0.03)
       << "rho=" << rho;
 }
 

@@ -267,6 +267,65 @@ TEST(Simulator, CancelPendingEvent) {
   EXPECT_FALSE(ran);
 }
 
+/// A component with an activity whose end no event marks; logs the clock
+/// at each catch-up.
+struct Activity : ClockDriven {
+  explicit Activity(Simulator& sim) : ClockDriven(sim), sim(sim) {}
+  [[nodiscard]] Time lazy_end() const override { return end; }
+  void catch_up() override { caught_up_at.push_back(sim.now()); }
+
+  Simulator& sim;
+  Time end = 0;
+  std::vector<Time> caught_up_at;
+};
+
+TEST(Simulator, DrainAdvancesClockToLatestLazyEnd) {
+  Simulator sim;
+  Activity short_one(sim);
+  Activity long_one(sim);
+  short_one.end = 50;
+  long_one.end = 90;
+  sim.at(30, [] {});
+  EXPECT_EQ(sim.run(), 1u);  // the lazy ends are not events
+  EXPECT_EQ(sim.now(), 90);
+  // An end already behind the clock leaves it where it is.
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(sim.now(), 90);
+  // run_until sets the clock to its deadline, as an end event past the
+  // deadline would not have run.
+  long_one.end = 500;
+  sim.run_until(200);
+  EXPECT_EQ(sim.now(), 200);
+}
+
+TEST(Simulator, EveryRunEndsByCatchingUpClockDrivenState) {
+  Simulator sim;
+  Activity activity(sim);
+  activity.end = 40;
+  sim.at(10, [] {});
+  sim.at(20, [] {});
+  sim.run_steps(1);
+  sim.run_until(15);
+  sim.run();
+  EXPECT_EQ(activity.caught_up_at, (std::vector<Time>{10, 15, 40}));
+}
+
+TEST(Simulator, ClockDrivenMayOutliveOrPredeceaseTheSimulator) {
+  auto sim = std::make_unique<Simulator>();
+  auto first = std::make_unique<Activity>(*sim);
+  auto second = std::make_unique<Activity>(*sim);
+  Activity third(*sim);
+  second->end = 70;
+  first.reset();  // unregisters; the others keep their slots
+  sim->run();
+  EXPECT_EQ(sim->now(), 70);
+  second.reset();
+  third.end = 80;
+  sim->run();
+  EXPECT_EQ(sim->now(), 80);
+  sim.reset();  // third outlives the simulator and must not touch it
+}
+
 TEST(TimeMath, TransmissionTimeRoundsUp) {
   // 1500 bytes at 1 Gb/s = 12 microseconds exactly.
   EXPECT_EQ(byte_time(1500, 1e9), 12 * kMicrosecond);
