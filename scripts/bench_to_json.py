@@ -5,10 +5,7 @@ Runs the google-benchmark binaries (bench_obs_overhead,
 bench_fault_overhead, bench_flow_overhead, bench_int_overhead,
 bench_health_overhead, bench_event_queue) with
 --benchmark_format=json and folds every benchmark into a flat
-{name: ns_per_op} map using cpu_time; then runs
-bench_parallel_validation (a stats::Table text report) and converts each
-configuration's tokens/s into ns per token (1e9 / tokens_per_s) under
-parallel_validation.<workers>; then runs bench_header_overhead and
+{name: ns_per_op} map using cpu_time; then runs bench_header_overhead and
 records its INT_BYTES line (trailer bytes per hop with path telemetry
 off/on) under header.int_*.
 
@@ -35,10 +32,6 @@ GBENCH_BINARIES = [
     "bench_event_queue",
 ]
 
-# | serial (inline) | 767300   | 1.00 | 3072 |
-TABLE_ROW = re.compile(
-    r"^\|\s*(?P<label>[^|]+?)\s*\|\s*(?P<tokens>\d+)\s*\|")
-
 # INT_BYTES per_hop_off=4 per_hop_on=40 record=36
 INT_BYTES = re.compile(
     r"INT_BYTES\s+per_hop_off=(\d+)\s+per_hop_on=(\d+)\s+record=(\d+)")
@@ -50,29 +43,6 @@ def run_gbench(bindir, name, results):
         capture_output=True, text=True, check=True).stdout
     for bench in json.loads(out)["benchmarks"]:
         results[bench["name"]] = float(bench["cpu_time"])
-
-
-def run_parallel_validation(bindir, results):
-    out = subprocess.run(
-        [f"{bindir}/bench_parallel_validation"],
-        capture_output=True, text=True, check=True).stdout
-    rows = 0
-    for line in out.splitlines():
-        match = TABLE_ROW.match(line.strip())
-        if not match:
-            continue
-        label = match.group("label")
-        if not label or label.startswith(("workers", "---")):
-            continue
-        tokens_per_s = float(match.group("tokens"))
-        if tokens_per_s <= 0:
-            continue
-        key = "serial" if label.startswith("serial") else f"workers_{label}"
-        results[f"parallel_validation.{key}"] = 1e9 / tokens_per_s
-        rows += 1
-    if rows == 0:
-        sys.exit("error: no throughput rows parsed "
-                 "from bench_parallel_validation")
 
 
 def run_header_overhead(bindir, results):
@@ -99,7 +69,6 @@ def main():
     results = {}
     for name in GBENCH_BINARIES:
         run_gbench(args.bindir, name, results)
-    run_parallel_validation(args.bindir, results)
     run_header_overhead(args.bindir, results)
 
     with open(args.out, "w", encoding="utf-8") as handle:

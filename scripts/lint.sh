@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Static-analysis gate: clang-tidy over src/, a clang -Wthread-safety
-# compile pass over the annotated tree, plus a clang-format check.
+# Static-analysis gate: clang-tidy over src/, the srp-lint invariant
+# passes, plus a clang-format check.
 #
 # Usage:
 #   scripts/lint.sh [build-dir]
@@ -65,25 +65,10 @@ else
   missing_tool clang-tidy
 fi
 
-# --- clang -Wthread-safety ------------------------------------------------
-# The capability annotations (src/check/thread_annotations.hpp) are only
-# checked by clang; GCC compiles them away.  A syntax-only pass over every
-# src TU is enough: -Wthread-safety runs on the AST, no codegen needed.
-if clangxx="$(find_tool clang++)"; then
-  echo "lint.sh: running ${clangxx} -Wthread-safety over src/"
-  mapfile -t sources < <(git ls-files 'src/**/*.cpp')
-  if ! "${clangxx}" -std=c++20 -fsyntax-only -I "${repo_root}/src" \
-       -Wthread-safety -Werror=thread-safety "${sources[@]}"; then
-    echo "lint.sh: clang thread-safety analysis reported findings" >&2
-    status=1
-  fi
-else
-  missing_tool clang++
-fi
-
 # --- srp-lint (project invariant passes) ----------------------------------
-# Pure Python, no toolchain dependency: determinism, hot-path allocation,
-# lock-order and metric-name contracts (scripts/srp_lint.py, DESIGN.md §9).
+# Pure Python, no toolchain dependency: determinism (with the thread ban),
+# hot-path allocation, metric-name and state-switch contracts
+# (scripts/srp_lint.py, DESIGN.md §9).
 if command -v python3 >/dev/null 2>&1; then
   echo "lint.sh: running srp-lint invariant passes"
   if ! python3 "${repo_root}/scripts/srp_lint.py" --self-test >/dev/null; then

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """srp-lint: project-specific invariant passes for the Sirpent tree.
 
-Five passes over the C++ sources, each enforcing a contract that generic
+Four passes over the C++ sources, each enforcing a contract that generic
 linters cannot know about (DESIGN.md section 9):
 
   determinism     Simulation-visible code must be bit-reproducible: no
@@ -10,9 +10,14 @@ linters cannot know about (DESIGN.md section 9):
                   hashing of pointer values.  Exemption: wrap the
                   statement in SRP_ORDER_OK(...) or precede it with an
                   `// SRP_ORDER_OK(reason)` comment (e.g. when the
-                  iteration feeds a sort).  src/check/ is excluded: the
-                  contract/lock-tracker infrastructure is diagnostic
+                  iteration feeds a sort).  src/check/ is excluded from
+                  these rules: the contract infrastructure is diagnostic
                   machinery, not simulation-visible state.
+                  The pass also bans threads: no std::thread,
+                  std::jthread, std::async or pthread_create anywhere,
+                  src/check/ included, and no exemption.  The simulator
+                  is single-threaded by construction, and this rule is
+                  what keeps its state lock-free.
 
   hotpath-alloc   Functions marked SRP_HOT_PATH (check/analysis.hpp)
                   must not allocate in their own bodies: no new/malloc,
@@ -26,13 +31,6 @@ linters cannot know about (DESIGN.md section 9):
                   Exemption: SRP_ALLOC_OK(expr) or a preceding
                   `// SRP_ALLOC_OK(reason)` comment, which blesses the
                   next statement.
-
-  lock-order      Extracts the lexical srp::MutexLock nesting graph
-                  (which mutex is acquired while which is held, per
-                  function) and fails on cycles.  The runtime twin
-                  (check/lock_order.hpp) catches inversions that nest
-                  through calls; this pass catches same-function
-                  inversions before the code ever runs.
 
   metric-names    Every string handed to stats::Registry counter() /
                   gauge() / histogram() must match the
@@ -72,9 +70,9 @@ Usage:
   python3 scripts/srp_lint.py --verbose       # per-pass wall times
 
 Output is deterministic regardless of --jobs: findings sort on
-(path, line, pass, message) and the cross-file stages (unordered-member
-collection, lock-graph cycle detection) always run after the per-file
-scans have been merged in input order.
+(path, line, pass, message) and the cross-file stage (unordered-member
+collection) always runs before the per-file scans, whose results are
+merged in input order.
 
 Exit codes: 0 clean, 1 findings, 2 usage or internal error.
 """
@@ -303,6 +301,9 @@ RANDOMNESS_RE = re.compile(
 )
 POINTER_HASH_RE = re.compile(r"\bstd::hash\s*<[^>;{}]*\*")
 UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(map|set)\s*<")
+THREAD_RE = re.compile(
+    r"\bstd::(?:thread|jthread|async)\b|\bpthread_create\s*\("
+)
 
 
 def collect_unordered_members(sources: Sequence[SourceFile]) -> Set[str]:
@@ -332,6 +333,13 @@ def pass_determinism(sources: Sequence[SourceFile],
                      unordered_members: Set[str]) -> List[Finding]:
     findings: List[Finding] = []
     for src in sources:
+        # Threads are banned everywhere, without exemption: no state in
+        # the tree is guarded against a second thread.
+        for m in THREAD_RE.finditer(src.code):
+            findings.append(Finding(
+                "determinism", src.path, src.line_of(m.start()),
+                f"thread creation `{m.group(0).strip()}` — the simulator "
+                "is single-threaded; nothing in it is locked"))
         rel = os.path.relpath(src.path, REPO_ROOT)
         if rel.startswith(os.path.join("src", "check") + os.sep):
             continue  # diagnostic infrastructure, not sim-visible
@@ -421,7 +429,6 @@ ALLOC_PATTERNS: List[Tuple[re.Pattern, str]] = [
 class FunctionBody:
     path: str
     qualified_name: str
-    class_name: str
     start: int  # offset of opening brace
     end: int    # offset just past closing brace
     hot: bool
@@ -500,10 +507,8 @@ def extract_functions(src: SourceFile) -> List[FunctionBody]:
                        lookback.rfind("{"))
         window = lookback[boundary + 1 :]
         hot = "SRP_HOT_PATH" in window
-        parts = name.split("::")
         out.append(FunctionBody(
             path=src.path, qualified_name=name,
-            class_name=parts[-2] if len(parts) >= 2 else "",
             start=j, end=end, hot=hot))
         i = after_params  # allow nested scans inside bodies (lambdas etc.)
     return out
@@ -534,84 +539,7 @@ def pass_hotpath_alloc(sources: Sequence[SourceFile]) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: lock-order cycles (lexical MutexLock nesting)
-# ---------------------------------------------------------------------------
-
-MUTEXLOCK_RE = re.compile(r"\bMutexLock\s+\w+\s*[({]([^)}]*)[)}]")
-
-
-def normalize_mutex(expr: str, class_name: str) -> str:
-    expr = expr.strip()
-    if re.fullmatch(r"\w+", expr) and class_name:
-        return f"{class_name}::{expr}"
-    return expr
-
-
-def lock_edges(src: SourceFile) -> Dict[Tuple[str, str], Tuple[str, int]]:
-    """Lexical "acquired-while-held" edges of one file's functions."""
-    # edge -> (path, line) of the acquisition that created it
-    edges: Dict[Tuple[str, str], Tuple[str, int]] = {}
-    for fn in extract_functions(src):
-        body = src.code[fn.start : fn.end]
-        acquisitions: List[Tuple[int, int, str]] = []  # (depth, off, id)
-        depth = 0
-        lock_iter = list(MUTEXLOCK_RE.finditer(body))
-        lock_pos = {m.start(): m for m in lock_iter}
-        for i, c in enumerate(body):
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                acquisitions = [a for a in acquisitions if a[0] <= depth]
-            if i in lock_pos:
-                mutex_id = normalize_mutex(lock_pos[i].group(1),
-                                           fn.class_name)
-                for _, _, held in acquisitions:
-                    if held != mutex_id:
-                        edges.setdefault(
-                            (held, mutex_id),
-                            (src.path, src.line_of(fn.start + i)))
-                acquisitions.append((depth, i, mutex_id))
-    return edges
-
-
-def lock_cycles(edges: Dict[Tuple[str, str], Tuple[str, int]]
-                ) -> List[Finding]:
-    """Cycle detection over the merged cross-file lock graph."""
-    graph: Dict[str, Set[str]] = {}
-    for a, b in edges:
-        graph.setdefault(a, set()).add(b)
-    findings: List[Finding] = []
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph}
-    reported: Set[Tuple[str, str]] = set()
-
-    def dfs(node: str, stack: List[str]) -> None:
-        color[node] = GRAY
-        for succ in sorted(graph.get(node, ())):
-            if color.get(succ, WHITE) == GRAY:
-                cycle = stack[stack.index(succ):] + [succ] \
-                    if succ in stack else [node, succ]
-                key = (cycle[0], cycle[-1])
-                if key not in reported:
-                    reported.add(key)
-                    edge = edges.get((node, succ)) or next(iter(edges.values()))
-                    findings.append(Finding(
-                        "lock-order", edge[0], edge[1],
-                        "lock acquisition cycle: "
-                        + " -> ".join(cycle)))
-            elif color.get(succ, WHITE) == WHITE:
-                dfs(succ, stack + [succ])
-        color[node] = BLACK
-
-    for node in sorted(graph):
-        if color.get(node, WHITE) == WHITE:
-            dfs(node, [node])
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Pass 4: metric names
+# Pass 3: metric names
 # ---------------------------------------------------------------------------
 
 METRIC_CALL_RE = re.compile(r"(?:\.|->)\s*(counter|gauge|histogram)\s*\(")
@@ -736,7 +664,7 @@ def pass_metric_names(sources: Sequence[SourceFile]) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Pass 5: state-switch-default
+# Pass 4: state-switch-default
 # ---------------------------------------------------------------------------
 
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
@@ -810,7 +738,7 @@ def pass_state_switch_default(sources: Sequence[SourceFile]) -> List[Finding]:
 # Driver
 # ---------------------------------------------------------------------------
 
-PASSES = ("determinism", "hotpath-alloc", "lock-order", "metric-names",
+PASSES = ("determinism", "hotpath-alloc", "metric-names",
           "state-switch-default")
 
 
@@ -827,10 +755,8 @@ def members_of_file(path: str) -> List[str]:
     return sorted(collect_unordered_members([load_source(path)]))
 
 
-# Per-file scan result: (findings, lock edges, per-pass seconds).  Lock
-# edges are merged by the driver — cycle detection is inherently global.
-ScanResult = Tuple[List[Finding], Dict[Tuple[str, str], Tuple[str, int]],
-                   Dict[str, float]]
+# Per-file scan result: (findings, per-pass seconds).
+ScanResult = Tuple[List[Finding], Dict[str, float]]
 
 
 def scan_file(args: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> ScanResult:
@@ -840,7 +766,6 @@ def scan_file(args: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> ScanResult:
     members = set(members_seq)
     src = load_source(path)
     findings: List[Finding] = []
-    edges: Dict[Tuple[str, str], Tuple[str, int]] = {}
     timings: Dict[str, float] = {}
 
     def timed(name: str, fn) -> List[Finding]:
@@ -855,17 +780,12 @@ def scan_file(args: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> ScanResult:
     if "hotpath-alloc" in selected:
         findings += timed("hotpath-alloc",
                           lambda: pass_hotpath_alloc([src]))
-    if "lock-order" in selected:
-        def collect() -> List[Finding]:
-            edges.update(lock_edges(src))
-            return []
-        timed("lock-order", collect)
     if "metric-names" in selected:
         findings += timed("metric-names", lambda: pass_metric_names([src]))
     if "state-switch-default" in selected:
         findings += timed("state-switch-default",
                           lambda: pass_state_switch_default([src]))
-    return findings, edges, timings
+    return findings, timings
 
 
 def run_passes(paths: Sequence[str],
@@ -894,21 +814,11 @@ def run_passes(paths: Sequence[str],
     work = [(path, tuple(sorted(selected)), tuple(sorted(members)))
             for path in paths]
     findings: List[Finding] = []
-    edges: Dict[Tuple[str, str], Tuple[str, int]] = {}
-    for file_findings, file_edges, file_timings in pmap(scan_file, work):
+    for file_findings, file_timings in pmap(scan_file, work):
         findings += file_findings
-        for edge, where in file_edges.items():
-            edges.setdefault(edge, where)
         if timings_out is not None:
             for name, seconds in file_timings.items():
                 timings_out[name] = timings_out.get(name, 0.0) + seconds
-
-    if "lock-order" in selected:
-        t0 = time.perf_counter()
-        findings += lock_cycles(edges)
-        if timings_out is not None:
-            timings_out["lock-order"] = (timings_out.get("lock-order", 0.0)
-                                         + time.perf_counter() - t0)
 
     findings.sort(key=lambda f: (f.path, f.line, f.pass_name, f.message))
     return findings
@@ -956,9 +866,8 @@ def self_test() -> int:
     """Each pass must flag its bad fixture and stay quiet on clean.cpp."""
     fixture_dir = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
     cases = [
-        ("determinism", "determinism_bad.cpp", 3),
+        ("determinism", "determinism_bad.cpp", 5),
         ("hotpath-alloc", "hotpath_alloc_bad.cpp", 2),
-        ("lock-order", "lock_cycle_bad.cpp", 1),
         ("metric-names", "metric_name_bad.cpp", 2),
         ("metric-names", "metric_namespace_bad.cpp", 1),
         ("metric-names", "metric_namespace_health.cpp", 1),

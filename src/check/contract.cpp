@@ -13,9 +13,9 @@ namespace {
   std::abort();
 }
 
-// Atomic so contracts may fire from worker-pool threads while a test
-// fixture swaps handlers on the main thread; a plain pointer here was a
-// data race the moment src/exec landed.
+// The simulator is single-threaded, so the slot need not be atomic; it
+// stays until the counter-substrate item of ROADMAP.md makes the atomics
+// plain.
 std::atomic<ViolationHandler> g_handler{nullptr};
 
 }  // namespace

@@ -44,9 +44,7 @@ struct Violation {
 using ViolationHandler = void (*)(const Violation&);
 
 /// Installs @p handler, returning the previous one.  Passing nullptr
-/// restores the default abort handler.  Thread-safe (the handler slot is
-/// a std::atomic): contracts may fire from worker-pool threads while a
-/// fixture installs or restores handlers on the main thread.
+/// restores the default abort handler.
 ViolationHandler set_violation_handler(ViolationHandler handler);
 
 /// Reports a violation to the current handler and terminates the process

@@ -28,7 +28,6 @@ RouteCache::Entry* RouteCache::fetch(const std::string& name,
 
 std::optional<IssuedRoute> RouteCache::route_to(const std::string& name,
                                                 QueryOptions options) {
-  MutexLock lock(mutex_);
   auto it = entries_.find(name);
   if (it == entries_.end() ||
       sim_.now() - it->second.fetched_at > config_.ttl) {
@@ -42,7 +41,6 @@ std::optional<IssuedRoute> RouteCache::route_to(const std::string& name,
 }
 
 void RouteCache::report_failure(const std::string& name) {
-  MutexLock lock(mutex_);
   const auto it = entries_.find(name);
   if (it == entries_.end()) return;
   Entry& e = it->second;
@@ -59,7 +57,6 @@ void RouteCache::report_failure(const std::string& name) {
 }
 
 void RouteCache::report_rtt(const std::string& name, sim::Time rtt) {
-  MutexLock lock(mutex_);
   const auto it = entries_.find(name);
   if (it == entries_.end()) return;
   Entry& e = it->second;
@@ -80,15 +77,9 @@ void RouteCache::report_rtt(const std::string& name, sim::Time rtt) {
 }
 
 sim::Time RouteCache::base_rtt(const std::string& name) const {
-  MutexLock lock(mutex_);
   const auto it = entries_.find(name);
   if (it == entries_.end()) return 0;
   return 2 * it->second.routes[it->second.active].propagation_delay;
-}
-
-RouteCache::Stats RouteCache::stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
 }
 
 }  // namespace srp::dir

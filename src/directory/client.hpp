@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 
-#include "check/sync.hpp"
 #include "directory/directory.hpp"
 #include "sim/simulator.hpp"
 
@@ -25,12 +24,8 @@ struct RouteCacheConfig {
   std::size_t routes_per_query = 3;    ///< alternatives requested
 };
 
-/// Capability-annotated monitor: cache state is SRP_GUARDED_BY an internal
-/// mutex and route_to() hands out value snapshots, so transport worker
-/// threads may consult cached routes and report RTTs concurrently.  The
-/// *miss* path still calls into the Directory and the simulator clock,
-/// which stay sim-thread-only — concurrent callers must therefore only hit
-/// warm entries (report_* and base_rtt are always safe; they never fetch).
+/// One client's cached routes: route_to() hands out value snapshots and
+/// queries the Directory on a miss or an expired entry.
 class RouteCache {
  public:
   struct Stats {
@@ -46,25 +41,22 @@ class RouteCache {
   /// Preferred route to @p name, fetching / refreshing as needed.
   /// Returns a snapshot; nullopt when the name is unknown or unreachable.
   std::optional<IssuedRoute> route_to(const std::string& name,
-                                      QueryOptions options = {})
-      SRP_EXCLUDES(mutex_);
+                                      QueryOptions options = {});
 
   /// Transport reports a hard failure (timeout) on the current route:
   /// switch to the next alternate, or re-query when exhausted.
-  void report_failure(const std::string& name) SRP_EXCLUDES(mutex_);
+  void report_failure(const std::string& name);
 
   /// Transport reports a measured round trip; sustained inflation over the
   /// route's base RTT triggers a switch (congestion avoidance).
-  void report_rtt(const std::string& name, sim::Time rtt)
-      SRP_EXCLUDES(mutex_);
+  void report_rtt(const std::string& name, sim::Time rtt);
 
   /// Base round-trip time of the current route: twice the one-way
   /// propagation the directory advertised (the client "knows the base
   /// round trip time for the route").
-  [[nodiscard]] sim::Time base_rtt(const std::string& name) const
-      SRP_EXCLUDES(mutex_);
+  [[nodiscard]] sim::Time base_rtt(const std::string& name) const;
 
-  [[nodiscard]] Stats stats() const SRP_EXCLUDES(mutex_);
+  [[nodiscard]] Stats stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -75,16 +67,14 @@ class RouteCache {
     QueryOptions options;
   };
 
-  Entry* fetch(const std::string& name, QueryOptions options)
-      SRP_REQUIRES(mutex_);
+  Entry* fetch(const std::string& name, QueryOptions options);
 
   sim::Simulator& sim_;
   Directory& directory_;
   std::uint32_t self_node_;
   RouteCacheConfig config_;
-  mutable srp::Mutex mutex_;
-  std::map<std::string, Entry> entries_ SRP_GUARDED_BY(mutex_);
-  Stats stats_ SRP_GUARDED_BY(mutex_);
+  std::map<std::string, Entry> entries_;
+  Stats stats_;
 };
 
 }  // namespace srp::dir

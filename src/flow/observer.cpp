@@ -22,7 +22,7 @@ FlowObserver::FlowObserver(std::string name, const FlowConfig& config,
   }
 }
 
-SRP_HOT_PATH void FlowObserver::record_table(const obs::FlowSample& sample) {
+SRP_HOT_PATH void FlowObserver::on_forward(const obs::FlowSample& sample) {
   const FlowKey key{sample.route_digest, sample.account, sample.tos_class};
   const bool evicted = table_.record(key, sample.bytes, sample.cut_through,
                                      sample.now, sample.in_port,
@@ -31,9 +31,6 @@ SRP_HOT_PATH void FlowObserver::record_table(const obs::FlowSample& sample) {
   if (flows_gauge_ != nullptr) {
     flows_gauge_->set(static_cast<std::int64_t>(table_.size()));
   }
-}
-
-SRP_HOT_PATH void FlowObserver::record_sampled(const obs::FlowSample& sample) {
   if (sample.in_port != 0) {
     feeders_[{sample.out_port, sample.in_port}] = sample.now;
   }
@@ -58,14 +55,7 @@ SRP_HOT_PATH void FlowObserver::record_sampled(const obs::FlowSample& sample) {
   }
 }
 
-SRP_HOT_PATH void FlowObserver::on_forward(const obs::FlowSample& sample) {
-  record_table(sample);
-  MutexLock lock(mutex_);
-  record_sampled(sample);
-}
-
 void FlowObserver::on_charge(std::uint32_t account, std::uint64_t bytes) {
-  MutexLock lock(mutex_);
   auto& c = charges_[account];
   ++c.packets;
   c.bytes += bytes;
@@ -73,7 +63,6 @@ void FlowObserver::on_charge(std::uint32_t account, std::uint64_t bytes) {
 
 void FlowObserver::feeders_toward(int out_port, sim::Time since,
                                   std::vector<int>& out) const {
-  MutexLock lock(mutex_);
   const auto port = static_cast<std::uint16_t>(out_port);
   const auto lo = feeders_.lower_bound({port, 0});
   const auto hi = feeders_.upper_bound(
@@ -81,16 +70,6 @@ void FlowObserver::feeders_toward(int out_port, sim::Time since,
   for (auto it = lo; it != hi; ++it) {
     if (it->second >= since) out.push_back(it->first.second);
   }
-}
-
-std::map<std::uint32_t, AccountCharge> FlowObserver::charges() const {
-  MutexLock lock(mutex_);
-  return charges_;
-}
-
-std::uint64_t FlowObserver::sampled() const {
-  MutexLock lock(mutex_);
-  return sampled_total_;
 }
 
 }  // namespace srp::flow

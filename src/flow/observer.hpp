@@ -16,8 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/sync.hpp"
-#include "check/thread_annotations.hpp"
 #include "flow/sampler.hpp"
 #include "flow/table.hpp"
 #include "obs/flow_sink.hpp"
@@ -53,31 +51,24 @@ class FlowObserver final : public obs::FlowSink {
   FlowObserver(std::string name, const FlowConfig& config,
                stats::Registry* registry, obs::FlightRecorder* recorder);
 
-  void on_forward(const obs::FlowSample& sample) override
-      SRP_EXCLUDES(mutex_);
-  void on_charge(std::uint32_t account, std::uint64_t bytes) override
-      SRP_EXCLUDES(mutex_);
+  void on_forward(const obs::FlowSample& sample) override;
+  void on_charge(std::uint32_t account, std::uint64_t bytes) override;
   void feeders_toward(int out_port, sim::Time since,
-                      std::vector<int>& out) const override
-      SRP_EXCLUDES(mutex_);
+                      std::vector<int>& out) const override;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }
 
   /// Exact per-account charge mirror: one entry per Ledger::charge the
   /// component reported, reconcilable 1:1 with the ledger.
-  [[nodiscard]] std::map<std::uint32_t, AccountCharge> charges() const
-      SRP_EXCLUDES(mutex_);
+  [[nodiscard]] std::map<std::uint32_t, AccountCharge> charges() const {
+    return charges_;
+  }
 
   /// Packets sampled so far.
-  [[nodiscard]] std::uint64_t sampled() const SRP_EXCLUDES(mutex_);
+  [[nodiscard]] std::uint64_t sampled() const { return sampled_total_; }
 
  private:
-  /// The unlocked half of one sample: flow-table update + metrics.
-  void record_table(const obs::FlowSample& sample);
-  /// The locked half of one sample: feeder aggregate + sampler draw (and
-  /// the sampled-capture span, when one is taken).
-  void record_sampled(const obs::FlowSample& sample) SRP_REQUIRES(mutex_);
 
   const std::string name_;
   FlowTable table_;
@@ -85,14 +76,11 @@ class FlowObserver final : public obs::FlowSink {
   stats::Counter* sampled_counter_ = nullptr;
   stats::Counter* evictions_counter_ = nullptr;
   stats::Gauge* flows_gauge_ = nullptr;
-
-  mutable srp::Mutex mutex_;
-  Sampler sampler_ SRP_GUARDED_BY(mutex_);
-  std::uint64_t sampled_total_ SRP_GUARDED_BY(mutex_) = 0;
-  std::map<std::uint32_t, AccountCharge> charges_ SRP_GUARDED_BY(mutex_);
+  Sampler sampler_;
+  std::uint64_t sampled_total_ = 0;
+  std::map<std::uint32_t, AccountCharge> charges_;
   /// (out_port, in_port) -> last time in_port fed out_port.
-  std::map<std::pair<std::uint16_t, std::uint16_t>, sim::Time> feeders_
-      SRP_GUARDED_BY(mutex_);
+  std::map<std::pair<std::uint16_t, std::uint16_t>, sim::Time> feeders_;
 };
 
 }  // namespace srp::flow

@@ -7,7 +7,6 @@ FlowPlane::FlowPlane(FlowConfig config, stats::Registry* registry,
     : config_(config), registry_(registry), recorder_(recorder) {}
 
 obs::FlowSink& FlowPlane::scoped(std::string_view component) {
-  MutexLock lock(mutex_);
   const auto it = observers_.find(component);
   if (it != observers_.end()) return *it->second;
   auto observer = std::make_unique<FlowObserver>(
@@ -17,7 +16,6 @@ obs::FlowSink& FlowPlane::scoped(std::string_view component) {
 }
 
 std::vector<const FlowObserver*> FlowPlane::observers() const {
-  MutexLock lock(mutex_);
   std::vector<const FlowObserver*> out;
   out.reserve(observers_.size());
   for (const auto& [name, observer] : observers_) {
@@ -27,7 +25,6 @@ std::vector<const FlowObserver*> FlowPlane::observers() const {
 }
 
 const FlowObserver* FlowPlane::observer(std::string_view component) const {
-  MutexLock lock(mutex_);
   const auto it = observers_.find(component);
   return it != observers_.end() ? it->second.get() : nullptr;
 }

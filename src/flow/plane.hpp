@@ -3,7 +3,7 @@
 // A FlowPlane is the obs::FlowSink a fabric hands to Observer::flow.  The
 // plane itself records nothing — components call scoped(name) once at
 // set_observer() time and publish into their own FlowObserver, so the
-// per-packet path touches only per-component state (no plane-wide lock).
+// per-packet path touches only per-component state.
 // A router and its congestion controller share one name and therefore one
 // observer, which is how the controller reads feeder aggregates straight
 // from the router's forward stream.
@@ -16,8 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "check/sync.hpp"
-#include "check/thread_annotations.hpp"
 #include "flow/observer.hpp"
 #include "obs/flow_sink.hpp"
 
@@ -33,8 +31,7 @@ class FlowPlane final : public obs::FlowSink {
 
   /// Finds or creates the observer for @p component.  References stay
   /// valid for the plane's lifetime (observers are never destroyed).
-  FlowSink& scoped(std::string_view component) override
-      SRP_EXCLUDES(mutex_);
+  FlowSink& scoped(std::string_view component) override;
 
   // The plane-level sink is inert: components always publish through
   // scoped().  Accepting (and ignoring) direct calls keeps a mis-wired
@@ -43,18 +40,15 @@ class FlowPlane final : public obs::FlowSink {
   void on_charge(std::uint32_t, std::uint64_t) override {}
   void feeders_toward(int, sim::Time, std::vector<int>&) const override {}
 
-  /// Every observer, name-sorted.  Quiescent read (batch boundaries).
-  [[nodiscard]] std::vector<const FlowObserver*> observers() const
-      SRP_EXCLUDES(mutex_);
+  /// Every observer, name-sorted.
+  [[nodiscard]] std::vector<const FlowObserver*> observers() const;
 
   /// The observer for @p component, or nullptr.
-  [[nodiscard]] const FlowObserver* observer(std::string_view component) const
-      SRP_EXCLUDES(mutex_);
+  [[nodiscard]] const FlowObserver* observer(std::string_view component) const;
 
   /// Per-account charges summed across every observer — the plane-wide
   /// mirror of tokens::Ledger::all().
-  [[nodiscard]] std::map<std::uint32_t, AccountCharge> account_rollup() const
-      SRP_EXCLUDES(mutex_);
+  [[nodiscard]] std::map<std::uint32_t, AccountCharge> account_rollup() const;
 
   [[nodiscard]] const FlowConfig& config() const { return config_; }
 
@@ -62,10 +56,8 @@ class FlowPlane final : public obs::FlowSink {
   const FlowConfig config_;
   stats::Registry* registry_;
   obs::FlightRecorder* recorder_;
-
-  mutable srp::Mutex mutex_;
   std::map<std::string, std::unique_ptr<FlowObserver>, std::less<>>
-      observers_ SRP_GUARDED_BY(mutex_);
+      observers_;
 };
 
 }  // namespace srp::flow

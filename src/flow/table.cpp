@@ -16,7 +16,6 @@ FlowTable::FlowTable(std::size_t capacity)
 SRP_HOT_PATH bool FlowTable::record(const FlowKey& key, std::uint32_t bytes,
                        bool cut_through, sim::Time now,
                        std::uint16_t in_port, std::uint16_t out_port) {
-  MutexLock lock(mutex_);
   ++stats_.recorded;
   stats_.total_bytes += bytes;
 
@@ -79,7 +78,7 @@ SRP_HOT_PATH bool FlowTable::record(const FlowKey& key, std::uint32_t bytes,
   return true;
 }
 
-std::vector<FlowRecord> FlowTable::sorted_locked() const {
+std::vector<FlowRecord> FlowTable::sorted_by_bytes() const {
   std::vector<FlowRecord> out = slots_;
   std::sort(out.begin(), out.end(),
             [](const FlowRecord& a, const FlowRecord& b) {
@@ -91,14 +90,12 @@ std::vector<FlowRecord> FlowTable::sorted_locked() const {
 }
 
 std::vector<FlowRecord> FlowTable::top(std::size_t k) const {
-  MutexLock lock(mutex_);
-  std::vector<FlowRecord> out = sorted_locked();
+  std::vector<FlowRecord> out = sorted_by_bytes();
   if (out.size() > k) out.resize(k);
   return out;
 }
 
 std::vector<FlowRecord> FlowTable::all() const {
-  MutexLock lock(mutex_);
   std::vector<FlowRecord> out = slots_;
   std::sort(out.begin(), out.end(),
             [](const FlowRecord& a, const FlowRecord& b) {
@@ -107,18 +104,7 @@ std::vector<FlowRecord> FlowTable::all() const {
   return out;
 }
 
-FlowTable::Stats FlowTable::stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
-}
-
-std::size_t FlowTable::size() const {
-  MutexLock lock(mutex_);
-  return slots_.size();
-}
-
 void FlowTable::clear() {
-  MutexLock lock(mutex_);
   slots_.clear();
   index_.clear();
   stats_ = Stats{};

@@ -19,18 +19,12 @@
 //   * any key whose true volume exceeds total_bytes / m is guaranteed to
 //     be monitored — the table doubles as a guaranteed-error top-K
 //     heavy-hitter sketch.
-//
-// Thread safety: a capability-annotated monitor like tokens::TokenCache —
-// record() may be called from any thread; the read APIs return value
-// snapshots consistent at batch boundaries.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "check/sync.hpp"
-#include "check/thread_annotations.hpp"
 #include "sim/time.hpp"
 
 namespace srp::flow {
@@ -92,35 +86,30 @@ class FlowTable {
   /// Accounts one forwarded packet.  Returns true when the sample evicted
   /// a monitored flow (space-saving replacement).
   bool record(const FlowKey& key, std::uint32_t bytes, bool cut_through,
-              sim::Time now, std::uint16_t in_port, std::uint16_t out_port)
-      SRP_EXCLUDES(mutex_);
+              sim::Time now, std::uint16_t in_port, std::uint16_t out_port);
 
   /// The k heaviest monitored flows, bytes-descending (ties broken by
   /// packets, then key order — deterministic across reruns).
-  [[nodiscard]] std::vector<FlowRecord> top(std::size_t k) const
-      SRP_EXCLUDES(mutex_);
+  [[nodiscard]] std::vector<FlowRecord> top(std::size_t k) const;
 
   /// Every monitored flow in deterministic (key) order.
-  [[nodiscard]] std::vector<FlowRecord> all() const SRP_EXCLUDES(mutex_);
+  [[nodiscard]] std::vector<FlowRecord> all() const;
 
-  [[nodiscard]] Stats stats() const SRP_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t size() const SRP_EXCLUDES(mutex_);
+  [[nodiscard]] Stats stats() const { return stats_; }
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  /// Forgets every flow (stats included).  Quiescent use only.
-  void clear() SRP_EXCLUDES(mutex_);
+  /// Forgets every flow (stats included).
+  void clear();
 
  private:
   /// Sorted copy of the monitored flows, bytes-descending.
-  [[nodiscard]] std::vector<FlowRecord> sorted_locked() const
-      SRP_REQUIRES(mutex_);
+  [[nodiscard]] std::vector<FlowRecord> sorted_by_bytes() const;
 
   const std::size_t capacity_;
-  mutable srp::Mutex mutex_;
-  std::vector<FlowRecord> slots_ SRP_GUARDED_BY(mutex_);
-  std::unordered_map<FlowKey, std::size_t, FlowKeyHash> index_
-      SRP_GUARDED_BY(mutex_);
-  Stats stats_ SRP_GUARDED_BY(mutex_);
+  std::vector<FlowRecord> slots_;
+  std::unordered_map<FlowKey, std::size_t, FlowKeyHash> index_;
+  Stats stats_;
 };
 
 }  // namespace srp::flow

@@ -9,9 +9,8 @@
 // lost this 10 ms" and "queue-wait p99 of this window's transmissions"
 // instead of run-lifetime totals.
 //
-// roll() runs on the sim thread at window boundaries (a batch boundary,
-// where registry snapshots are consistent); nothing here touches the
-// per-packet path.  A metric first seen in window W diffs against zero —
+// roll() runs from a sim event at window boundaries; nothing here touches
+// the per-packet path.  A metric first seen in window W diffs against zero —
 // cold-start spikes are the detectors' problem (EWMA warmup), not hidden
 // by the store.
 #pragma once

@@ -8,12 +8,9 @@
 // the record path) and export to Chrome trace-event JSON (obs/export.hpp)
 // for viewing in Perfetto.
 //
-// Threading contract: record() is lock-free (one relaxed fetch_add plus a
-// plain slot write) and may be called from any thread; spans() is a
-// quiescent read, valid at batch boundaries (sim thread idle, worker pool
-// drained).  Concurrent writers race on a slot only if the recorder wraps
-// more than once within one batch — size the capacity for the batch
-// volume (the default holds 16Ki spans).
+// record() is one relaxed fetch_add plus a plain slot write.  The
+// simulator is single-threaded, so the atomic head is not needed; it stays
+// until the counter-substrate item of ROADMAP.md makes the counters plain.
 #pragma once
 
 #include <array>
@@ -85,7 +82,7 @@ struct SpanRecord {
   void set_excerpt(std::span<const std::uint8_t> header);
 };
 
-/// Bounded lock-free span ring ("flight recorder").  Capacity is rounded
+/// Bounded span ring ("flight recorder").  Capacity is rounded
 /// up to a power of two; once full, new spans overwrite the oldest and
 /// dropped() counts the overwrites.
 class FlightRecorder {
@@ -110,11 +107,10 @@ class FlightRecorder {
   }
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
-  /// Retained spans, oldest first.  Quiescent read: call at a batch
-  /// boundary only.
+  /// Retained spans, oldest first.
   [[nodiscard]] std::vector<SpanRecord> spans() const;
 
-  /// Forgets all spans (counts included).  Quiescent only.
+  /// Forgets all spans (counts included).
   void clear();
 
  private:

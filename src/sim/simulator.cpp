@@ -25,9 +25,6 @@ Simulator::~Simulator() {
 }
 
 EventId Simulator::at(Time when, EventQueue::Callback cb) {
-  // Scheduling from a worker thread would race the event queue and break
-  // replay determinism; offloaded work reports back via its own monitor.
-  SIRPENT_EXPECTS(std::this_thread::get_id() == owner_);
   if (when < now_) {
     throw std::invalid_argument("Simulator::at: scheduling into the past");
   }
@@ -35,7 +32,6 @@ EventId Simulator::at(Time when, EventQueue::Callback cb) {
 }
 
 bool Simulator::step() {
-  SIRPENT_EXPECTS(std::this_thread::get_id() == owner_);
   if (events_.empty()) {
     // The last event of the drained schedule is the latest lazy end.
     for (const ClockDriven* c : clock_driven_) {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -47,13 +46,8 @@ class ClockDriven {
 /// order.  Determinism: identical schedules (and identical RNG seeds in the
 /// components) replay identically.
 ///
-/// Single-threaded is a checked contract, not a convention: with the
-/// exec::WorkerPool in the tree, a worker accidentally scheduling an event
-/// would silently destroy reproducibility.  The simulator records its
-/// owning thread at construction and (in contract-enabled builds) rejects
-/// at()/after()/run*() from any other thread — offloaded work must hand
-/// results back through its own synchronized state and let the sim thread
-/// consume them at a scheduled event (see tokens::ValidationEngine).
+/// Single-threaded by construction: srp-lint's determinism pass rejects
+/// any thread creation under src/, so no component state is locked.
 class Simulator {
  public:
   Simulator() = default;
@@ -100,7 +94,6 @@ class Simulator {
   EventQueue events_;
   Time now_ = 0;
   std::vector<ClockDriven*> clock_driven_;
-  std::thread::id owner_ = std::this_thread::get_id();
 };
 
 }  // namespace srp::sim

@@ -90,8 +90,7 @@ HistogramSnapshot Histogram::snapshot() const {
     snap.buckets[i] = counts_[i].load(std::memory_order_relaxed);
   }
   // Read the dedicated total, not a sum over the bucket reads: the
-  // exporters publish count/sum as the authoritative pair, and recomputing
-  // count from racing per-bucket loads could disagree with sum.
+  // exporters publish count/sum as the authoritative pair.
   snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
@@ -99,24 +98,20 @@ HistogramSnapshot Histogram::snapshot() const {
 
 Counter& Registry::counter(const std::string& name) {
   SIRPENT_EXPECTS(is_valid_metric_name(name));
-  MutexLock lock(mutex_);
   return find_or_create(counters_, name);
 }
 
 Gauge& Registry::gauge(const std::string& name) {
   SIRPENT_EXPECTS(is_valid_metric_name(name));
-  MutexLock lock(mutex_);
   return find_or_create(gauges_, name);
 }
 
 Histogram& Registry::histogram(const std::string& name) {
   SIRPENT_EXPECTS(is_valid_metric_name(name));
-  MutexLock lock(mutex_);
   return find_or_create(histograms_, name);
 }
 
 std::map<std::string, std::uint64_t> Registry::snapshot() const {
-  MutexLock lock(mutex_);
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, counter] : counters_) {
     out.emplace(name, counter->value());
@@ -126,7 +121,6 @@ std::map<std::string, std::uint64_t> Registry::snapshot() const {
 
 MetricsSnapshot Registry::full_snapshot() const {
   MetricsSnapshot out;
-  MutexLock lock(mutex_);
   for (const auto& [name, counter] : counters_) {
     out.counters.emplace(name, counter->value());
   }

@@ -1,20 +1,15 @@
-// Named-metric registry safe to write from worker threads.
-//
-// The single-threaded harnesses read component stats structs directly;
-// once work fans across the exec::WorkerPool those structs cannot be
-// bumped from workers without racing.  Components that run on the pool
-// count through here instead.  Three metric kinds share one contract:
+// Named-metric registry.  Three metric kinds share one contract:
 //
 //   Counter    monotonically increasing event count,
 //   Gauge      instantaneous level (queue depth, cache occupancy),
 //   Histogram  fixed log2-bucket distribution (latencies, sizes).
 //
-// Creation/lookup takes the name-map lock once; the returned reference is
+// Creation/lookup walks the name map once; the returned reference is
 // stable for the registry's lifetime (std::map node stability) and may be
-// cached, so every hot-path update is a handful of relaxed atomics with no
-// lock.  Snapshots are consistent at batch boundaries (the sim thread
-// between events, or after WorkerPool::wait_idle), which is when the
-// harnesses and exporters read them.
+// cached, so every hot-path update is a handful of relaxed atomic adds.
+// The simulator is single-threaded, so nothing needs the atomics; they
+// stay until the counter-substrate item of ROADMAP.md replaces them with
+// plain per-component counter blocks.
 //
 // Naming convention: `component.instance.metric` — 2 to 5 non-empty
 // segments of [A-Za-z0-9_-] joined by single dots, nothing else.  The
@@ -33,7 +28,6 @@
 #include <string_view>
 
 #include "check/analysis.hpp"
-#include "check/sync.hpp"
 
 namespace srp::stats {
 
@@ -46,9 +40,7 @@ namespace srp::stats {
 /// "h0_prop_p1"); an empty input becomes "_".
 [[nodiscard]] std::string metric_component(std::string_view raw);
 
-/// One monotonically increasing counter.  Relaxed ordering: totals are
-/// read at batch boundaries (after WorkerPool::wait_idle), which already
-/// orders the memory.
+/// One monotonically increasing counter.
 class Counter {
  public:
   SRP_HOT_PATH void add(std::uint64_t n = 1) {
@@ -63,8 +55,7 @@ class Counter {
 };
 
 /// An instantaneous level that can move both ways (queue depth, token-cache
-/// occupancy, throttle-table size).  Same relaxed-at-batch-boundary
-/// contract as Counter.
+/// occupancy, throttle-table size).
 class Gauge {
  public:
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
@@ -106,11 +97,11 @@ struct HistogramSnapshot {
   [[nodiscard]] std::uint64_t p99() const { return percentile(0.99); }
 };
 
-/// Lock-free fixed log2-bucket histogram.  record() is two relaxed
-/// fetch_adds — safe from any thread, cheap enough for per-packet latency
-/// samples.  Bucket 0 holds the value 0; bucket i (1..64) holds values
-/// whose bit width is i, i.e. [2^(i-1), 2^i - 1].  Values are unit-free;
-/// by convention the metric name carries the unit suffix (e.g. "_ps").
+/// Fixed log2-bucket histogram.  record() is three relaxed fetch_adds,
+/// cheap enough for per-packet latency samples.  Bucket 0 holds the value
+/// 0; bucket i (1..64) holds values whose bit width is i, i.e.
+/// [2^(i-1), 2^i - 1].  Values are unit-free; by convention the metric
+/// name carries the unit suffix (e.g. "_ps").
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = HistogramSnapshot::kBuckets;
@@ -150,7 +141,7 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Every metric of one registry, copied at a batch boundary.  The maps are
+/// Every metric of one registry, copied at one instant.  The maps are
 /// name-sorted, so exporters iterating them emit deterministic output.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
@@ -165,36 +156,31 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// The counter named @p name, created on first use.  The returned
-  /// reference stays valid for the registry's lifetime and may be cached
-  /// and bumped from any thread.  @p name must satisfy
-  /// is_valid_metric_name() (contract-checked in debug builds).
-  Counter& counter(const std::string& name) SRP_EXCLUDES(mutex_);
+  /// reference stays valid for the registry's lifetime and may be cached.
+  /// @p name must satisfy is_valid_metric_name() (contract-checked in
+  /// debug builds).
+  Counter& counter(const std::string& name);
 
   /// The gauge named @p name; same lifetime and naming contract.
-  Gauge& gauge(const std::string& name) SRP_EXCLUDES(mutex_);
+  Gauge& gauge(const std::string& name);
 
   /// The histogram named @p name; same lifetime and naming contract.
-  Histogram& histogram(const std::string& name) SRP_EXCLUDES(mutex_);
+  Histogram& histogram(const std::string& name);
 
   /// Point-in-time copy of every counter value.
-  [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const
-      SRP_EXCLUDES(mutex_);
+  [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
 
   /// Point-in-time copy of every metric (counters, gauges, histograms) —
-  /// what the exporters consume.  Consistent at batch boundaries.
-  [[nodiscard]] MetricsSnapshot full_snapshot() const SRP_EXCLUDES(mutex_);
+  /// what the exporters consume.
+  [[nodiscard]] MetricsSnapshot full_snapshot() const;
 
   /// Process-wide registry for components without an obvious owner.
   static Registry& global();
 
  private:
-  mutable srp::Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_
-      SRP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
-      SRP_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      SRP_GUARDED_BY(mutex_);
+  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
+  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace srp::stats

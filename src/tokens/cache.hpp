@@ -8,13 +8,6 @@
 // decoded authorization, are flagged on invalid tokens ("subsequent packets
 // using this token are then blocked"), and accumulate the per-account
 // packet/byte counts the paper charges through them.
-//
-// Thread safety: cache and ledger are capability-annotated monitors —
-// every shared field is SRP_GUARDED_BY an internal srp::Mutex and the API
-// traffics in value snapshots, never references into guarded state, so
-// the token-validation workers (tokens/validator.hpp) and the sim thread
-// can touch them concurrently.  Clang -Wthread-safety proves the locking;
-// tests/concurrency_test.cpp stresses it under TSan.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +16,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "check/sync.hpp"
 #include "crypto/siphash.hpp"
 #include "stats/registry.hpp"
 #include "tokens/token.hpp"
@@ -45,34 +37,26 @@ struct AccountUsage {
 };
 
 /// Accounting ledger: account id -> usage.  Shared by the routers of one
-/// administrative domain (and, once validation fans out, by their worker
-/// threads — hence the internal mutex).
+/// administrative domain.
 class Ledger {
  public:
-  void charge(std::uint32_t account, std::uint64_t bytes)
-      SRP_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
+  void charge(std::uint32_t account, std::uint64_t bytes) {
     auto& u = usage_[account];
     ++u.packets;
     u.bytes += bytes;
   }
 
-  [[nodiscard]] AccountUsage usage(std::uint32_t account) const
-      SRP_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
+  [[nodiscard]] AccountUsage usage(std::uint32_t account) const {
     const auto it = usage_.find(account);
     return it == usage_.end() ? AccountUsage{} : it->second;
   }
 
-  [[nodiscard]] std::map<std::uint32_t, AccountUsage> all() const
-      SRP_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
+  [[nodiscard]] std::map<std::uint32_t, AccountUsage> all() const {
     return usage_;
   }
 
  private:
-  mutable srp::Mutex mutex_;
-  std::map<std::uint32_t, AccountUsage> usage_ SRP_GUARDED_BY(mutex_);
+  std::map<std::uint32_t, AccountUsage> usage_;
 };
 
 /// One router's token cache.
@@ -105,40 +89,36 @@ class TokenCache {
                              token);
   }
 
-  /// Looks up a token; counts hit/miss.  Returns a snapshot of the entry
-  /// (not a reference: the entry may be mutated concurrently).
-  std::optional<Entry> lookup(std::span<const std::uint8_t> token)
-      SRP_EXCLUDES(mutex_);
+  /// Looks up a token; counts hit/miss.  Returns a snapshot of the entry.
+  std::optional<Entry> lookup(std::span<const std::uint8_t> token);
 
   /// Records the outcome of a (slow) verification.  nullopt body = invalid
   /// token: the entry is flagged so subsequent users are blocked.  Returns
   /// a snapshot of the stored entry.
   Entry store(std::span<const std::uint8_t> token,
-              std::optional<TokenBody> body) SRP_EXCLUDES(mutex_);
+              std::optional<TokenBody> body);
 
   struct SettleOutcome {
     Entry entry;           ///< snapshot after the store
     bool settled = false;  ///< the optimistic admit was charged
   };
 
-  /// store() plus settlement of an optimistic admit in one atomic step:
-  /// when @p optimistic_bytes > 0 and the token verified good, the
+  /// store() plus settlement of an optimistic admit in one step: when
+  /// @p optimistic_bytes > 0 and the token verified good, the
   /// optimistically forwarded first packet is charged — exactly once —
   /// against the entry and @p ledger, or written off if the byte limit is
   /// already exhausted (counted as a limit reject).  The router's
-  /// verification-completion path uses this so the charge cannot race a
-  /// concurrent packet between store and settle.
+  /// verification-completion path uses this.
   SettleOutcome store_and_settle(std::span<const std::uint8_t> token,
                                  std::optional<TokenBody> body,
                                  std::uint64_t optimistic_bytes,
-                                 Ledger* ledger) SRP_EXCLUDES(mutex_);
+                                 Ledger* ledger);
 
-  /// Atomically charges @p bytes against the token's entry, then (on
-  /// success) its account in @p ledger.  kCharged means the packet may be
-  /// forwarded; every other result rejects it.
+  /// Charges @p bytes against the token's entry, then (on success) its
+  /// account in @p ledger.  kCharged means the packet may be forwarded;
+  /// every other result rejects it.
   ChargeResult charge(std::span<const std::uint8_t> token,
-                      std::uint64_t bytes, Ledger& ledger)
-      SRP_EXCLUDES(mutex_);
+                      std::uint64_t bytes, Ledger& ledger);
 
   /// Fault injection (src/fault): perturbs the cache entry selected by
   /// @p selector (an arbitrary 64-bit draw; the entry at selector mod size
@@ -147,22 +127,22 @@ class TokenCache {
   /// is marked bad, blocking subsequent users until end-to-end recovery
   /// reroutes around this router.  Returns the number of entries affected
   /// (0 when the cache is empty).
-  std::size_t poison(std::uint64_t selector, bool flag)
-      SRP_EXCLUDES(mutex_);
+  std::size_t poison(std::uint64_t selector, bool flag);
 
-  [[nodiscard]] Stats stats() const SRP_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t size() const SRP_EXCLUDES(mutex_);
+  [[nodiscard]] Stats stats() const { return stats_; }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Mirrors the entry count into @p gauge on every mutation (observability
   /// layer; typically `tokens.<router>.cache_entries`).  nullptr detaches.
-  /// The gauge is lock-free, so updating it under our mutex is cheap and
-  /// keeps it exact at batch boundaries.
-  void set_occupancy_gauge(stats::Gauge* gauge) SRP_EXCLUDES(mutex_);
+  void set_occupancy_gauge(stats::Gauge* gauge) {
+    occupancy_gauge_ = gauge;
+    update_gauge();
+  }
 
   /// Model-checker regression hook (tests/mc_regress): replaces the
   /// transition core with a deliberately broken variant from mc::mutants
   /// so counterexamples found by the explorer replay in the real sim.
-  void set_step_for_test(TokenStepFn step) SRP_EXCLUDES(mutex_);
+  void set_step_for_test(TokenStepFn step) { step_ = step; }
 
  private:
   /// The core-state view of @p entry (entries in the map have completed
@@ -182,17 +162,16 @@ class TokenCache {
     entry.bytes_charged = core.bytes_charged;
   }
 
-  void update_gauge() SRP_REQUIRES(mutex_) {
+  void update_gauge() {
     if (occupancy_gauge_ != nullptr) {
       occupancy_gauge_->set(static_cast<std::int64_t>(entries_.size()));
     }
   }
 
-  mutable srp::Mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> entries_ SRP_GUARDED_BY(mutex_);
-  Stats stats_ SRP_GUARDED_BY(mutex_);
-  stats::Gauge* occupancy_gauge_ SRP_GUARDED_BY(mutex_) = nullptr;
-  TokenStepFn step_ SRP_GUARDED_BY(mutex_) = &token_step;
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  Stats stats_;
+  stats::Gauge* occupancy_gauge_ = nullptr;
+  TokenStepFn step_ = &token_step;
 };
 
 }  // namespace srp::tokens

@@ -408,11 +408,8 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
   }
 
   // Miss: start the (slow) verification exactly once per token value.
-  // With a ValidationEngine attached, the XTEA decrypt + MAC check runs on
-  // the worker pool while simulated time passes; the completion event
-  // below awaits the ticket at exactly the instant the serial code would
-  // have computed the same (pure-function) result, so the simulation
-  // schedule is bit-identical either way.
+  // The XTEA decrypt + MAC check runs when the completion event fires,
+  // verify_delay after the miss.
   const std::uint64_t key = tokens::TokenCache::key_of(seg.token);
   if (!pending_verifies_.contains(key)) {
     // Verification slow path: one-time bookkeeping per distinct token
@@ -422,17 +419,12 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
     SRP_ALLOC_OK(
         wire::Bytes token_copy(seg.token.begin(), seg.token.end()));
     const std::uint64_t first_packet_bytes = packet_bytes;
-    std::optional<tokens::ValidationEngine::Ticket> ticket;
-    if (validation_engine_ != nullptr) {
-      ticket = validation_engine_->submit(config_.router_id, token_copy);
-    }
     // SRP_ALLOC_OK(verification completion event, once per token value)
     sim_.after(config_.verify_delay, [this, token_copy = std::move(token_copy),
-                                      first_packet_bytes, key, ticket] {
+                                      first_packet_bytes, key] {
       pending_verifies_.erase(key);
       const std::optional<tokens::TokenBody> body =
-          ticket.has_value() ? validation_engine_->await(*ticket)
-                             : authority_->open(config_.router_id, token_copy);
+          authority_->open(config_.router_id, token_copy);
       // Store + optimistic settlement in one atomic cache step: the first
       // packet that flew before verification landed is charged exactly
       // once (tokens/token_core.hpp owns the transition).

@@ -41,7 +41,6 @@
 #include "sim/time.hpp"
 #include "tokens/cache.hpp"
 #include "tokens/token.hpp"
-#include "tokens/validator.hpp"
 #include "viper/codec.hpp"
 
 namespace srp::viper {
@@ -165,15 +164,6 @@ class ViperRouter : public net::PortedNode {
   /// Enables token enforcement against @p authority, charging @p ledger.
   void set_token_authority(const tokens::TokenAuthority* authority,
                            tokens::Ledger* ledger);
-
-  /// Offloads uncached-token verification (XTEA decrypt + MAC check) to
-  /// @p engine's worker pool: submitted at cache-miss time, awaited inside
-  /// the verify-completion event, so results land at the same simulated
-  /// instants as the serial path (deterministic).  nullptr reverts to
-  /// inline verification.
-  void set_validation_engine(tokens::ValidationEngine* engine) {
-    validation_engine_ = engine;
-  }
 
   /// Adjusts token enforcement after construction (experiment harness
   /// convenience).
@@ -353,7 +343,6 @@ class ViperRouter : public net::PortedNode {
 
   const tokens::TokenAuthority* authority_ = nullptr;
   tokens::Ledger* ledger_ = nullptr;
-  tokens::ValidationEngine* validation_engine_ = nullptr;
   tokens::TokenCache token_cache_;
   std::unordered_set<std::uint64_t> pending_verifies_;
 

@@ -13,12 +13,6 @@
 
 namespace fixture {
 
-class Mutex {};
-class MutexLock {
- public:
-  explicit MutexLock(Mutex&) {}
-};
-
 struct Counter {
   void add() {}
 };
@@ -28,19 +22,8 @@ struct Registry {
   Counter c_;
 };
 
-class GoodMonitor {
+class GoodTable {
  public:
-  // Consistent acquisition order in both directions: no cycle.
-  void transfer_in() {
-    MutexLock a(ledger_mutex_);
-    MutexLock b(cache_mutex_);
-  }
-
-  void transfer_out() {
-    MutexLock a(ledger_mutex_);
-    MutexLock b(cache_mutex_);
-  }
-
   // Lookup on an unordered member is always fine — only iteration is
   // order-dependent.
   std::uint64_t lookup(std::uint64_t key) {
@@ -72,20 +55,16 @@ class GoodMonitor {
   }
 
  private:
-  Mutex ledger_mutex_;
-  Mutex cache_mutex_;
   std::unordered_map<std::uint64_t, std::uint64_t> index_;
 };
 
 // Metric names that honor component.instance.metric, including a
 // runtime instance fragment and a ternary between two valid names.
 inline void register_metrics(Registry& registry, const std::string& inst,
-                             bool parallel) {
+                             bool hit) {
   registry.counter("viper.r1.forwarded").add();
   registry.counter("viper." + inst + ".forwarded").add();
-  registry
-      .counter(parallel ? "tokens.engine.validated_parallel"
-                        : "tokens.engine.validated_serial")
+  registry.counter(hit ? "tokens.r1.cache_hits" : "tokens.r1.cache_misses")
       .add();
 }
 

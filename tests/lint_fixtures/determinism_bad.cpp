@@ -2,7 +2,9 @@
 // determinism pass.  Never compiled — consumed by srp_lint.py
 // --self-test only.
 #include <chrono>
+#include <future>
 #include <random>
+#include <thread>
 #include <unordered_map>
 
 namespace fixture {
@@ -29,6 +31,16 @@ class BadTable {
     total += it->second;
     (void)now;
     return total;
+  }
+
+  void fan_out() {
+    // 6. a thread: nothing in the simulator is guarded against one.
+    std::thread worker([this] { churn(); });
+    worker.join();
+
+    // 7. std::async starts a thread as well.
+    auto pending = std::async(std::launch::async, [this] { return churn(); });
+    (void)pending.get();
   }
 
  private:

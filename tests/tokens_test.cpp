@@ -2,6 +2,8 @@
 // integration through the router for the three uncached-token policies.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "directory/fabric.hpp"
 #include "test_util.hpp"
 #include "tokens/cache.hpp"
@@ -281,6 +283,87 @@ TEST_F(TokenRouterTest, ByteLimitEnforced) {
   sim.run();
   EXPECT_LT(delivered, 5);
   EXPECT_GT(r->stats().dropped_token_limit, 0u);
+}
+
+// --- Determinism of the token-enforcing data path -------------------------
+
+struct ChainResult {
+  viper::ViperRouter::Stats router_stats;
+  TokenCache::Stats cache_stats;
+  std::uint64_t delivered = 0;
+  std::uint64_t events = 0;
+  std::uint64_t charged = 0;  ///< successful charges, both routers' caches
+  std::map<std::uint32_t, AccountUsage> ledger;
+};
+
+/// Runs 50 packets through a token-enforcing two-router chain with the
+/// optimistic uncached policy; verification runs inline in the
+/// verify-completion event.
+ChainResult run_chain() {
+  sim::Simulator sim;
+  dir::Fabric fabric(sim);
+  auto& src = fabric.add_host("src.test");
+  auto& r1 = fabric.add_router("r1");
+  auto& r2 = fabric.add_router("r2");
+  auto& dst = fabric.add_host("dst.test");
+  fabric.connect(src, r1);
+  fabric.connect(r1, r2);
+  fabric.connect(r2, dst);
+  fabric.enable_tokens(0xBEEF, /*enforce=*/true, UncachedPolicy::kOptimistic,
+                       50 * sim::kMicrosecond);
+
+  ChainResult result;
+  dst.set_default_handler(
+      [&result](const viper::Delivery&) { ++result.delivered; });
+
+  const auto routes =
+      fabric.directory().query(fabric.id_of(src), "dst.test", {});
+  EXPECT_FALSE(routes.empty());
+  const dir::IssuedRoute& route = routes.front();
+  for (int i = 0; i < 50; ++i) {
+    sim.at(i * 100 * sim::kMicrosecond, [&src, &route] {
+      viper::SendOptions options;
+      options.out_port = route.host_out_port;
+      src.send(route.route, pattern_bytes(128), options);
+    });
+  }
+  result.events = sim.run();
+  result.router_stats = r1.stats();
+  result.cache_stats = r1.token_cache().stats();
+  for (viper::ViperRouter* router : {&r1, &r2}) {
+    // Every packet carries a valid on-port token, so each cache hit is
+    // charged unless the charge itself is rejected, and each verified
+    // token settles its optimistically forwarded first packet once.
+    EXPECT_EQ(router->stats().dropped_unauthorized, 0u);
+    EXPECT_EQ(router->stats().dropped_expired_token, 0u);
+    const TokenCache::Stats cache = router->token_cache().stats();
+    result.charged += cache.hits - cache.flagged_rejects -
+                      cache.limit_rejects + router->token_cache().size();
+  }
+  result.ledger = fabric.ledger().all();
+  return result;
+}
+
+TEST(TokenChainDeterminism, InlineVerificationReplaysIdentically) {
+  const ChainResult first = run_chain();
+  EXPECT_GT(first.delivered, 0u);
+  EXPECT_GT(first.cache_stats.hits, 0u);
+  std::uint64_t ledger_packets = 0;
+  for (const auto& [account, usage] : first.ledger) {
+    ledger_packets += usage.packets;
+  }
+  EXPECT_EQ(ledger_packets, first.charged);
+
+  const ChainResult second = run_chain();
+  EXPECT_EQ(second.delivered, first.delivered);
+  EXPECT_EQ(second.events, first.events);
+  EXPECT_EQ(second.cache_stats.hits, first.cache_stats.hits);
+  EXPECT_EQ(second.cache_stats.misses, first.cache_stats.misses);
+  EXPECT_EQ(second.router_stats.forwarded, first.router_stats.forwarded);
+  EXPECT_EQ(second.router_stats.dropped_unauthorized,
+            first.router_stats.dropped_unauthorized);
+  EXPECT_EQ(second.charged, first.charged);
+  EXPECT_TRUE(second.ledger == first.ledger);
 }
 
 }  // namespace
