@@ -17,7 +17,9 @@ linters cannot know about (DESIGN.md section 9):
                   std::jthread, std::async or pthread_create anywhere,
                   src/check/ included, and no exemption.  The simulator
                   is single-threaded by construction, and this rule is
-                  what keeps its state lock-free.
+                  what keeps its state lock-free.  For the same reason
+                  std::atomic is banned too: every counter, ring head
+                  and handler slot is a plain integer or pointer.
 
   hotpath-alloc   Functions marked SRP_HOT_PATH (check/analysis.hpp)
                   must not allocate in their own bodies: no new/malloc,
@@ -31,6 +33,11 @@ linters cannot know about (DESIGN.md section 9):
                   Exemption: SRP_ALLOC_OK(expr) or a preceding
                   `// SRP_ALLOC_OK(reason)` comment, which blesses the
                   next statement.
+                  The same bodies must not contain `try` or `catch`:
+                  the data path never throws, so its decoders return a
+                  value to test instead.  No exemption.  `throw` stays
+                  legal: the encoders' >4 GiB field guards reject caller
+                  misuse, not wire input.
 
   metric-names    Every string handed to stats::Registry counter() /
                   gauge() / histogram() must match the
@@ -304,6 +311,7 @@ UNORDERED_DECL_RE = re.compile(r"\bstd::unordered_(map|set)\s*<")
 THREAD_RE = re.compile(
     r"\bstd::(?:thread|jthread|async)\b|\bpthread_create\s*\("
 )
+ATOMIC_RE = re.compile(r"\bstd::atomic\w*\b")
 
 
 def collect_unordered_members(sources: Sequence[SourceFile]) -> Set[str]:
@@ -340,6 +348,11 @@ def pass_determinism(sources: Sequence[SourceFile],
                 "determinism", src.path, src.line_of(m.start()),
                 f"thread creation `{m.group(0).strip()}` — the simulator "
                 "is single-threaded; nothing in it is locked"))
+        for m in ATOMIC_RE.finditer(src.code):
+            findings.append(Finding(
+                "determinism", src.path, src.line_of(m.start()),
+                f"`{m.group(0)}` — the simulator is single-threaded; use a "
+                "plain integer or pointer"))
         rel = os.path.relpath(src.path, REPO_ROOT)
         if rel.startswith(os.path.join("src", "check") + os.sep):
             continue  # diagnostic infrastructure, not sim-visible
@@ -423,6 +436,7 @@ ALLOC_PATTERNS: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"\bwire::Writer\b|\bWriter\s+\w+\s*\("),
      "wire::Writer construction"),
 ]
+EXCEPTION_RE = re.compile(r"\btry\s*\{|\bcatch\s*\(")
 
 
 @dataclass
@@ -535,6 +549,14 @@ def pass_hotpath_alloc(sources: Sequence[SourceFile]) -> List[Finding]:
                         f"{what} `{m.group(0).strip()}` inside SRP_HOT_PATH "
                         f"function `{fn.qualified_name}` — hoist it out or "
                         "wrap in SRP_ALLOC_OK with a reason"))
+            for m in EXCEPTION_RE.finditer(body):
+                keyword = re.match(r"\w+", m.group(0)).group(0)
+                findings.append(Finding(
+                    "hotpath-alloc", src.path,
+                    src.line_of(fn.start + m.start()),
+                    f"`{keyword}` inside SRP_HOT_PATH function "
+                    f"`{fn.qualified_name}` — the data path never throws; "
+                    "test a returned value instead"))
     return findings
 
 
@@ -866,8 +888,9 @@ def self_test() -> int:
     """Each pass must flag its bad fixture and stay quiet on clean.cpp."""
     fixture_dir = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
     cases = [
-        ("determinism", "determinism_bad.cpp", 5),
+        ("determinism", "determinism_bad.cpp", 6),
         ("hotpath-alloc", "hotpath_alloc_bad.cpp", 2),
+        ("hotpath-alloc", "hotpath_try_bad.cpp", 2),
         ("metric-names", "metric_name_bad.cpp", 2),
         ("metric-names", "metric_namespace_bad.cpp", 1),
         ("metric-names", "metric_namespace_health.cpp", 1),

@@ -1,8 +1,8 @@
 #include "check/contract.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace srp::check {
 namespace {
@@ -13,20 +13,16 @@ namespace {
   std::abort();
 }
 
-// The simulator is single-threaded, so the slot need not be atomic; it
-// stays until the counter-substrate item of ROADMAP.md makes the atomics
-// plain.
-std::atomic<ViolationHandler> g_handler{nullptr};
+ViolationHandler g_handler = nullptr;
 
 }  // namespace
 
 ViolationHandler set_violation_handler(ViolationHandler handler) {
-  return g_handler.exchange(handler, std::memory_order_acq_rel);
+  return std::exchange(g_handler, handler);
 }
 
 void violation(const Violation& v) {
-  ViolationHandler handler = g_handler.load(std::memory_order_acquire);
-  if (handler != nullptr) handler(v);
+  if (g_handler != nullptr) g_handler(v);
   default_handler(v);
 }
 

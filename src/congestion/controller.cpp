@@ -54,11 +54,6 @@ void CongestionController::set_observer(const obs::Observer& observer) {
     obs_shaped_ = nullptr;
   }
   obs_recorder_ = observer.recorder;
-  // Same scoped observer as the router (shared by name): the feeder
-  // aggregates the router publishes are what feeders_toward() reads back.
-  obs_flow_ = observer.flow != nullptr
-                  ? &observer.flow->scoped(router_.name())
-                  : nullptr;
 }
 
 std::vector<CongestionController::FlowSnapshot>
@@ -238,21 +233,11 @@ void CongestionController::report_port_congestion(int port_index) {
   }
 
   // "Because the congested router has access to the source route, it can
-  // easily determine the upstream routers feeding the queue."  With flow
-  // accounting on, the answer comes from the router's flow aggregates (an
-  // O(feeders) map walk over the last interval) instead of rescanning the
-  // whole output queue packet by packet.
+  // easily determine the upstream routers feeding the queue."
   std::set<int> feeders;
-  if (obs_flow_ != nullptr) {
-    std::vector<int> fed;
-    obs_flow_->feeders_toward(port_index, sim_.now() - config_.interval,
-                              fed);
-    feeders.insert(fed.begin(), fed.end());
-  } else {
-    for (const auto& queued : out.queue()) {
-      if (queued.packet->last_in_port > 0) {
-        feeders.insert(queued.packet->last_in_port);
-      }
+  for (const auto& queued : out.queue()) {
+    if (queued.packet->last_in_port > 0) {
+      feeders.insert(queued.packet->last_in_port);
     }
   }
   if (feeders.empty()) return;

@@ -78,10 +78,7 @@ class CongestionController {
   /// Wires the controller to an observability sink: a `cc.<router>.flows`
   /// gauge (throttle-table size), `cc.<router>.reports_*` / `.shaped`
   /// counters, and — with a recorder — a kThrottle instant span whenever a
-  /// traced packet is held by the shaper.  With a flow sink present the
-  /// controller shares the router's scoped flow observer and identifies a
-  /// congested port's feeders from its aggregates (feeders_toward) instead
-  /// of rescanning the output queue.
+  /// traced packet is held by the shaper.
   void set_observer(const obs::Observer& observer);
 
   /// Currently granted rate toward @p key; +inf when unlimited.
@@ -156,7 +153,6 @@ class CongestionController {
   stats::Counter* obs_reports_received_ = nullptr;
   stats::Counter* obs_shaped_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
-  obs::FlowSink* obs_flow_ = nullptr;  // shared with the router by name
 
   void update_flows_gauge() {
     if (obs_flows_ != nullptr) {

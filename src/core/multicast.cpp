@@ -23,23 +23,21 @@ bool is_tree_info(std::span<const std::uint8_t> port_info) {
   return port_info.size() >= 2 && port_info[0] == kTreeInfoTag;
 }
 
-std::vector<wire::Bytes> decode_tree_info(
-    std::span<const std::uint8_t> port_info) {
-  wire::Reader r(port_info);
-  if (r.u8() != kTreeInfoTag) {
-    throw wire::CodecError("tree info: bad tag");
+std::optional<TreeView> TreeView::parse(
+    std::span<const std::uint8_t> port_info) noexcept {
+  if (!is_tree_info(port_info)) return std::nullopt;
+  const std::size_t count = port_info[1];
+  const std::span<const std::uint8_t> branches = port_info.subspan(2);
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (branches.size() - offset < 2) return std::nullopt;
+    const std::size_t len = static_cast<std::size_t>(branches[offset]) << 8 |
+                            branches[offset + 1];
+    if (branches.size() - offset - 2 < len) return std::nullopt;
+    offset += 2 + len;
   }
-  const std::uint8_t count = r.u8();
-  std::vector<wire::Bytes> out;
-  out.reserve(count);
-  for (std::uint8_t i = 0; i < count; ++i) {
-    const std::uint16_t len = r.u16();
-    out.push_back(r.bytes(len));
-  }
-  if (!r.done()) {
-    throw wire::CodecError("tree info: trailing bytes");
-  }
-  return out;
+  if (offset != branches.size()) return std::nullopt;
+  return TreeView(branches);
 }
 
 wire::Bytes encode_agent_payload(const AgentPayload& payload) {

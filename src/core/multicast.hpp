@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,9 +37,47 @@ wire::Bytes encode_tree_info(const std::vector<wire::Bytes>& subroutes);
 /// so the router can ask without materializing the field.
 bool is_tree_info(std::span<const std::uint8_t> port_info);
 
-/// Decodes the branch blobs (throws wire::CodecError on malformed input).
-std::vector<wire::Bytes> decode_tree_info(
-    std::span<const std::uint8_t> port_info);
+/// A validated tree-branch block, iterated as branch spans into the
+/// portInfo it was parsed from (valid only while that buffer is).
+class TreeView {
+ public:
+  /// The block in @p port_info — tag, count, then count u16-length-prefixed
+  /// branch blobs and nothing after — or nullopt when it is malformed.
+  /// The whole block is checked here, so iterating cannot fail.
+  static std::optional<TreeView> parse(
+      std::span<const std::uint8_t> port_info) noexcept;
+
+  /// Walks the validated blobs: each step reads one u16 length.
+  class iterator {
+   public:
+    explicit iterator(const std::uint8_t* at) : at_(at) {}
+    std::span<const std::uint8_t> operator*() const {
+      return {at_ + 2, length()};
+    }
+    iterator& operator++() {
+      at_ += 2 + length();
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    [[nodiscard]] std::size_t length() const {
+      return static_cast<std::size_t>(at_[0]) << 8 | at_[1];
+    }
+    const std::uint8_t* at_;
+  };
+
+  [[nodiscard]] iterator begin() const { return iterator(branches_.data()); }
+  [[nodiscard]] iterator end() const {
+    return iterator(branches_.data() + branches_.size());
+  }
+
+ private:
+  explicit TreeView(std::span<const std::uint8_t> branches)
+      : branches_(branches) {}
+
+  std::span<const std::uint8_t> branches_;  ///< the length-prefixed blobs
+};
 
 /// Agent explosion payload (mechanism 3): member route blobs + user data.
 struct AgentPayload {

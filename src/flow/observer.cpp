@@ -1,7 +1,5 @@
 #include "flow/observer.hpp"
 
-#include <limits>
-
 #include "check/analysis.hpp"
 
 namespace srp::flow {
@@ -31,9 +29,6 @@ SRP_HOT_PATH void FlowObserver::on_forward(const obs::FlowSample& sample) {
   if (flows_gauge_ != nullptr) {
     flows_gauge_->set(static_cast<std::int64_t>(table_.size()));
   }
-  if (sample.in_port != 0) {
-    feeders_[{sample.out_port, sample.in_port}] = sample.now;
-  }
   if (sampler_.sample()) {
     ++sampled_total_;
     if (sampled_counter_ != nullptr) sampled_counter_->add();
@@ -59,17 +54,6 @@ void FlowObserver::on_charge(std::uint32_t account, std::uint64_t bytes) {
   auto& c = charges_[account];
   ++c.packets;
   c.bytes += bytes;
-}
-
-void FlowObserver::feeders_toward(int out_port, sim::Time since,
-                                  std::vector<int>& out) const {
-  const auto port = static_cast<std::uint16_t>(out_port);
-  const auto lo = feeders_.lower_bound({port, 0});
-  const auto hi = feeders_.upper_bound(
-      {port, std::numeric_limits<std::uint16_t>::max()});
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second >= since) out.push_back(it->first.second);
-  }
 }
 
 }  // namespace srp::flow

@@ -1,11 +1,8 @@
 // One component's flow-accounting state: the FlowTable, the deterministic
-// packet sampler, the exact per-account charge mirror and the feeder
-// aggregates the congestion controller reads back.
+// packet sampler and the exact per-account charge mirror.
 //
 // A FlowObserver implements obs::FlowSink for a single named component
-// (one router).  Components obtain theirs via FlowPlane::scoped(name); the
-// router and its congestion controller share one observer by name, which
-// is how feeders_toward() answers from the router's own forward stream.
+// (one router).  Components obtain theirs via FlowPlane::scoped(name).
 #pragma once
 
 #include <cstdint>
@@ -13,8 +10,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "flow/sampler.hpp"
 #include "flow/table.hpp"
@@ -53,8 +48,6 @@ class FlowObserver final : public obs::FlowSink {
 
   void on_forward(const obs::FlowSample& sample) override;
   void on_charge(std::uint32_t account, std::uint64_t bytes) override;
-  void feeders_toward(int out_port, sim::Time since,
-                      std::vector<int>& out) const override;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }
@@ -79,8 +72,6 @@ class FlowObserver final : public obs::FlowSink {
   Sampler sampler_;
   std::uint64_t sampled_total_ = 0;
   std::map<std::uint32_t, AccountCharge> charges_;
-  /// (out_port, in_port) -> last time in_port fed out_port.
-  std::map<std::pair<std::uint16_t, std::uint16_t>, sim::Time> feeders_;
 };
 
 }  // namespace srp::flow

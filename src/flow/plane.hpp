@@ -38,7 +38,6 @@ class FlowPlane final : public obs::FlowSink {
   // component harmless instead of undefined.
   void on_forward(const obs::FlowSample&) override {}
   void on_charge(std::uint32_t, std::uint64_t) override {}
-  void feeders_toward(int, sim::Time, std::vector<int>&) const override {}
 
   /// Every observer, name-sorted.
   [[nodiscard]] std::vector<const FlowObserver*> observers() const;

@@ -6,8 +6,7 @@
 // the source routes sitting in its queues (paper §2.2).  The FlowSink is
 // how an instrumented component reports those aggregates without depending
 // on the flow subsystem: ViperRouter publishes one FlowSample per forward
-// and one on_charge() per ledger charge; the congestion controller reads
-// feeder aggregates back instead of rescanning its output queues.
+// and one on_charge() per ledger charge.
 //
 // Cost contract (same as the rest of the obs layer): components resolve a
 // scoped sink once at set_observer() time and keep a raw pointer; with no
@@ -17,7 +16,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -51,9 +49,8 @@ class FlowSink {
 
   /// The sink a component named @p component should publish into.  Called
   /// once at set_observer() time; the returned reference stays valid for
-  /// the sink's lifetime.  Components sharing a name (a router and its
-  /// congestion controller) resolve to the same scoped sink, which is what
-  /// lets the controller read back the router's feeder aggregates.
+  /// the sink's lifetime.  Components sharing a name resolve to the same
+  /// scoped sink.
   virtual FlowSink& scoped(std::string_view /*component*/) { return *this; }
 
   /// One packet forwarded by the component.  Hot path: called per packet
@@ -64,12 +61,6 @@ class FlowSink {
   /// same account and byte count — the exact mirror that makes per-account
   /// roll-ups reconcile with the ledger.
   virtual void on_charge(std::uint32_t account, std::uint64_t bytes) = 0;
-
-  /// Appends to @p out the input ports that forwarded traffic toward
-  /// @p out_port at or after @p since — the congestion controller's feeder
-  /// set, answered from flow state instead of a queue scan.
-  virtual void feeders_toward(int out_port, sim::Time since,
-                              std::vector<int>& out) const = 0;
 };
 
 }  // namespace srp::obs

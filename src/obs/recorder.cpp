@@ -54,7 +54,7 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
       mask_(ring_.size() - 1) {}
 
 std::vector<SpanRecord> FlightRecorder::spans() const {
-  const auto n = head_.load(std::memory_order_relaxed);
+  const auto n = head_;
   std::vector<SpanRecord> out;
   if (n == 0) return out;
   const auto retained = n < ring_.size() ? static_cast<std::size_t>(n)
@@ -67,7 +67,7 @@ std::vector<SpanRecord> FlightRecorder::spans() const {
 }
 
 void FlightRecorder::clear() {
-  head_.store(0, std::memory_order_relaxed);
+  head_ = 0;
   for (auto& slot : ring_) slot = SpanRecord{};
 }
 

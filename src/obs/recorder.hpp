@@ -8,13 +8,10 @@
 // the record path) and export to Chrome trace-event JSON (obs/export.hpp)
 // for viewing in Perfetto.
 //
-// record() is one relaxed fetch_add plus a plain slot write.  The
-// simulator is single-threaded, so the atomic head is not needed; it stays
-// until the counter-substrate item of ROADMAP.md makes the counters plain.
+// record() is one increment plus a plain slot write.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -92,14 +89,11 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   void record(const SpanRecord& span) {
-    const auto seq = head_.fetch_add(1, std::memory_order_relaxed);
-    ring_[seq & mask_] = span;
+    ring_[head_++ & mask_] = span;
   }
 
   /// Total spans ever recorded (including overwritten ones).
-  [[nodiscard]] std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t recorded() const { return head_; }
   /// Spans lost to ring wrap-around.
   [[nodiscard]] std::uint64_t dropped() const {
     const auto n = recorded();
@@ -116,7 +110,7 @@ class FlightRecorder {
  private:
   std::vector<SpanRecord> ring_;
   std::size_t mask_;
-  std::atomic<std::uint64_t> head_{0};
+  std::uint64_t head_ = 0;
 };
 
 class FlowSink;  // obs/flow_sink.hpp

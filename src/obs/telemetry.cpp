@@ -194,9 +194,8 @@ void PathCollector::localize(const HopTelemetry& postcard) {
 void PathCollector::on_delivery(const DeliveredTelemetry& delivered,
                                 std::vector<HopTelemetry> hops,
                                 std::size_t decode_errors) {
-  // The in-place trailer reversal hands records newest-first, the
-  // reference decode oldest-first: hop order makes both canonical, so the
-  // collector state does not depend on which decode the host ran.
+  // Hop number, not trailer position, orders the path, so the collector
+  // state does not depend on the order a caller walked the trailer in.
   std::sort(hops.begin(), hops.end(),
             [](const HopTelemetry& a, const HopTelemetry& b) {
               return a.hop < b.hop;

@@ -86,13 +86,11 @@ std::uint64_t HistogramSnapshot::percentile(double q) const {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    snap.buckets[i] = counts_[i].load(std::memory_order_relaxed);
-  }
+  snap.buckets = counts_;
   // Read the dedicated total, not a sum over the bucket reads: the
   // exporters publish count/sum as the authoritative pair.
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.count = count_;
+  snap.sum = sum_;
   return snap;
 }
 

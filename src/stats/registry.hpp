@@ -6,10 +6,9 @@
 //
 // Creation/lookup walks the name map once; the returned reference is
 // stable for the registry's lifetime (std::map node stability) and may be
-// cached, so every hot-path update is a handful of relaxed atomic adds.
-// The simulator is single-threaded, so nothing needs the atomics; they
-// stay until the counter-substrate item of ROADMAP.md replaces them with
-// plain per-component counter blocks.
+// cached, so every hot-path update is a handful of plain integer adds: the
+// simulator is single-threaded (srp-lint bans threads and atomics
+// under src/).
 //
 // Naming convention: `component.instance.metric` — 2 to 5 non-empty
 // segments of [A-Za-z0-9_-] joined by single dots, nothing else.  The
@@ -19,7 +18,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -43,30 +41,24 @@ namespace srp::stats {
 /// One monotonically increasing counter.
 class Counter {
  public:
-  SRP_HOT_PATH void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  SRP_HOT_PATH void add(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// An instantaneous level that can move both ways (queue depth, token-cache
 /// occupancy, throttle-table size).
 class Gauge {
  public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d = 1) { value_.fetch_add(d, std::memory_order_relaxed); }
-  void sub(std::int64_t d = 1) { value_.fetch_sub(d, std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(std::int64_t v) { value_ = v; }
+  void add(std::int64_t d = 1) { value_ += d; }
+  void sub(std::int64_t d = 1) { value_ -= d; }
+  [[nodiscard]] std::int64_t value() const { return value_; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
 };
 
 /// Point-in-time copy of one Histogram, with the percentile math.  Bucket i
@@ -97,7 +89,7 @@ struct HistogramSnapshot {
   [[nodiscard]] std::uint64_t p99() const { return percentile(0.99); }
 };
 
-/// Fixed log2-bucket histogram.  record() is three relaxed fetch_adds,
+/// Fixed log2-bucket histogram.  record() is three plain adds,
 /// cheap enough for per-packet latency samples.  Bucket 0 holds the value
 /// 0; bucket i (1..64) holds values whose bit width is i, i.e.
 /// [2^(i-1), 2^i - 1].  Values are unit-free; by convention the metric
@@ -119,26 +111,22 @@ class Histogram {
   }
 
   SRP_HOT_PATH void record(std::uint64_t value) {
-    counts_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    ++counts_[bucket_of(value)];
+    sum_ += value;
+    ++count_;
   }
 
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] std::uint64_t sum() const { return sum_; }
   [[nodiscard]] std::uint64_t p50() const { return snapshot().p50(); }
   [[nodiscard]] std::uint64_t p99() const { return snapshot().p99(); }
 
   [[nodiscard]] HistogramSnapshot snapshot() const;
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
 };
 
 /// Every metric of one registry, copied at one instant.  The maps are

@@ -1,6 +1,7 @@
 #include "viper/codec.hpp"
 
 #include <array>
+#include <optional>
 
 #include "check/analysis.hpp"
 #include "check/contract.hpp"
@@ -58,30 +59,25 @@ wire::Bytes decode_field(wire::Reader& r, std::uint8_t length_byte) {
   return r.bytes(len);
 }
 
-/// decode_field without the copy: same framing rules (big-endian u32
-/// length escape), returns a view over @p base.  Raw-pointer twin of the
-/// Reader-based decode_field so the per-hop decode pays one bounds check
-/// per field instead of one per byte.
-std::span<const std::uint8_t> decode_field_view_raw(
+/// decode_field without the copy or the throw: same framing rules
+/// (big-endian u32 length escape), returns a view over @p base, or nullopt
+/// where decode_field throws.  Raw-pointer twin of the Reader-based
+/// decode_field so the per-hop parse pays one bounds check per field
+/// instead of one per byte.
+std::optional<std::span<const std::uint8_t>> frame_field(
     const std::uint8_t* base, std::size_t avail, std::size_t& pos,
-    std::uint8_t length_byte) {
+    std::uint8_t length_byte) noexcept {
   std::size_t len = length_byte;
   if (length_byte == kLengthEscape) {
-    if (avail - pos < 4) {
-      throw wire::CodecError("VIPER: truncated field length");
-    }
+    if (avail - pos < 4) return std::nullopt;
     len = static_cast<std::size_t>(base[pos]) << 24 |
           static_cast<std::size_t>(base[pos + 1]) << 16 |
           static_cast<std::size_t>(base[pos + 2]) << 8 |
           static_cast<std::size_t>(base[pos + 3]);
     pos += 4;
-    if (len <= 254) {
-      throw wire::CodecError("VIPER: escaped length not > 254");
-    }
+    if (len <= 254) return std::nullopt;
   }
-  if (avail - pos < len) {
-    throw wire::CodecError("VIPER: truncated field");
-  }
+  if (avail - pos < len) return std::nullopt;
   const std::span<const std::uint8_t> view{base + pos, len};
   pos += len;
   return view;
@@ -148,19 +144,14 @@ SRP_HOT_PATH core::HeaderSegment decode_segment(wire::Reader& r) {
   return seg;
 }
 
-SRP_HOT_PATH SegmentView decode_segment_view(
-    std::span<const std::uint8_t> bytes, std::size_t offset) {
-  if (offset > bytes.size()) {
-    throw wire::CodecError("VIPER: segment offset out of range");
-  }
+SRP_HOT_PATH std::optional<SegmentView> parse_segment(
+    std::span<const std::uint8_t> bytes, std::size_t offset) noexcept {
   // Raw-pointer parse: the fixed prefix is validated with one bounds
   // check and each field with one more, instead of the Reader's check
   // per byte — this is the entry point of every router hop.
+  if (offset > bytes.size() || bytes.size() - offset < 4) return std::nullopt;
   const std::uint8_t* base = bytes.data() + offset;
   const std::size_t avail = bytes.size() - offset;
-  if (avail < 4) {
-    throw wire::CodecError("VIPER: truncated segment prefix");
-  }
   const std::uint8_t info_len = base[0];
   const std::uint8_t token_len = base[1];
   SegmentView v;
@@ -170,8 +161,12 @@ SRP_HOT_PATH SegmentView decode_segment_view(
   v.tos.priority = fp & 0x0F;
   v.tos.drop_if_blocked = v.flags.dib;
   std::size_t pos = 4;
-  v.token = decode_field_view_raw(base, avail, pos, token_len);
-  v.port_info = decode_field_view_raw(base, avail, pos, info_len);
+  const auto token = frame_field(base, avail, pos, token_len);
+  if (!token) return std::nullopt;
+  const auto port_info = frame_field(base, avail, pos, info_len);
+  if (!port_info) return std::nullopt;
+  v.token = *token;
+  v.port_info = *port_info;
   v.wire_size = pos;
   // Same consumption arithmetic as decode_segment — computed before the
   // VNT padding discard below, which empties the view but not the wire.
@@ -182,6 +177,13 @@ SRP_HOT_PATH SegmentView decode_segment_view(
     v.port_info = {};
   }
   return v;
+}
+
+SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
+                                std::size_t offset) {
+  const std::optional<SegmentView> v = parse_segment(bytes, offset);
+  if (!v) throw wire::CodecError("VIPER: malformed segment");
+  return *v;
 }
 
 core::HeaderSegment to_segment(const SegmentView& view) {
@@ -246,14 +248,10 @@ bool reverse_trailer_in_place(std::span<std::uint8_t> trailer,
   std::size_t offset = 0;
   while (offset < trailer.size()) {
     if (count == sizes.size()) return false;
-    std::size_t segment_size = 0;
-    try {
-      segment_size = decode_segment_view(trailer, offset).wire_size;
-    } catch (const wire::CodecError&) {
-      return false;
-    }
-    sizes[count++] = segment_size;
-    offset += segment_size;
+    const std::optional<SegmentView> entry = parse_segment(trailer, offset);
+    if (!entry) return false;
+    sizes[count++] = entry->wire_size;
+    offset += entry->wire_size;
   }
   SIRPENT_INVARIANT(offset == trailer.size());
   core::reverse_records_in_place(trailer, std::span(sizes).first(count));
@@ -305,6 +303,38 @@ wire::Bytes encode_packet(const core::SourceRoute& route,
   wire::Writer w(packet_wire_size(route, data.size()));
   encode_packet(w, route, data);
   return std::move(w).take();
+}
+
+SRP_HOT_PATH std::optional<BodyView> parse_body(
+    std::span<const std::uint8_t> body) noexcept {
+  if (body.size() < 2) return std::nullopt;
+  const std::size_t data_len = static_cast<std::size_t>(body[0]) << 8 |
+                               static_cast<std::size_t>(body[1]);
+  const std::span<const std::uint8_t> rest = body.subspan(2);
+  BodyView v;
+  if (rest.size() < data_len) {
+    // Cut short in flight: a trailing 4-byte segment with the TRM flag is
+    // the mark the truncating router appended; anything else is data.
+    v.data = rest;
+    if (rest.size() >= 4) {
+      const auto mark = parse_segment(rest, rest.size() - 4);
+      if (mark && mark->flags.trm) {
+        v.data = rest.first(rest.size() - 4);
+        v.trailer = rest.last(4);
+        v.trailer_segments = 1;
+      }
+    }
+    return v;
+  }
+  v.data = rest.first(data_len);
+  v.trailer = rest.subspan(data_len);
+  for (std::size_t offset = 0; offset < v.trailer.size();
+       ++v.trailer_segments) {
+    const std::optional<SegmentView> entry = parse_segment(v.trailer, offset);
+    if (!entry) return std::nullopt;
+    offset += entry->wire_size;
+  }
+  return v;
 }
 
 DeliveredBody decode_delivered_body(wire::Reader& r) {

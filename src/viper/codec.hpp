@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "core/segment.hpp"
@@ -77,9 +78,15 @@ struct SegmentView {
 /// The owning segment equal to @p view (fields copied out of the buffer).
 core::HeaderSegment to_segment(const SegmentView& view);
 
-/// Decodes the segment starting at @p offset of @p bytes without copying
-/// its fields.  Byte-for-byte the same acceptance rules as decode_segment;
-/// throws wire::CodecError on malformed input.  Allocation-free.
+/// Parses the segment starting at @p offset of @p bytes without copying
+/// its fields: nullopt where decode_segment would throw, otherwise the same
+/// fields and wire size.  Allocation-free and throw-free — the one parser
+/// of the router and host per-packet paths.
+std::optional<SegmentView> parse_segment(std::span<const std::uint8_t> bytes,
+                                         std::size_t offset) noexcept;
+
+/// parse_segment for callers that want an exception: throws
+/// wire::CodecError on malformed input.
 SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
                                 std::size_t offset);
 
@@ -96,7 +103,7 @@ void append_segment_raw(wire::Bytes& out, std::uint8_t port,
 
 /// Reverses the order of the trailer segments inside @p trailer *in place*
 /// (segment reversal is length-preserving, so no copy is needed): walks
-/// the segment sizes with decode_segment_view, then rotates the records
+/// the segment sizes with parse_segment, then rotates the records
 /// with core::reverse_records_in_place.  Returns false — leaving the
 /// buffer unchanged — if the bytes do not parse as a whole number of
 /// segments or there are more than 2 * core::kMaxSegments of them.  On
@@ -127,6 +134,20 @@ void encode_packet(wire::Writer& w, const core::SourceRoute& route,
 wire::Bytes encode_packet(const core::SourceRoute& route,
                           std::span<const std::uint8_t> data);
 
+/// [DataLen][Data][Trailer...] as views into the packet buffer.
+struct BodyView {
+  std::span<const std::uint8_t> data;
+  std::span<const std::uint8_t> trailer;  ///< whole segments, raw order
+  std::size_t trailer_segments = 0;
+};
+
+/// Parses the bytes remaining after the local segment without copying:
+/// nullopt exactly where decode_delivered_body throws, otherwise the same
+/// data and the same trailer segments (a trailer that parses segment by
+/// segment with parse_segment; on a truncated image the recovered TRM
+/// mark, if any).  Throw-free.
+std::optional<BodyView> parse_body(std::span<const std::uint8_t> body) noexcept;
+
 /// What an end host sees after consuming the final (local) segment.
 struct DeliveredBody {
   wire::Bytes data;
@@ -136,7 +157,8 @@ struct DeliveredBody {
 /// Parses [DataLen][Data][Trailer...] — the bytes remaining after the local
 /// segment has been decoded.  If the packet was truncated in flight the
 /// data may be short; `data` then contains what arrived and the TRM mark
-/// (if it survived) is in `trailer`.
+/// (if it survived) is in `trailer`.  The copying reference parse_body is
+/// held to; the data path does not call it.
 DeliveredBody decode_delivered_body(wire::Reader& r);
 
 /// Stable 64-bit digest of a source route's *path* — per-segment port,

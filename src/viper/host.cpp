@@ -136,90 +136,73 @@ SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
   sim_.at(arrival.tail, [this, arrival] { process(arrival); });
 }
 
-bool ViperHost::take_reversed_body(std::span<const std::uint8_t> body,
-                                   Delivery& delivery, bool& truncation_mark,
-                                   std::size_t& telemetry_errors) {
-  if (body.size() < 2) return false;
-  const std::size_t data_len = static_cast<std::size_t>(body[0]) << 8 |
-                               static_cast<std::size_t>(body[1]);
-  if (body.size() - 2 < data_len) return false;  // truncated in flight
-  const std::span<const std::uint8_t> trailer = body.subspan(2 + data_len);
-  trailer_scratch_.assign(trailer.begin(), trailer.end());
-  std::size_t count = 0;
-  if (!reverse_trailer_in_place(trailer_scratch_, &count)) return false;
-
-  const std::span<const std::uint8_t> data = body.subspan(2, data_len);
-  delivery.data.assign(data.begin(), data.end());
-  // The entries come out in return order: the route is the trailer's
-  // legal segments, then the local segment, RPF set on all.
-  std::vector<core::HeaderSegment>& segments = delivery.return_route.segments;
-  segments.reserve(count + 1);
-  for (std::size_t offset = 0; offset < trailer_scratch_.size();) {
-    const SegmentView entry = decode_segment_view(trailer_scratch_, offset);
-    offset += entry.wire_size;
-    if (entry.is_telemetry_record()) {
-      // Hop order — not trailer position — orders the path (sorted by the
-      // caller), so newest-first records reconstruct it the same.
-      add_postcard(delivery.path, entry.port_info, telemetry_errors);
-    } else if (entry.flags.trm) {
-      truncation_mark = true;
-    } else {
-      segments.push_back(to_segment(entry));
-    }
-  }
-  core::HeaderSegment local;
-  local.port = core::kLocalPort;
-  local.flags.vnt = true;
-  segments.push_back(std::move(local));
-  delivery.return_route.set_rpf();
-  return true;
-}
-
 void ViperHost::process(const net::Arrival& arrival) {
   const net::Packet& packet = *arrival.packet;
   const std::span<const std::uint8_t> bytes = packet.bytes;
-  std::optional<net::EthernetHeader> link;
-  std::optional<std::uint64_t> endpoint;
-  Delivery delivery;
-  bool truncation_mark = false;
-  std::size_t telemetry_decode_errors = 0;
-  try {
-    wire::Reader r(bytes);
-    if (port_kind(arrival.in_port) == PortKind::kLan) {
-      link = net::EthernetHeader::decode(r);
-    }
-    const SegmentView local_seg = decode_segment_view(bytes, r.position());
-    if (local_seg.port != core::kLocalPort || !local_seg.is_legal()) {
-      ++stats_.misrouted;
-      return;
-    }
-    endpoint = decode_endpoint_id(local_seg.port_info);
-    const std::span<const std::uint8_t> body =
-        bytes.subspan(r.position() + local_seg.wire_size);
-    if (!take_reversed_body(body, delivery, truncation_mark,
-                            telemetry_decode_errors)) {
-      // Cut short in flight, or a trailer that does not parse: the
-      // copying decode recovers what arrived, and a surviving TRM mark.
-      wire::Reader rest(body);
-      DeliveredBody fallback = decode_delivered_body(rest);
-      core::TrailerInfo trailer =
-          core::classify_trailer(std::move(fallback.trailer));
-      delivery.data = std::move(fallback.data);
-      for (const core::HeaderSegment& rec : trailer.telemetry) {
-        add_postcard(delivery.path, rec.port_info, telemetry_decode_errors);
-      }
-      delivery.return_route = core::build_return_route(trailer.entries);
-      truncation_mark = trailer.truncated;
-    }
-  } catch (const wire::CodecError&) {
+  const auto drop_malformed = [&] {
     ++stats_.dropped_malformed;
     // A marked packet too damaged to parse still carries its postcard:
     // the last telemetry record names where it was last intact.
     if (packet.telemetry && collector_ != nullptr) {
       collector_->on_malformed_arrival(packet.bytes);
     }
+  };
+  std::optional<net::EthernetHeader> link;
+  std::size_t offset = 0;
+  if (port_kind(arrival.in_port) == PortKind::kLan) {
+    if (bytes.size() < net::EthernetHeader::kWireSize) {
+      drop_malformed();
+      return;
+    }
+    wire::Reader r(bytes.first(net::EthernetHeader::kWireSize));
+    link = net::EthernetHeader::decode(r);
+    offset = net::EthernetHeader::kWireSize;
+  }
+  const std::optional<SegmentView> local_seg = parse_segment(bytes, offset);
+  if (!local_seg) {
+    drop_malformed();
     return;
   }
+  if (local_seg->port != core::kLocalPort || !local_seg->is_legal()) {
+    ++stats_.misrouted;
+    return;
+  }
+  const std::optional<std::uint64_t> endpoint =
+      decode_endpoint_id(local_seg->port_info);
+  const std::optional<BodyView> body =
+      parse_body(bytes.subspan(offset + local_seg->wire_size));
+  if (!body) {
+    drop_malformed();
+    return;
+  }
+
+  Delivery delivery;
+  delivery.data.assign(body->data.begin(), body->data.end());
+  // The return route is the trailer's legal entries reversed, then the
+  // local segment, RPF set on all; truncation marks and telemetry records
+  // are filtered out as the trailer is walked.
+  std::vector<core::HeaderSegment>& segments = delivery.return_route.segments;
+  segments.reserve(body->trailer_segments + 1);
+  bool truncation_mark = false;
+  std::size_t telemetry_decode_errors = 0;
+  for (std::size_t at = 0; at < body->trailer.size();) {
+    // parse_body has validated every trailer segment.
+    const SegmentView entry = *parse_segment(body->trailer, at);
+    at += entry.wire_size;
+    if (entry.is_telemetry_record()) {
+      add_postcard(delivery.path, entry.port_info, telemetry_decode_errors);
+    } else if (entry.flags.trm) {
+      truncation_mark = true;
+    } else {
+      segments.push_back(to_segment(entry));
+    }
+  }
+  std::reverse(segments.begin(), segments.end());
+  core::HeaderSegment local;
+  local.port = core::kLocalPort;
+  local.flags.vnt = true;
+  segments.push_back(std::move(local));
+  delivery.return_route.set_rpf();
 
   if (endpoint.has_value() && *endpoint == kControlEndpoint) {
     ++stats_.control_received;
@@ -229,6 +212,9 @@ void ViperHost::process(const net::Arrival& arrival) {
     return;
   }
 
+  // Hop number — not trailer position — orders the path; the records
+  // enter the sort newest first.
+  std::reverse(delivery.path.begin(), delivery.path.end());
   std::sort(delivery.path.begin(), delivery.path.end(),
             [](const obs::HopTelemetry& a, const obs::HopTelemetry& b) {
               return a.hop < b.hop;

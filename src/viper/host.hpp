@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/segment.hpp"
-#include "core/trailer.hpp"
 #include "flow/telemetry_mark.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
@@ -126,18 +125,6 @@ class ViperHost : public net::PortedNode {
  private:
   void process(const net::Arrival& arrival);
 
-  /// Parses [DataLen][Data][Trailer] into @p delivery: the data, and the
-  /// return route built from the trailer reversed *in place* on
-  /// trailer_scratch_ — one vector sized from the reversal's segment
-  /// count, truncation marks and telemetry records filtered out as it
-  /// fills, entries already in return order.  Returns false, leaving
-  /// @p delivery untouched, when the data was cut short in flight or the
-  /// trailer does not parse as whole segments; the caller then falls back
-  /// to decode_delivered_body.
-  bool take_reversed_body(std::span<const std::uint8_t> body,
-                          Delivery& delivery, bool& truncation_mark,
-                          std::size_t& telemetry_errors);
-
   net::PacketFactory& packets_;
   std::vector<PortKind> port_kinds_;
   std::map<std::uint64_t, Handler> endpoints_;
@@ -155,10 +142,6 @@ class ViperHost : public net::PortedNode {
   // Path-telemetry wiring (set_path_telemetry); both null/empty = off.
   obs::PathCollector* collector_ = nullptr;
   std::optional<flow::TelemetryMarker> marker_;
-
-  /// Reused trailer image for the in-place reversal; capacity survives
-  /// across deliveries so the steady state re-allocates nothing.
-  wire::Bytes trailer_scratch_;
 };
 
 }  // namespace srp::viper

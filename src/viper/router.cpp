@@ -27,36 +27,12 @@ constexpr std::size_t kRewriteSlack = 8 + 4 + obs::kHopTelemetryWire;
 
 /// Port field of the packet's next segment, or 0 when the remainder does
 /// not start with a routable segment (e.g. it is the DataLen of a locally
-/// terminating packet).  Used only as the congestion flow key.
-///
-/// Reads the fixed 4-byte prefix and *skips* the variable fields instead
-/// of materializing them the way decode_segment would — this runs once
-/// per forward, and srp-lint's hot-path pass budget assumes it stays
-/// allocation-free.
+/// terminating packet).  Used only as the congestion flow key; the same
+/// parse as every hop's, so "parses here" agrees with "parses downstream".
 SRP_HOT_PATH std::uint8_t peek_next_port(std::span<const std::uint8_t> bytes,
                                          std::size_t offset) {
-  if (offset >= bytes.size()) return 0;
-  wire::Reader r{bytes.subspan(offset)};
-  try {
-    const std::uint8_t info_len = r.u8();
-    const std::uint8_t token_len = r.u8();
-    const std::uint8_t port = r.u8();
-    const std::uint8_t flags = static_cast<std::uint8_t>(r.u8() >> 4);
-    // Mirror decode_field's framing exactly (length-escape rules and
-    // bounds) so "parses here" agrees with "parses downstream".
-    for (const std::uint8_t length_byte : {token_len, info_len}) {
-      std::size_t len = length_byte;
-      if (length_byte == 255) {
-        len = r.u32();
-        if (len <= 254) return 0;
-      }
-      r.skip(len);
-    }
-    const bool legal = (flags & kFlagTrm) == 0;
-    return legal ? port : 0;
-  } catch (const wire::CodecError&) {
-    return 0;
-  }
+  const std::optional<SegmentView> next = parse_segment(bytes, offset);
+  return next && next->is_legal() ? next->port : 0;
 }
 
 wire::Bytes encode_endpoint_id(std::uint64_t id) {
@@ -213,11 +189,9 @@ SRP_HOT_PATH bool ViperRouter::parse_front(const net::Arrival& arrival,
     front.return_port = ingress.tunnel_port;
     front.return_info = ingress.tunnel_info;
   }
-  try {
-    front.segment = decode_segment_view(bytes, offset);
-  } catch (const wire::CodecError&) {
-    return false;
-  }
+  const std::optional<SegmentView> segment = parse_segment(bytes, offset);
+  if (!segment) return false;
+  front.segment = *segment;
   front.consumed = offset + front.segment.wire_size;
   return true;
 }
@@ -299,15 +273,16 @@ SRP_HOT_PATH void ViperRouter::route(const net::Arrival& arrival,
 
 void ViperRouter::branch_tree(const net::Arrival& arrival, const Front& front,
                               std::span<const std::uint8_t> bytes) {
-  std::vector<wire::Bytes> branches;
-  try {
-    branches = core::decode_tree_info(front.segment.port_info);
-  } catch (const wire::CodecError&) {
+  // The whole block is validated before the first copy: a malformed one
+  // emits none.
+  const std::optional<core::TreeView> tree =
+      core::TreeView::parse(front.segment.port_info);
+  if (!tree) {
     ++stats_.dropped_malformed;
     return;
   }
   const std::span<const std::uint8_t> rest = bytes.subspan(front.consumed);
-  for (const auto& blob : branches) {
+  for (const std::span<const std::uint8_t> blob : *tree) {
     ++stats_.tree_copies;
     wire::Bytes copy;
     copy.reserve(blob.size() + rest.size());
@@ -325,15 +300,16 @@ void ViperRouter::deliver_control(const net::Arrival& arrival,
     ++stats_.dropped_no_port;
     return;
   }
-  try {
-    wire::Reader r{bytes.subspan(front.consumed)};
-    DeliveredBody body = decode_delivered_body(r);
-    ++stats_.delivered_control;
-    control_handler_(to_segment(front.segment), std::move(body.data),
-                     arrival.in_port);
-  } catch (const wire::CodecError&) {
+  const std::optional<BodyView> body =
+      parse_body(bytes.subspan(front.consumed));
+  if (!body) {
     ++stats_.dropped_malformed;
+    return;
   }
+  ++stats_.delivered_control;
+  control_handler_(to_segment(front.segment),
+                   wire::Bytes(body->data.begin(), body->data.end()),
+                   arrival.in_port);
 }
 
 SRP_HOT_PATH void ViperRouter::append_rewrite(

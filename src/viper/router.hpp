@@ -32,7 +32,6 @@
 #include "core/multicast.hpp"
 #include "check/analysis.hpp"
 #include "core/segment.hpp"
-#include "core/trailer.hpp"
 #include "net/arena.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
@@ -84,9 +83,8 @@ struct LogicalPort {
 
 /// Port field of the packet's next segment starting at @p offset, or 0
 /// when the remainder does not start with a routable segment.  The
-/// cut-through fast path: reads the fixed 4-byte prefix and skips the
-/// variable fields without materializing them, so it is allocation-free
-/// (pinned by tests/alloc_budget_test.cpp).
+/// cut-through fast path: one parse_segment, whose fields are views, so it
+/// is allocation-free (pinned by tests/alloc_budget_test.cpp).
 SRP_HOT_PATH std::uint8_t peek_next_port(std::span<const std::uint8_t> bytes,
                                          std::size_t offset);
 

@@ -15,7 +15,6 @@
 // nearly so.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,10 +29,10 @@
 
 namespace {
 
-std::atomic<std::uint64_t> g_allocations{0};
+std::uint64_t g_allocations = 0;
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocations;
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -45,11 +44,11 @@ void* counted_alloc(std::size_t size) {
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocations;
   return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocations;
   return std::malloc(size ? size : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -70,7 +69,7 @@ using test::line_route;
 using test::pattern_bytes;
 
 std::uint64_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
+  return g_allocations;
 }
 
 /// Steady-state allocations per packet across a 2-router line, measured

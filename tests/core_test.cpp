@@ -107,15 +107,37 @@ TEST(Multicast, TreeInfoRoundTrip) {
   const std::vector<wire::Bytes> branches{{1, 2, 3}, {4, 5}, {}};
   const wire::Bytes info = encode_tree_info(branches);
   EXPECT_TRUE(is_tree_info(info));
-  EXPECT_EQ(decode_tree_info(info), branches);
+  const std::optional<TreeView> tree = TreeView::parse(info);
+  ASSERT_TRUE(tree.has_value());
+  std::vector<wire::Bytes> seen;
+  for (const std::span<const std::uint8_t> branch : *tree) {
+    // Each branch is a view into the block, not a copy.
+    EXPECT_GE(branch.data(), info.data());
+    EXPECT_LE(branch.data() + branch.size(), info.data() + info.size());
+    seen.emplace_back(branch.begin(), branch.end());
+  }
+  EXPECT_EQ(seen, branches);
 }
 
 TEST(Multicast, TreeInfoRejectsBadInput) {
   EXPECT_THROW(encode_tree_info({}), wire::CodecError);
   wire::Bytes not_tree{0x00, 0x01};
   EXPECT_FALSE(is_tree_info(not_tree));
+  EXPECT_FALSE(TreeView::parse(not_tree).has_value());
   wire::Bytes bad{kTreeInfoTag, 2, 0, 5, 1};  // claims 5 bytes, has 1
-  EXPECT_THROW(decode_tree_info(bad), wire::CodecError);
+  EXPECT_FALSE(TreeView::parse(bad).has_value());
+  // A well-formed first branch does not rescue a short second one.
+  wire::Bytes short_second{kTreeInfoTag, 2, 0, 1, 7, 0};
+  EXPECT_FALSE(TreeView::parse(short_second).has_value());
+  wire::Bytes trailing{kTreeInfoTag, 1, 0, 1, 7, 9};  // one byte after
+  EXPECT_FALSE(TreeView::parse(trailing).has_value());
+  wire::Bytes tag_only{kTreeInfoTag};
+  EXPECT_FALSE(TreeView::parse(tag_only).has_value());
+  // Zero branches is a legal (empty) block.
+  wire::Bytes none{kTreeInfoTag, 0};
+  const std::optional<TreeView> empty = TreeView::parse(none);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->begin(), empty->end());
 }
 
 TEST(Multicast, AgentPayloadRoundTrip) {

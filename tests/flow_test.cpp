@@ -229,26 +229,6 @@ TEST(FlowPlane, ScopedSharesObserverByName) {
   EXPECT_EQ(observers[1]->name(), "r2");
 }
 
-TEST(FlowObserver, FeedersTowardFiltersByPortAndTime) {
-  flow::FlowPlane plane;
-  obs::FlowSink& sink = plane.scoped("r1");
-  sink.on_forward(sample_of(1, 100, 10, /*in=*/1, /*out=*/3));
-  sink.on_forward(sample_of(2, 100, 20, /*in=*/2, /*out=*/3));
-  sink.on_forward(sample_of(3, 100, 30, /*in=*/4, /*out=*/5));
-
-  std::vector<int> feeders;
-  sink.feeders_toward(3, 0, feeders);
-  EXPECT_EQ(feeders, (std::vector<int>{1, 2}));
-
-  feeders.clear();
-  sink.feeders_toward(3, 15, feeders);  // port 1's traffic is older
-  EXPECT_EQ(feeders, (std::vector<int>{2}));
-
-  feeders.clear();
-  sink.feeders_toward(5, 0, feeders);
-  EXPECT_EQ(feeders, (std::vector<int>{4}));
-}
-
 TEST(FlowPlane, AccountRollupSumsObservers) {
   flow::FlowPlane plane;
   plane.scoped("r1").on_charge(7, 100);
@@ -452,12 +432,6 @@ TEST(FlowEndToEnd, RoutersAccountFlowsByRouteAndAccount) {
     ASSERT_EQ(top.size(), 1u);
     EXPECT_EQ(top[0].key.account, 42u);
     EXPECT_EQ(top[0].packets, static_cast<std::uint64_t>(kPackets) - 1);
-
-    // The router's feeder aggregates answer the congestion question: who
-    // feeds port 2?  Port 1 (the upstream side of the line).
-    std::vector<int> feeders;
-    observer->feeders_toward(2, 0, feeders);
-    EXPECT_EQ(feeders, (std::vector<int>{1}));
   }
 
   // Per-account roll-up reconciles exactly with the ledger.

@@ -18,10 +18,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "core/trailer.hpp"
 #include "sim/random.hpp"
 #include "viper/codec.hpp"
+#include "viper/router.hpp"
 
 namespace srp::viper {
 namespace {
@@ -255,6 +257,196 @@ TEST(FuzzCodec, ReencodeIsCanonical) {
     ASSERT_EQ(w1.view(), w2.view());
   }
   EXPECT_GT(decoded, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Differential campaigns: the throw-free view parser (parse_segment,
+// parse_body, peek_next_port) against the copying reference (decode_segment,
+// decode_delivered_body) on structured, mutated and byte-soup inputs, at
+// every offset of every input.
+// ---------------------------------------------------------------------------
+
+/// A few trailer entries of every kind a router appends: return entries,
+/// truncation marks and telemetry records (empty or full-size payloads).
+void append_random_trailer(sim::Rng& rng, wire::Bytes& out) {
+  wire::Writer w;
+  const std::size_t n = rng.uniform_int(0, 4);
+  for (std::size_t i = 0; i < n; ++i) {
+    core::HeaderSegment seg;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        seg = random_segment(rng, false);
+        break;
+      case 1:
+        seg = core::HeaderSegment::truncation_marker();
+        break;
+      default:
+        seg.port = core::kTelemetryPort;
+        seg.flags.trm = true;
+        seg.port_info = random_bytes(rng, rng.chance(0.5) ? 0 : 32);
+        break;
+    }
+    encode_segment(w, seg);
+  }
+  out.insert(out.end(), w.view().begin(), w.view().end());
+}
+
+/// Damages @p packet the ways campaign 2 does: a bit flip, a forced length
+/// escape, a cut anywhere, a spliced random tail or a burst.
+void mutate(sim::Rng& rng, wire::Bytes& packet) {
+  if (packet.empty()) return;
+  const std::size_t at = rng.uniform_int(0, packet.size() - 1);
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      packet[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+      break;
+    case 1:
+      packet[at] = 255;
+      break;
+    case 2:
+      packet.resize(at);
+      break;
+    case 3: {
+      const wire::Bytes tail = random_bytes(rng, rng.uniform_int(0, 64));
+      packet.resize(at);
+      packet.insert(packet.end(), tail.begin(), tail.end());
+      break;
+    }
+    default: {
+      const std::size_t end =
+          std::min(packet.size(), at + rng.uniform_int(1, 16));
+      for (std::size_t i = at; i < end; ++i) {
+        packet[i] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      }
+      break;
+    }
+  }
+}
+
+/// A structured packet: a random route, data and a random trailer.
+wire::Bytes structured_packet(sim::Rng& rng) {
+  core::SourceRoute route = random_route(rng);
+  const wire::Bytes data = random_bytes(rng, rng.uniform_int(0, 64));
+  wire::Bytes packet;
+  try {
+    packet = encode_packet(route, data);
+  } catch (const wire::CodecError&) {
+    return {};  // oversize route: legitimate encode rejection
+  }
+  append_random_trailer(rng, packet);
+  return packet;
+}
+
+/// parse_segment, peek_next_port and parse_body at every offset of
+/// @p bytes (and one past the end) agree with the copying decoders.
+void expect_views_match_reference(const wire::Bytes& bytes) {
+  const std::span<const std::uint8_t> all = bytes;
+  for (std::size_t offset = 0; offset <= bytes.size() + 1; ++offset) {
+    SCOPED_TRACE(offset);
+    std::optional<core::HeaderSegment> ref;
+    std::size_t ref_size = 0;
+    std::optional<DeliveredBody> ref_body;
+    if (offset <= bytes.size()) {
+      wire::Reader r(all.subspan(offset));
+      try {
+        ref = decode_segment(r);
+        ref_size = r.position();
+      } catch (const wire::CodecError&) {
+      }
+      wire::Reader rb(all.subspan(offset));
+      try {
+        ref_body = decode_delivered_body(rb);
+      } catch (const wire::CodecError&) {
+      }
+    }
+
+    const std::optional<SegmentView> view = parse_segment(bytes, offset);
+    ASSERT_EQ(view.has_value(), ref.has_value());
+    if (view) {
+      EXPECT_EQ(to_segment(*view), *ref);
+      EXPECT_EQ(view->wire_size, ref_size);
+      EXPECT_EQ(view->is_legal(), ref->is_legal());
+      EXPECT_EQ(view->is_telemetry_record(), ref->is_telemetry_record());
+    }
+    EXPECT_EQ(peek_next_port(bytes, offset),
+              ref && ref->is_legal() ? ref->port : 0);
+
+    if (offset > bytes.size()) continue;
+    const std::optional<BodyView> body = parse_body(all.subspan(offset));
+    ASSERT_EQ(body.has_value(), ref_body.has_value());
+    if (!body) continue;
+    EXPECT_EQ(wire::Bytes(body->data.begin(), body->data.end()),
+              ref_body->data);
+    std::vector<core::HeaderSegment> trailer;
+    for (std::size_t at = 0; at < body->trailer.size();) {
+      const std::optional<SegmentView> entry =
+          parse_segment(body->trailer, at);
+      ASSERT_TRUE(entry.has_value());
+      trailer.push_back(to_segment(*entry));
+      at += entry->wire_size;
+    }
+    EXPECT_EQ(trailer, ref_body->trailer);
+    EXPECT_EQ(body->trailer_segments, ref_body->trailer.size());
+  }
+}
+
+TEST(FuzzCodecDifferential, StructuredPacketsMatchReference) {
+  sim::Rng rng(0xF0226);
+  for (int iter = 0; iter < 100; ++iter) {
+    SCOPED_TRACE(iter);
+    expect_views_match_reference(structured_packet(rng));
+  }
+}
+
+TEST(FuzzCodecDifferential, MutatedPacketsMatchReference) {
+  sim::Rng rng(0xF0227);
+  for (int iter = 0; iter < 400; ++iter) {
+    SCOPED_TRACE(iter);
+    wire::Bytes packet = structured_packet(rng);
+    mutate(rng, packet);
+    expect_views_match_reference(packet);
+  }
+}
+
+TEST(FuzzCodecDifferential, ByteSoupMatchesReference) {
+  sim::Rng rng(0xF0228);
+  for (int iter = 0; iter < 800; ++iter) {
+    SCOPED_TRACE(iter);
+    const std::size_t len =
+        rng.chance(0.5) ? rng.uniform_int(0, 16) : rng.uniform_int(0, 128);
+    expect_views_match_reference(random_bytes(rng, len));
+  }
+}
+
+// Hand-picked edges of the framing: every escape boundary, a truncated
+// escape, and the smallest legal segment.
+TEST(FuzzCodecDifferential, FramingEdgesMatchReference) {
+  const std::vector<wire::Bytes> cases = {
+      {},
+      {0, 0, 7},
+      {0, 0, 7, 0x30},                        // smallest segment
+      {255, 0, 7, 0, 0, 0, 0, 254},           // escape with length <= 254
+      {255, 0, 7, 0, 0, 0},                   // truncated escape
+      {0, 255, 7, 0, 0, 0, 1, 0},             // escaped token, no bytes
+      {1, 0, 7, 0x80, 9},                     // VNT padding discarded
+      {1, 0, 7, 0x90, 9},                     // VNT + TRM keeps port_info
+      {0, 0, 0, 0x10},                        // a truncation mark
+      {0, 2, 5, 0xF0, 1},                     // token cut short
+  };
+  for (const wire::Bytes& bytes : cases) expect_views_match_reference(bytes);
+  // An escaped length of 254 is rejected even when 254 octets follow.
+  wire::Bytes short_escape{255, 0, 7, 0, 0, 0, 0, 254};
+  short_escape.resize(short_escape.size() + 254, 0xAB);
+  ASSERT_FALSE(parse_segment(short_escape, 0).has_value());
+  expect_views_match_reference(short_escape);
+  // A field longer than 254 octets uses the escape on the wire.
+  core::HeaderSegment big;
+  big.port = 9;
+  big.token = wire::Bytes(300, 0xAB);
+  big.port_info = wire::Bytes(255, 0xCD);
+  wire::Writer w;
+  encode_segment(w, big);
+  expect_views_match_reference(std::move(w).take());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // srp-lint fixture: every construct here must be flagged by the
 // determinism pass.  Never compiled — consumed by srp_lint.py
 // --self-test only.
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <random>
@@ -47,6 +48,9 @@ class BadTable {
   std::unordered_map<std::uint64_t, std::uint64_t> index_;
   // 5. hashing a pointer value: addresses vary run to run.
   std::hash<BadTable*> hasher_;
+  // 8. an atomic: nothing is shared with another thread, so a counter is a
+  // plain integer.
+  std::atomic<std::uint64_t> hits_{0};
 };
 
 }  // namespace fixture
