@@ -1,10 +1,11 @@
 // Flow-accounting overhead on the router forward path.
 //
 // The flow plane rides the same cost contract as the rest of the obs
-// layer: ViperRouter resolves its scoped FlowSink once at set_observer()
-// time, so with no flow sink wired the per-forward price is one untaken
-// null-pointer branch.  Three end-to-end configurations of a one-router
-// line (src --- r1 --- dst), timing send + full drain per packet:
+// layer: ViperRouter resolves its scoped flow::FlowObserver once at
+// set_observer() time, so with no flow plane wired the per-forward price
+// is one untaken null-pointer branch.  Three end-to-end configurations of
+// a one-router line (src --- r1 --- dst), timing send + full drain per
+// packet:
 //
 //   no_observer   — nothing wired (the normal data path, baseline),
 //   obs_no_flow   — metrics + flight recorder wired but no flow plane:
@@ -14,7 +15,7 @@
 //
 // Plus a micro-benchmark of the FlowTable record() hot path itself.
 //
-// scripts/check_flow_overhead.py gates CI on obs_no_flow staying within
+// scripts/check_overhead.py flow gates CI on obs_no_flow staying within
 // a small multiple of no_observer.
 #include <benchmark/benchmark.h>
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "bench_util.hpp"
 #include "core/multicast.hpp"
@@ -191,12 +192,14 @@ McResult run_agent() {
   // Mechanism 3: a multicast agent near the core explodes the packet.
   constexpr std::uint64_t kAgentEndpoint = 0xA6E47;
   net.agent_host->bind(kAgentEndpoint, [&](const viper::Delivery& d) {
-    const core::AgentPayload payload = core::decode_agent_payload(d.data);
-    for (const auto& blob : payload.member_routes) {
+    const std::optional<core::AgentPayload> payload =
+        core::decode_agent_payload(d.data);
+    if (!payload) return;
+    for (const auto& blob : payload->member_routes) {
       wire::Reader r(blob);
       core::SourceRoute route;
       route.segments = viper::decode_segments(r);
-      net.agent_host->send(route, payload.data);
+      net.agent_host->send(route, payload->data);
     }
   });
   return measure(net, [&] {

@@ -21,8 +21,11 @@ on a path that should pay at most an untaken branch.
   health  bench_health_overhead: the send path with the health plane on;
           its tick runs on the sim clock, amortized at 10x the production
           window density.
+  fault   bench_fault_overhead: the enqueue path of a port a FaultEngine
+          attached with a plan whose lanes can never fire (attach() leaves
+          the port untouched, so it must match no hook at all).
 
-Usage: check_overhead.py {obs,flow,int,health} results.json
+Usage: check_overhead.py {obs,flow,int,health,fault} results.json
 """
 
 import argparse
@@ -48,6 +51,10 @@ GATES = {
     "health": [
         ("BM_FabricSendHealthEnabled", "BM_FabricSendNoHealth", 1.25,
          "health-plane data-path overhead"),
+    ],
+    "fault": [
+        ("BM_EnqueueEmptyPlan", "BM_EnqueueNoHook", 1.25,
+         "empty fault plan overhead"),
     ],
 }
 

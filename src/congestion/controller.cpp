@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 
 namespace srp::cc {
 
@@ -67,12 +66,6 @@ CongestionController::flow_snapshots() const {
   return out;  // flows_ is a std::map: already FlowKey-ordered
 }
 
-double CongestionController::granted_rate(const FlowKey& key) const {
-  const auto it = flows_.find(key);
-  return it == flows_.end() ? std::numeric_limits<double>::infinity()
-                            : it->second.rate_bps;
-}
-
 std::size_t CongestionController::held_packets() const {
   std::size_t n = 0;
   for (const auto& [key, flow] : flows_) n += flow.held.size();
@@ -126,7 +119,7 @@ bool CongestionController::shape(int out_port, std::uint8_t next_port,
   flow.out_port = out_port;
   schedule_release(key);
   if (flow.held_bytes > config_.backlog_watermark_bytes) {
-    report_backlog(key, flow);
+    report_backlog(flow);
   }
   return true;
 }
@@ -219,15 +212,8 @@ void CongestionController::report_port_congestion(int port_index) {
     // demand vanished.
     if (config_.feed_forward && ff_pressure > 0 &&
         monitor.last_share_bps > 0.0 && !monitor.last_feeders.empty()) {
-      const RateReport report{router_.router_id(),
-                              static_cast<std::uint8_t>(port_index),
-                              monitor.last_share_bps};
-      const wire::Bytes payload = encode_rate_report(report);
-      for (int feeder : monitor.last_feeders) {
-        router_.send_control(feeder, payload);
-        ++stats_.reports_sent;
-        if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
-      }
+      send_rate_report(port_index, monitor.last_share_bps,
+                       monitor.last_feeders);
     }
     return;
   }
@@ -245,22 +231,13 @@ void CongestionController::report_port_congestion(int port_index) {
   const double share = out.config().rate_bps * config_.target_utilization /
                        static_cast<double>(feeders.size());
   monitor.last_share_bps = share;
-  monitor.last_feeders.assign(feeders.begin(), feeders.end());
-  const RateReport report{router_.router_id(),
-                          static_cast<std::uint8_t>(port_index), share};
-  const wire::Bytes payload = encode_rate_report(report);
-  for (int feeder : feeders) {
-    router_.send_control(feeder, payload);
-    ++stats_.reports_sent;
-    if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
-  }
+  send_rate_report(port_index, share, feeders);
+  monitor.last_feeders = std::move(feeders);
 }
 
-void CongestionController::report_backlog(const FlowKey& key,
-                                          FlowState& flow) {
+void CongestionController::report_backlog(FlowState& flow) {
   // Recursive backpressure: our shaping queue for this flow is itself
   // congested, so grant our feeders shares of *our* granted rate.
-  (void)key;
   std::set<int> feeders;
   for (const auto& held : flow.held) {
     if (held.packet->last_in_port > 0) {
@@ -268,11 +245,15 @@ void CongestionController::report_backlog(const FlowKey& key,
     }
   }
   if (feeders.empty()) return;
-  const double share =
-      flow.rate_bps / static_cast<double>(feeders.size());
-  const RateReport report{router_.router_id(),
-                          static_cast<std::uint8_t>(flow.out_port), share};
-  const wire::Bytes payload = encode_rate_report(report);
+  send_rate_report(flow.out_port,
+                   flow.rate_bps / static_cast<double>(feeders.size()),
+                   feeders);
+}
+
+void CongestionController::send_rate_report(int port, double rate_bps,
+                                            const std::set<int>& feeders) {
+  const wire::Bytes payload = encode_rate_report(RateReport{
+      router_.router_id(), static_cast<std::uint8_t>(port), rate_bps});
   for (int feeder : feeders) {
     router_.send_control(feeder, payload);
     ++stats_.reports_sent;

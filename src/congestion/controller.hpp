@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "congestion/messages.hpp"
@@ -81,9 +82,6 @@ class CongestionController {
   /// traced packet is held by the shaper.
   void set_observer(const obs::Observer& observer);
 
-  /// Currently granted rate toward @p key; +inf when unlimited.
-  [[nodiscard]] double granted_rate(const FlowKey& key) const;
-
   /// Number of packets currently held by shaping queues.
   [[nodiscard]] std::size_t held_packets() const;
 
@@ -130,12 +128,16 @@ class CongestionController {
   void release_ready(const FlowKey& key);
   void flush(FlowState& flow);
   void report_port_congestion(int port_index);
-  void report_backlog(const FlowKey& key, FlowState& flow);
+  void report_backlog(FlowState& flow);
+  /// Grants each of @p feeders @p rate_bps toward this router's queue on
+  /// @p port: one RateReport, sent to every feeder and counted.
+  void send_rate_report(int port, double rate_bps,
+                        const std::set<int>& feeders);
 
   struct PortMonitor {
     std::uint64_t feedforward_seen = 0;  ///< sum over the current interval
     double last_share_bps = 0.0;         ///< most recent grant per feeder
-    std::vector<int> last_feeders;
+    std::set<int> last_feeders;
   };
 
   sim::Simulator& sim_;

@@ -57,16 +57,25 @@ wire::Bytes encode_agent_payload(const AgentPayload& payload) {
   return std::move(w).take();
 }
 
-AgentPayload decode_agent_payload(const wire::Bytes& bytes) {
-  wire::Reader r(bytes);
+std::optional<AgentPayload> decode_agent_payload(
+    std::span<const std::uint8_t> bytes) noexcept {
+  if (bytes.empty()) return std::nullopt;
+  const std::size_t count = bytes[0];
+  std::size_t offset = 1;
   AgentPayload p;
-  const std::uint8_t count = r.u8();
   p.member_routes.reserve(count);
-  for (std::uint8_t i = 0; i < count; ++i) {
-    const std::uint16_t len = r.u16();
-    p.member_routes.push_back(r.bytes(len));
+  for (std::size_t i = 0; i < count; ++i) {
+    if (bytes.size() - offset < 2) return std::nullopt;
+    const std::size_t len =
+        static_cast<std::size_t>(bytes[offset]) << 8 | bytes[offset + 1];
+    offset += 2;
+    if (bytes.size() - offset < len) return std::nullopt;
+    const auto blob = bytes.subspan(offset, len);
+    p.member_routes.emplace_back(blob.begin(), blob.end());
+    offset += len;
   }
-  p.data = r.bytes(r.remaining());
+  p.data.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+                bytes.end());
   return p;
 }
 

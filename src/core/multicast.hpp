@@ -86,6 +86,9 @@ struct AgentPayload {
 };
 
 wire::Bytes encode_agent_payload(const AgentPayload& payload);
-AgentPayload decode_agent_payload(const wire::Bytes& bytes);
+/// The payload in @p bytes — count, then count u16-length-prefixed route
+/// blobs, then the data — or nullopt when a blob runs past the end.
+std::optional<AgentPayload> decode_agent_payload(
+    std::span<const std::uint8_t> bytes) noexcept;
 
 }  // namespace srp::core

@@ -58,10 +58,8 @@ net::LanSegment& Fabric::add_lan(const std::string& name,
 }
 
 void Fabric::set_lan_kind(net::PortedNode& node, int port_index) {
-  if (auto* router = dynamic_cast<viper::ViperRouter*>(&node)) {
-    router->set_port_kind(port_index, viper::PortKind::kLan);
-  } else if (auto* host = dynamic_cast<viper::ViperHost*>(&node)) {
-    host->set_port_kind(port_index, viper::PortKind::kLan);
+  if (auto* station = dynamic_cast<viper::ViperNode*>(&node)) {
+    station->set_port_kind(port_index, viper::PortKind::kLan);
   }
 }
 
@@ -205,7 +203,7 @@ health::HealthMonitor& Fabric::enable_health(health::HealthConfig config) {
   monitor_ = std::make_unique<health::HealthMonitor>(
       sim_, *observer_.registry, config);
   monitor_->set_recorder(observer_.recorder);
-  monitor_->set_flow_plane(dynamic_cast<flow::FlowPlane*>(observer_.flow));
+  monitor_->set_flow_plane(observer_.flow);
   monitor_->set_path_collector(collector_.get());
   for (viper::ViperRouter* router : routers_) {
     monitor_->map_router(id_of(*router), std::string(router->name()));

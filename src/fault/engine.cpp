@@ -7,21 +7,6 @@
 #include "check/contract.hpp"
 
 namespace srp::fault {
-namespace {
-
-/// FNV-1a over the target name: the per-target seed perturbation.  Names
-/// are unique within a simulation (node name + port index), so streams
-/// never collide in practice.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 net::PacketPtr clone_packet(const net::Packet& packet) {
   auto copy = std::make_shared<net::Packet>();
@@ -42,21 +27,15 @@ net::PacketPtr clone_packet(const net::Packet& packet) {
 }
 
 FaultEngine::FaultEngine(sim::Simulator& sim, FaultPlan plan,
-                         stats::Registry& registry, sim::Trace* trace)
-    : sim_(sim), plan_(std::move(plan)), registry_(registry), trace_(trace) {}
+                         stats::Registry& registry)
+    : sim_(sim), plan_(std::move(plan)), registry_(registry) {}
 
 sim::Rng FaultEngine::stream_for(const std::string& target_name) const {
   // Seed mixing happens inside Rng (SplitMix64), so XOR is enough to give
-  // every target a well-separated stream from the single plan seed.
-  return sim::Rng(plan_.seed ^ fnv1a(target_name));
-}
-
-void FaultEngine::note(const std::string& target, const char* lane,
-                       std::uint64_t detail) {
-  if (trace_ != nullptr && trace_->enabled()) {
-    trace_->emit(sim_.now(), "fault",
-                 target + " " + lane + " id=" + std::to_string(detail));
-  }
+  // every target a well-separated stream from the single plan seed.  Names
+  // are unique within a simulation (node name + port index), so streams
+  // never collide in practice.
+  return sim::Rng(plan_.seed ^ sim::fnv1a(target_name));
 }
 
 SRP_SIM_VISIBLE void FaultEngine::attach(net::TxPort& port) {
@@ -107,7 +86,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     switch (scripted.action) {
       case ScriptedFault::Action::kDrop:
         state.dropped->add();
-        note(state.port->name(), "drop", packet->id);
         return net::FaultVerdict::kDrop;
       case ScriptedFault::Action::kCorrupt: {
         if (packet->bytes.empty()) break;
@@ -118,13 +96,11 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
           damaged->bytes[i] ^= 0xFF;
         }
         state.corrupted->add();
-        note(state.port->name(), "corrupt", packet->id);
         packet = std::move(damaged);
         break;
       }
       case ScriptedFault::Action::kDuplicate:
         state.duplicated->add();
-        note(state.port->name(), "duplicate", packet->id);
         sim_.after(std::max<sim::Time>(scripted.delay, 1),
                    [port = state.port, copy = clone_packet(*packet), meta,
                     earliest_start]() mutable {
@@ -134,7 +110,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
         break;
       case ScriptedFault::Action::kReorder:
         state.reordered->add();
-        note(state.port->name(), "reorder", packet->id);
         sim_.after(std::max<sim::Time>(scripted.delay, 1),
                    [port = state.port, held = std::move(packet), meta,
                     earliest_start]() mutable {
@@ -148,7 +123,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
   // Lane order is fixed — it is part of the seed-replay contract.
   if (lane.drop_rate > 0 && rng.chance(lane.drop_rate)) {
     state.dropped->add();
-    note(state.port->name(), "drop", packet->id);
     return net::FaultVerdict::kDrop;
   }
 
@@ -159,7 +133,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     net::PacketPtr damaged = clone_packet(*packet);
     corrupt_bytes(state, damaged->bytes);
     state.corrupted->add();
-    note(state.port->name(), "corrupt", packet->id);
     packet = std::move(damaged);
   }
 
@@ -168,7 +141,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
         1 + static_cast<sim::Time>(rng.uniform_int(
                 0, static_cast<std::uint64_t>(lane.duplicate_lag_max)));
     state.duplicated->add();
-    note(state.port->name(), "duplicate", packet->id);
     sim_.after(lag, [port = state.port, copy = clone_packet(*packet), meta,
                      earliest_start]() mutable {
       port->enqueue_unfiltered(std::move(copy), meta, earliest_start);
@@ -182,7 +154,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
         1 + static_cast<sim::Time>(rng.uniform_int(
                 0, static_cast<std::uint64_t>(lane.reorder_hold_max)));
     state.reordered->add();
-    note(state.port->name(), "reorder", packet->id);
     sim_.after(hold, [port = state.port, held = std::move(packet), meta,
                       earliest_start]() mutable {
       port->enqueue_unfiltered(std::move(held), meta, earliest_start);
@@ -195,7 +166,6 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
         rng.uniform_int(1, static_cast<std::uint64_t>(
                                std::max<sim::Time>(lane.jitter_max, 1))));
     state.jittered->add();
-    note(state.port->name(), "jitter", packet->id);
     earliest_start = std::max(earliest_start, sim_.now()) + jitter;
   }
 
@@ -233,7 +203,6 @@ void FaultEngine::schedule_next_flap(PortState& state) {
           std::max(state.lane.flap_down_max, state.lane.flap_down_min))));
   sim_.after(gap, [this, &state, down_for] {
     state.flapped->add();
-    note(state.port->name(), "flap", static_cast<std::uint64_t>(down_for));
     state.port->set_up(false);
     sim_.after(down_for, [this, &state] {
       state.port->set_up(true);
@@ -250,7 +219,6 @@ void FaultEngine::schedule_flap(net::TxPort& port, sim::Time down_at,
                         ".flap");
   sim_.at(down_at, [this, &port, &counter, down_for] {
     counter.add();
-    note(port.name(), "flap", static_cast<std::uint64_t>(down_for));
     port.set_up(false);
     sim_.after(down_for, [&port] { port.set_up(true); });
   });
@@ -265,11 +233,8 @@ void FaultEngine::attach_token_cache(const std::string& name,
       registry_.counter("fault." + stats::metric_component(name) +
                         ".token_poison");
   for (const FaultPlan::ScriptedPoison& poison : plan_.scripted_poisons) {
-    sim_.at(poison.at, [this, name, &cache, &counter, poison] {
-      if (cache.poison(poison.selector, poison.flag) > 0) {
-        counter.add();
-        note(name, "token_poison", poison.selector);
-      }
+    sim_.at(poison.at, [&cache, &counter, poison] {
+      if (cache.poison(poison.selector, poison.flag) > 0) counter.add();
     });
   }
   if (!random) return;
@@ -285,10 +250,7 @@ void FaultEngine::schedule_next_poison(const std::string& name,
       rng.exp_interval(static_cast<sim::Time>(mean_gap_seconds * sim::kSecond));
   const std::uint64_t selector = rng.next_u64();
   sim_.after(gap, [this, name, &cache, rng, &counter, selector]() mutable {
-    if (cache.poison(selector, plan_.token_poison_flag) > 0) {
-      counter.add();
-      note(name, "token_poison", selector);
-    }
+    if (cache.poison(selector, plan_.token_poison_flag) > 0) counter.add();
     schedule_next_poison(name, cache, rng, counter);
   });
 }

@@ -9,8 +9,7 @@
 // byte-identically from one seed.
 //
 // Each lane fires through a stats::Registry counter named
-// "fault.<target>.<lane>" and, when a sim::Trace is supplied and enabled,
-// leaves a trace record; chaos tests reconcile these counters against the
+// "fault.<target>.<lane>"; chaos tests reconcile these counters against the
 // end-to-end transport counters to prove every injected fault was either
 // absorbed or detected.
 #pragma once
@@ -24,7 +23,6 @@
 #include "net/port.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "stats/registry.hpp"
 #include "tokens/cache.hpp"
 
@@ -33,9 +31,7 @@ namespace srp::fault {
 class FaultEngine {
  public:
   /// The engine schedules on @p sim and counts through @p registry.
-  /// @p trace is optional; records are emitted only while it is enabled.
-  FaultEngine(sim::Simulator& sim, FaultPlan plan, stats::Registry& registry,
-              sim::Trace* trace = nullptr);
+  FaultEngine(sim::Simulator& sim, FaultPlan plan, stats::Registry& registry);
 
   /// Installs the plan's lane for @p port (by port name).  A port whose
   /// lane can never fire is left untouched — its enqueue path keeps the
@@ -92,13 +88,9 @@ class FaultEngine {
   /// Independent RNG stream for @p target_name (attach-order free).
   [[nodiscard]] sim::Rng stream_for(const std::string& target_name) const;
 
-  void note(const std::string& target, const char* lane,
-            std::uint64_t detail);
-
   sim::Simulator& sim_;
   FaultPlan plan_;
   stats::Registry& registry_;
-  sim::Trace* trace_ = nullptr;
   /// deque: PortState addresses must stay stable — the installed hooks
   /// capture them.
   std::deque<PortState> ports_;

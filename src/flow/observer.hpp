@@ -1,8 +1,9 @@
 // One component's flow-accounting state: the FlowTable, the deterministic
 // packet sampler and the exact per-account charge mirror.
 //
-// A FlowObserver implements obs::FlowSink for a single named component
-// (one router).  Components obtain theirs via FlowPlane::scoped(name).
+// A FlowObserver accounts for a single named component (one router), which
+// obtains it once via FlowPlane::scoped(name) and reports every forward
+// and every ledger charge to it directly.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 
 #include "flow/sampler.hpp"
 #include "flow/table.hpp"
-#include "obs/flow_sink.hpp"
 #include "obs/recorder.hpp"
 #include "stats/registry.hpp"
 
@@ -38,7 +38,7 @@ struct AccountCharge {
   bool operator==(const AccountCharge&) const = default;
 };
 
-class FlowObserver final : public obs::FlowSink {
+class FlowObserver {
  public:
   /// @p registry / @p recorder may be null (no metrics / no sampled-span
   /// capture).  Metrics: `flow.<name>.sampled`, `flow.<name>.evictions`
@@ -46,8 +46,13 @@ class FlowObserver final : public obs::FlowSink {
   FlowObserver(std::string name, const FlowConfig& config,
                stats::Registry* registry, obs::FlightRecorder* recorder);
 
-  void on_forward(const obs::FlowSample& sample) override;
-  void on_charge(std::uint32_t account, std::uint64_t bytes) override;
+  /// One packet forwarded by the component.  Hot path: called per packet
+  /// whenever flow accounting is wired.
+  void on_forward(const obs::FlowSample& sample);
+  /// One tokens::Ledger charge made by the component, reported with the
+  /// same account and byte count — the exact mirror that makes per-account
+  /// roll-ups reconcile with the ledger.
+  void on_charge(std::uint32_t account, std::uint64_t bytes);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }

@@ -6,7 +6,7 @@ FlowPlane::FlowPlane(FlowConfig config, stats::Registry* registry,
                      obs::FlightRecorder* recorder)
     : config_(config), registry_(registry), recorder_(recorder) {}
 
-obs::FlowSink& FlowPlane::scoped(std::string_view component) {
+FlowObserver& FlowPlane::scoped(std::string_view component) {
   const auto it = observers_.find(component);
   if (it != observers_.end()) return *it->second;
   auto observer = std::make_unique<FlowObserver>(

@@ -1,12 +1,9 @@
 // The flow accounting plane: one FlowObserver per named component.
 //
-// A FlowPlane is the obs::FlowSink a fabric hands to Observer::flow.  The
-// plane itself records nothing — components call scoped(name) once at
-// set_observer() time and publish into their own FlowObserver, so the
-// per-packet path touches only per-component state.
-// A router and its congestion controller share one name and therefore one
-// observer, which is how the controller reads feeder aggregates straight
-// from the router's forward stream.
+// A FlowPlane is what a fabric hands to Observer::flow.  The plane itself
+// records nothing — each router calls scoped(name) once at set_observer()
+// time and publishes into its own FlowObserver, so the per-packet path
+// touches only per-component state.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +14,10 @@
 #include <vector>
 
 #include "flow/observer.hpp"
-#include "obs/flow_sink.hpp"
 
 namespace srp::flow {
 
-class FlowPlane final : public obs::FlowSink {
+class FlowPlane {
  public:
   /// @p registry / @p recorder may be null; they are handed to every
   /// observer the plane creates.
@@ -29,15 +25,10 @@ class FlowPlane final : public obs::FlowSink {
                      stats::Registry* registry = nullptr,
                      obs::FlightRecorder* recorder = nullptr);
 
-  /// Finds or creates the observer for @p component.  References stay
-  /// valid for the plane's lifetime (observers are never destroyed).
-  FlowSink& scoped(std::string_view component) override;
-
-  // The plane-level sink is inert: components always publish through
-  // scoped().  Accepting (and ignoring) direct calls keeps a mis-wired
-  // component harmless instead of undefined.
-  void on_forward(const obs::FlowSample&) override {}
-  void on_charge(std::uint32_t, std::uint64_t) override {}
+  /// Finds or creates the observer for @p component; components sharing a
+  /// name share one observer.  References stay valid for the plane's
+  /// lifetime (observers are never destroyed).
+  FlowObserver& scoped(std::string_view component);
 
   /// Every observer, name-sorted.
   [[nodiscard]] std::vector<const FlowObserver*> observers() const;

@@ -3,8 +3,8 @@
 // Systematic count-down sampling: each call decrements a counter; at zero
 // the packet is sampled and the counter resets to the period.  The initial
 // phase is drawn from a per-component RNG stream seeded exactly like
-// src/fault seeds its lanes — `Rng(seed ^ fnv1a(component_name))` — so a
-// rerun with the same seed samples the byte-identical packet sequence
+// src/fault seeds its lanes — `Rng(seed ^ sim::fnv1a(component_name))` —
+// so a rerun with the same seed samples the byte-identical packet sequence
 // regardless of the order components were wired.
 #pragma once
 
@@ -15,26 +15,15 @@
 
 namespace srp::flow {
 
-/// FNV-1a over a component name: same per-target seed perturbation as
-/// fault::FaultEngine::stream_for.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 class Sampler {
  public:
   /// Samples 1 in @p period packets (0 = never, 1 = every packet).  The
-  /// phase offset is drawn from `seed ^ fnv1a(component)`.
+  /// phase offset is drawn from `seed ^ sim::fnv1a(component)`.
   Sampler(std::uint64_t seed, std::string_view component,
           std::uint32_t period)
       : period_(period) {
     if (period_ > 1) {
-      sim::Rng rng(seed ^ fnv1a(component));
+      sim::Rng rng(seed ^ sim::fnv1a(component));
       countdown_ = static_cast<std::uint32_t>(
           rng.uniform_int(1, period_));
     }

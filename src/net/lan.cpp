@@ -34,8 +34,7 @@ void LanSegment::relay(const Arrival& arrival, int out_port) {
   // never before.
   const sim::Time earliest =
       arrival.head +
-      sim::byte_time(EthernetHeader::kWireSize, arrival.rate_bps) +
-      forward_latency_;
+      sim::byte_time(EthernetHeader::kWireSize, arrival.rate_bps);
   out.enqueue(arrival.packet, TxMeta{}, earliest);
 }
 

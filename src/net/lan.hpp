@@ -26,9 +26,6 @@ class LanSegment : public PortedNode {
     stations_[mac] = port_index;
   }
 
-  /// Extra relay latency (e.g. a bridge); zero for a pure shared medium.
-  void set_forward_latency(sim::Time t) { forward_latency_ = t; }
-
   [[nodiscard]] std::uint64_t unknown_mac_drops() const {
     return unknown_mac_drops_;
   }
@@ -39,7 +36,6 @@ class LanSegment : public PortedNode {
   void relay(const Arrival& arrival, int out_port);
 
   std::map<MacAddr, int> stations_;
-  sim::Time forward_latency_ = 0;
   std::uint64_t unknown_mac_drops_ = 0;
 };
 

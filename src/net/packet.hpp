@@ -58,7 +58,6 @@ struct Packet : std::enable_shared_from_this<Packet> {
   std::shared_ptr<const Packet> parent;
 
   [[nodiscard]] std::size_t size() const { return bytes.size(); }
-  [[nodiscard]] std::uint64_t size_bits() const { return bytes.size() * 8; }
 
   /// True if this packet, or any upstream image it was cut-through-derived
   /// from, was truncated.

@@ -23,6 +23,10 @@ namespace srp::stats {
 class Registry;
 }  // namespace srp::stats
 
+namespace srp::flow {
+class FlowPlane;
+}  // namespace srp::flow
+
 namespace srp::obs {
 
 enum class SpanKind : std::uint8_t {
@@ -113,7 +117,25 @@ class FlightRecorder {
   std::uint64_t head_ = 0;
 };
 
-class FlowSink;  // obs/flow_sink.hpp
+/// One forwarded packet, as the flow-accounting plane (src/flow) sees it:
+/// ViperRouter publishes one per forward to its flow::FlowObserver.  The
+/// header span points into the router's buffer and is valid only for the
+/// duration of that call (the observer copies the excerpt it keeps).
+struct FlowSample {
+  std::uint64_t route_digest = 0;  ///< whole-route identity (0 = unknown)
+  std::uint64_t packet_id = 0;
+  std::uint64_t trace_id = 0;      ///< nonzero when the packet is traced
+  std::uint32_t account = 0;       ///< from the validated token (0 = none)
+  std::uint8_t tos_class = 0;      ///< type-of-service priority field
+  bool cut_through = false;        ///< vs store-and-forward for this hop
+  std::uint16_t in_port = 0;
+  std::uint16_t out_port = 0;
+  std::uint32_t bytes = 0;         ///< wire bytes admitted (= bytes charged)
+  sim::Time now = 0;
+  /// Link header + first VIPER segment as received — the excerpt source
+  /// for sampled-packet capture.
+  std::span<const std::uint8_t> header;
+};
 
 /// The sinks a component needs to be observable.  Any pointer may be null
 /// (metrics without tracing, tracing without flow accounting, ...);
@@ -122,11 +144,9 @@ class FlowSink;  // obs/flow_sink.hpp
 struct Observer {
   stats::Registry* registry = nullptr;
   FlightRecorder* recorder = nullptr;
-  FlowSink* flow = nullptr;  ///< flow accounting plane (obs/flow_sink.hpp)
+  flow::FlowPlane* flow = nullptr;  ///< flow accounting plane (src/flow)
 
   [[nodiscard]] bool has_metrics() const { return registry != nullptr; }
-  [[nodiscard]] bool has_tracing() const { return recorder != nullptr; }
-  [[nodiscard]] bool has_flow() const { return flow != nullptr; }
 };
 
 }  // namespace srp::obs

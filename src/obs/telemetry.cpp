@@ -1,10 +1,12 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "check/contract.hpp"
 #include "core/segment.hpp"
+#include "sim/random.hpp"
 #include "viper/codec.hpp"
 
 namespace srp::obs {
@@ -121,14 +123,15 @@ std::optional<HopTelemetry> last_postcard(
 }
 
 std::uint64_t path_digest(std::span<const HopTelemetry> hops) {
-  // FNV-1a over the realized (router, in-port, out-port) sequence: the
-  // same discipline as flow::fnv1a, path-identifying but timing-blind.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  // FNV-1a over the realized (router, in-port, out-port) sequence, each
+  // value little-endian: path-identifying but timing-blind.
+  std::uint64_t h = sim::fnv1a({});
   const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ULL;
+    std::array<char, 8> le;
+    for (std::size_t i = 0; i < le.size(); ++i) {
+      le[i] = static_cast<char>(v >> (8 * i));
     }
+    h = sim::fnv1a({le.data(), le.size()}, h);
   };
   for (const HopTelemetry& hop : hops) {
     mix(hop.router_id);

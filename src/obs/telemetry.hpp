@@ -4,7 +4,7 @@
 // moves the consumed header segment to the tail, so the sink sees where
 // the packet went (paper §2).  Path telemetry extends that record with
 // *what happened* at each hop: a telemetry-marked packet (sampled at the
-// origin host, flow::TelemetryMarker) additionally receives one fixed-size
+// origin host by a flow::Sampler) additionally receives one fixed-size
 // HopTelemetry record per router, appended right after the hop's reversed
 // return entry.  On the wire a record is a pseudo-segment that is "not a
 // legal Sirpent header segment" — TRM set, like the truncation mark — so

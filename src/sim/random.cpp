@@ -1,7 +1,6 @@
 #include "sim/random.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "check/contract.hpp"
 
@@ -70,26 +69,6 @@ Time Rng::exp_interval(Time mean) {
   const double v = exponential(static_cast<double>(mean));
   const Time t = static_cast<Time>(v);
   return t < 1 ? 1 : t;
-}
-
-std::uint64_t Rng::geometric(double p) {
-  SIRPENT_EXPECTS(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 1;
-  const double u = 1.0 - next_double();  // (0,1]
-  const double n = std::ceil(std::log(u) / std::log(1.0 - p));
-  return n < 1.0 ? 1 : static_cast<std::uint64_t>(n);
-}
-
-double Rng::normal(double mean, double stddev) {
-  const double u1 = 1.0 - next_double();  // (0,1]
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double Rng::pareto(double xm, double alpha) {
-  const double u = 1.0 - next_double();  // (0,1]
-  return xm / std::pow(u, 1.0 / alpha);
 }
 
 Rng Rng::split() { return Rng{next_u64()}; }

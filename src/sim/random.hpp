@@ -6,10 +6,24 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "sim/time.hpp"
 
 namespace srp::sim {
+
+/// 64-bit FNV-1a over @p bytes, continuing from @p h.  Seeds every
+/// per-component stream (`Rng(seed ^ fnv1a(name))`: fault lanes, flow and
+/// telemetry samplers) so replay is independent of attach order, and
+/// mixes obs::path_digest.
+[[nodiscard]] constexpr std::uint64_t fnv1a(
+    std::string_view bytes, std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// xoshiro256** 1.0 (Blackman & Vigna) — small, fast, high quality, and —
 /// unlike std::mt19937 — guaranteed identical across standard libraries.
@@ -42,16 +56,6 @@ class Rng {
   /// Exponentially distributed inter-arrival gap with the given mean,
   /// rounded to Time (>= 1 ps so the clock always advances).
   Time exp_interval(Time mean);
-
-  /// Geometric number of trials (>= 1) with success probability @p p.
-  std::uint64_t geometric(double p);
-
-  /// Standard normal via Box–Muller (no cached spare: keeps state minimal).
-  double normal(double mean, double stddev);
-
-  /// Pareto-distributed value with scale @p xm and shape @p alpha — used
-  /// for heavy-tailed burst sizes.
-  double pareto(double xm, double alpha);
 
   /// Forks an independent stream; derived deterministically from this
   /// stream so components can be given private generators.

@@ -33,7 +33,6 @@ class HostClock {
   HostClock(sim::Simulator& sim, sim::Time offset = 0)
       : sim_(sim), offset_(offset) {}
 
-  void set_offset(sim::Time offset) { offset_ = offset; }
   [[nodiscard]] sim::Time offset() const { return offset_; }
 
   /// Current 32-bit millisecond timestamp; never returns the reserved 0.

@@ -101,12 +101,6 @@ void VmtpEndpoint::send_group(const Header& base,
     Header h = base;
     h.index = static_cast<std::uint8_t>(i);
     const std::size_t wire_size = Header::kWireSize + parts[i].size();
-    if (throttle_ != nullptr && route != nullptr &&
-        !route->router_ids.empty()) {
-      const cc::FlowKey key{route->router_ids.front(),
-                            route->route.segments.front().port};
-      t = std::max(t, throttle_->acquire(key, wire_size));
-    }
     send_one(h, parts[i], route, reply_via, t);
     ++stats_.data_packets_sent;
     if (config_.send_rate_bps > 0.0) {

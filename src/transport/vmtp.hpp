@@ -21,7 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "congestion/throttle.hpp"
 #include "directory/routes.hpp"
 #include "sim/simulator.hpp"
 #include "transport/header.hpp"
@@ -105,10 +104,6 @@ class VmtpEndpoint {
   void invoke(const dir::IssuedRoute& route, std::uint64_t server_entity,
               std::span<const std::uint8_t> request,
               ResponseCallback callback);
-
-  /// Wires congestion pacing: packets consult the throttle keyed by the
-  /// first-hop (router, port) of the route being used.
-  void set_throttle(cc::SourceThrottle* throttle) { throttle_ = throttle; }
 
   void set_failure_hook(FailureHook hook) { on_failure_ = std::move(hook); }
   void set_rtt_hook(RttHook hook) { on_rtt_ = std::move(hook); }
@@ -208,7 +203,6 @@ class VmtpEndpoint {
   VmtpConfig config_;
   CoreHooks hooks_;
   HostClock clock_;
-  cc::SourceThrottle* throttle_ = nullptr;
 
   RequestHandler handler_;
   FailureHook on_failure_;

@@ -25,24 +25,7 @@ void add_postcard(std::vector<obs::HopTelemetry>& path,
 
 ViperHost::ViperHost(sim::Simulator& sim, std::string name,
                      net::PacketFactory& packets)
-    : net::PortedNode(sim, std::move(name)), packets_(packets) {}
-
-void ViperHost::set_port_kind(int port_index, PortKind kind) {
-  if (port_index <= 0) throw std::out_of_range("bad port index");
-  if (static_cast<std::size_t>(port_index) >= port_kinds_.size()) {
-    port_kinds_.resize(static_cast<std::size_t>(port_index) + 1,
-                       PortKind::kPointToPoint);
-  }
-  port_kinds_[static_cast<std::size_t>(port_index)] = kind;
-}
-
-PortKind ViperHost::port_kind(int port_index) const {
-  if (port_index <= 0 ||
-      static_cast<std::size_t>(port_index) >= port_kinds_.size()) {
-    return PortKind::kPointToPoint;
-  }
-  return port_kinds_[static_cast<std::size_t>(port_index)];
-}
+    : ViperNode(sim, std::move(name)), packets_(packets) {}
 
 void ViperHost::bind(std::uint64_t endpoint_id, Handler handler) {
   endpoints_[endpoint_id] = std::move(handler);
@@ -60,7 +43,8 @@ void ViperHost::set_path_telemetry(obs::PathCollector* collector,
                                    std::uint64_t seed,
                                    std::uint32_t sample_period) {
   collector_ = collector;
-  marker_.emplace(seed, name(), sample_period);
+  telemetry_sampler_.emplace(seed, "int." + std::string(name()),
+                             sample_period);
 }
 
 void ViperHost::set_observer(const obs::Observer& observer) {
@@ -98,10 +82,12 @@ std::uint64_t ViperHost::send(const core::SourceRoute& route,
   // only place that still sees the full source route); it rides the
   // packet's measurement side-band, constant along the path.
   if (stamp_route_digest_) packet->route_digest = route_digest(route);
-  // Telemetry mark: sampled by the marker when wired (always advanced, so
-  // a forced mark never phase-shifts later samples), else forced-only.
-  packet->telemetry = marker_.has_value() ? marker_->mark(options.telemetry)
-                                          : options.telemetry;
+  // Telemetry mark: the sampler, when wired, advances on every send — a
+  // forced mark must not phase-shift later samples — so it is drawn
+  // before the forced flag is ORed in.
+  const bool sampled =
+      telemetry_sampler_.has_value() && telemetry_sampler_->sample();
+  packet->telemetry = sampled || options.telemetry;
   if (packet->telemetry) ++stats_.telemetry_marked;
   ++stats_.sent;
   core::TypeOfService tos = options.tos;

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "core/segment.hpp"
-#include "flow/telemetry_mark.hpp"
+#include "flow/sampler.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
 #include "obs/telemetry.hpp"
@@ -48,11 +48,11 @@ struct SendOptions {
   /// paper's "initial header segment is implicit from the network type".
   std::optional<net::EthernetHeader> link;
   /// Force an in-band telemetry mark on this packet regardless of the
-  /// host's sampling discipline (flow::TelemetryMarker).
+  /// host's sampler (see ViperHost::set_path_telemetry).
   bool telemetry = false;
 };
 
-class ViperHost : public net::PortedNode {
+class ViperHost : public ViperNode {
  public:
   using Handler = std::function<void(const Delivery&)>;
   using ControlHandler =
@@ -71,9 +71,6 @@ class ViperHost : public net::PortedNode {
 
   ViperHost(sim::Simulator& sim, std::string name,
             net::PacketFactory& packets);
-
-  void set_port_kind(int port_index, PortKind kind);
-  [[nodiscard]] PortKind port_kind(int port_index) const;
 
   /// Binds a local endpoint id; packets whose final segment carries this id
   /// are delivered to @p handler ("intra-host addressing is provided by the
@@ -112,8 +109,10 @@ class ViperHost : public net::PortedNode {
   void set_observer(const obs::Observer& observer);
 
   /// Wires in-band path telemetry: sends are marked 1-in-@p sample_period
-  /// (flow::TelemetryMarker seeded from @p seed and this host's name; a
-  /// SendOptions::telemetry send is always marked), and marked deliveries —
+  /// (a flow::Sampler seeded from @p seed and "int.<host name>", so marking
+  /// and flow sampling draw well-separated streams of one fabric seed; a
+  /// SendOptions::telemetry send is always marked, and still advances the
+  /// sampler so it never phase-shifts later marks), and marked deliveries —
   /// including arrivals too damaged to parse — feed @p collector.  Either
   /// half may be off: a null collector still marks (a remote sink
   /// collects), period 0 still collects (only forced marks occur).
@@ -126,7 +125,6 @@ class ViperHost : public net::PortedNode {
   void process(const net::Arrival& arrival);
 
   net::PacketFactory& packets_;
-  std::vector<PortKind> port_kinds_;
   std::map<std::uint64_t, Handler> endpoints_;
   Handler default_handler_;
   ControlHandler control_handler_;
@@ -141,7 +139,7 @@ class ViperHost : public net::PortedNode {
 
   // Path-telemetry wiring (set_path_telemetry); both null/empty = off.
   obs::PathCollector* collector_ = nullptr;
-  std::optional<flow::TelemetryMarker> marker_;
+  std::optional<flow::Sampler> telemetry_sampler_;
 };
 
 }  // namespace srp::viper

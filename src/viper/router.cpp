@@ -6,6 +6,7 @@
 
 #include "check/analysis.hpp"
 #include "check/contract.hpp"
+#include "flow/plane.hpp"
 #include "obs/telemetry.hpp"
 
 namespace srp::viper {
@@ -48,11 +49,7 @@ std::optional<std::uint64_t> decode_endpoint_id(
   return r.u64();
 }
 
-ViperRouter::ViperRouter(sim::Simulator& sim, std::string name,
-                         RouterConfig config)
-    : net::PortedNode(sim, std::move(name)), config_(config) {}
-
-void ViperRouter::set_port_kind(int port_index, PortKind kind) {
+void ViperNode::set_port_kind(int port_index, PortKind kind) {
   if (port_index <= 0) throw std::out_of_range("bad port index");
   if (static_cast<std::size_t>(port_index) >= port_kinds_.size()) {
     port_kinds_.resize(static_cast<std::size_t>(port_index) + 1,
@@ -61,13 +58,9 @@ void ViperRouter::set_port_kind(int port_index, PortKind kind) {
   port_kinds_[static_cast<std::size_t>(port_index)] = kind;
 }
 
-PortKind ViperRouter::port_kind(int port_index) const {
-  if (port_index <= 0 ||
-      static_cast<std::size_t>(port_index) >= port_kinds_.size()) {
-    return PortKind::kPointToPoint;
-  }
-  return port_kinds_[static_cast<std::size_t>(port_index)];
-}
+ViperRouter::ViperRouter(sim::Simulator& sim, std::string name,
+                         RouterConfig config)
+    : ViperNode(sim, std::move(name)), config_(config) {}
 
 void ViperRouter::define_logical_port(std::uint8_t id, LogicalPort lp) {
   logical_ports_[id] = std::move(lp);
@@ -93,7 +86,7 @@ void ViperRouter::inject_from_tunnel(std::uint8_t tunnel_port_id,
   arrival.tail = sim_.now();
   arrival.rate_bps = 0.0;  // forces store-and-forward timing
   route(arrival, packet->bytes,
-        Ingress{/*link_framed=*/false, /*tunnel=*/true, tunnel_port_id,
+        Ingress{/*link_framed=*/false, /*given_return=*/true, tunnel_port_id,
                 reverse_info});
 }
 
@@ -183,11 +176,12 @@ SRP_HOT_PATH bool ViperRouter::parse_front(const net::Arrival& arrival,
     front.return_info = link;
     offset = link.size();
   }
-  if (ingress.tunnel) {
+  if (ingress.given_return) {
     // Tunnel ingress: the return hop re-enters the tunnel toward the far
-    // gateway learned from the encapsulation header.
-    front.return_port = ingress.tunnel_port;
-    front.return_info = ingress.tunnel_info;
+    // gateway learned from the encapsulation header.  Tree branch copy:
+    // the return hop is the one the branching segment's arrival earned.
+    front.return_port = ingress.return_port;
+    front.return_info = ingress.return_info;
   }
   const std::optional<SegmentView> segment = parse_segment(bytes, offset);
   if (!segment) return false;
@@ -288,8 +282,12 @@ void ViperRouter::branch_tree(const net::Arrival& arrival, const Front& front,
     copy.reserve(blob.size() + rest.size());
     copy.insert(copy.end(), blob.begin(), blob.end());
     copy.insert(copy.end(), rest.begin(), rest.end());
-    // A branch copy carries no link header and names the arrival port.
-    route(arrival, copy, Ingress{});
+    // A branch copy carries no link header; its return entry is the
+    // front's (the reversed link header or tunnel info lives in the
+    // caller's frame, which outlives this call).
+    route(arrival, copy,
+          Ingress{/*link_framed=*/false, /*given_return=*/true,
+                  front.return_port, front.return_info});
   }
 }
 
@@ -611,15 +609,15 @@ void ViperRouter::defer_blocked(const net::Arrival& arrival,
   // price of the kBlocking policy, not of the steady-state forward path;
   // the retry re-parses its front from the copy.
   wire::Bytes image(bytes.begin(), bytes.end());
-  wire::Bytes tunnel_info(ingress.tunnel_info.begin(),
-                          ingress.tunnel_info.end());
+  wire::Bytes return_info(ingress.return_info.begin(),
+                          ingress.return_info.end());
   sim_.after(delay, [this, arrival, physical_port,
                      link_framed = ingress.link_framed,
-                     tunnel = ingress.tunnel,
-                     tunnel_port = ingress.tunnel_port,
+                     given_return = ingress.given_return,
+                     return_port = ingress.return_port,
                      image = std::move(image),
-                     tunnel_info = std::move(tunnel_info)] {
-    const Ingress again{link_framed, tunnel, tunnel_port, tunnel_info};
+                     return_info = std::move(return_info)] {
+    const Ingress again{link_framed, given_return, return_port, return_info};
     LinkScratch link;
     Front front;
     // These bytes parsed before the deferral; they parse again.

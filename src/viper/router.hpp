@@ -35,12 +35,15 @@
 #include "net/arena.hpp"
 #include "net/ethernet.hpp"
 #include "net/network.hpp"
-#include "obs/flow_sink.hpp"
 #include "obs/recorder.hpp"
 #include "sim/time.hpp"
 #include "tokens/cache.hpp"
 #include "tokens/token.hpp"
 #include "viper/codec.hpp"
+
+namespace srp::flow {
+class FlowObserver;
+}  // namespace srp::flow
 
 namespace srp::viper {
 
@@ -81,6 +84,23 @@ struct LogicalPort {
 };
 
 
+/// A VIPER station, router or host: a ported node that knows which of its
+/// ports face a multi-access network.
+class ViperNode : public net::PortedNode {
+ public:
+  using net::PortedNode::PortedNode;
+
+  void set_port_kind(int port_index, PortKind kind);
+  [[nodiscard]] PortKind port_kind(int port_index) const {
+    const auto i = static_cast<std::size_t>(port_index);
+    return port_index > 0 && i < port_kinds_.size() ? port_kinds_[i]
+                                                    : PortKind::kPointToPoint;
+  }
+
+ private:
+  std::vector<PortKind> port_kinds_;  // indexed by port id
+};
+
 /// Port field of the packet's next segment starting at @p offset, or 0
 /// when the remainder does not start with a routable segment.  The
 /// cut-through fast path: one parse_segment, whose fields are views, so it
@@ -88,7 +108,7 @@ struct LogicalPort {
 SRP_HOT_PATH std::uint8_t peek_next_port(std::span<const std::uint8_t> bytes,
                                          std::size_t offset);
 
-class ViperRouter : public net::PortedNode {
+class ViperRouter : public ViperNode {
  public:
   struct Stats {
     std::uint64_t received = 0;
@@ -137,9 +157,6 @@ class ViperRouter : public net::PortedNode {
 
   ViperRouter(sim::Simulator& sim, std::string name, RouterConfig config);
 
-  void set_port_kind(int port_index, PortKind kind);
-  [[nodiscard]] PortKind port_kind(int port_index) const;
-
   void define_logical_port(std::uint8_t id, LogicalPort lp);
 
   /// Declares @p id a tunnel port served by @p transmit.
@@ -179,11 +196,12 @@ class ViperRouter : public net::PortedNode {
   /// present — one kHop span per forwarded traced packet capturing the
   /// arrival / switch-decision / earliest-forward times, the cut-through
   /// vs store-and-forward choice and the token outcome.  When the observer
-  /// carries a flow sink, every forwarded packet additionally publishes an
-  /// obs::FlowSample (flow accounting + sampled capture) and every ledger
-  /// charge is mirrored to the sink.  All handles are resolved here once;
-  /// an unobserved router pays one untaken branch per instrumentation
-  /// point.  Call set_observer after the last add_port().
+  /// carries a flow plane, every forwarded packet additionally publishes an
+  /// obs::FlowSample (flow accounting + sampled capture) to this router's
+  /// flow::FlowObserver and every ledger charge is mirrored to it.  All
+  /// handles are resolved here once; an unobserved router pays one untaken
+  /// branch per instrumentation point.  Call set_observer after the last
+  /// add_port().
   void set_observer(const obs::Observer& observer);
 
   /// Enables in-band path telemetry stamping: every forwarded packet whose
@@ -192,9 +210,6 @@ class ViperRouter : public net::PortedNode {
   /// same MTU truncation as any trailer bytes).  Off by default; a disabled
   /// router is byte-identical to one built before telemetry existed.
   void set_path_telemetry(bool enabled) { telemetry_enabled_ = enabled; }
-  [[nodiscard]] bool path_telemetry_enabled() const {
-    return telemetry_enabled_;
-  }
 
   void set_control_handler(ControlHandler handler) {
     control_handler_ = std::move(handler);
@@ -223,13 +238,14 @@ class ViperRouter : public net::PortedNode {
 
  private:
   /// How an image reached this hop: whether a link header precedes its
-  /// first segment and, on tunnel ingress, the tunnel port and far-end
-  /// info its return entry names instead of the arrival port.
+  /// first segment and whether its return entry is given rather than
+  /// derived from the arrival — the tunnel port and far-end info on tunnel
+  /// ingress, or the front's own return entry for a tree branch copy.
   struct Ingress {
     bool link_framed = false;
-    bool tunnel = false;
-    std::uint8_t tunnel_port = 0;
-    std::span<const std::uint8_t> tunnel_info;
+    bool given_return = false;
+    std::uint8_t return_port = 0;
+    std::span<const std::uint8_t> return_info;
   };
 
   /// The front of an image: its first segment as views into the image,
@@ -335,7 +351,6 @@ class ViperRouter : public net::PortedNode {
                       std::uint32_t account);
 
   RouterConfig config_;
-  std::vector<PortKind> port_kinds_;  // indexed by port id
   std::map<std::uint8_t, LogicalPort> logical_ports_;
   std::map<std::uint8_t, TunnelTransmit> tunnel_ports_;
 
@@ -357,7 +372,7 @@ class ViperRouter : public net::PortedNode {
   stats::Histogram* obs_hop_latency_ = nullptr;
   std::array<stats::Counter*, 6> obs_token_counters_{};  // by TokenOutcome
   obs::FlightRecorder* obs_recorder_ = nullptr;
-  obs::FlowSink* obs_flow_ = nullptr;  // scoped to this router's name
+  flow::FlowObserver* obs_flow_ = nullptr;  // scoped to this router's name
 };
 
 /// 8-byte local endpoint id carried in a port-0 segment's portInfo.

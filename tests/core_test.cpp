@@ -145,18 +145,44 @@ TEST(Multicast, AgentPayloadRoundTrip) {
   payload.member_routes = {{1, 1, 1}, {2, 2}};
   payload.data = {9, 8, 7};
   const wire::Bytes encoded = encode_agent_payload(payload);
-  const AgentPayload back = decode_agent_payload(encoded);
-  EXPECT_EQ(back.member_routes, payload.member_routes);
-  EXPECT_EQ(back.data, payload.data);
+  const std::optional<AgentPayload> back = decode_agent_payload(encoded);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->member_routes, payload.member_routes);
+  EXPECT_EQ(back->data, payload.data);
 }
 
 TEST(Multicast, AgentPayloadEmptyMembers) {
   AgentPayload payload;
   payload.data = {1};
-  const AgentPayload back =
+  const std::optional<AgentPayload> back =
       decode_agent_payload(encode_agent_payload(payload));
-  EXPECT_TRUE(back.member_routes.empty());
-  EXPECT_EQ(back.data, (wire::Bytes{1}));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(back->member_routes.empty());
+  EXPECT_EQ(back->data, (wire::Bytes{1}));
+}
+
+TEST(Multicast, AgentPayloadTruncatedCountIsRejected) {
+  // No count byte at all, and a count promising more blobs than follow.
+  EXPECT_FALSE(decode_agent_payload(wire::Bytes{}).has_value());
+  AgentPayload payload;
+  payload.member_routes = {{1, 1, 1}};
+  wire::Bytes encoded = encode_agent_payload(payload);
+  encoded[0] = 2;
+  EXPECT_FALSE(decode_agent_payload(encoded).has_value());
+  // A length prefix cut after its first octet.
+  EXPECT_FALSE(decode_agent_payload(wire::Bytes{1, 0}).has_value());
+}
+
+TEST(Multicast, AgentPayloadOverlongLengthIsRejected) {
+  AgentPayload payload;
+  payload.member_routes = {{1, 1, 1}, {2, 2}};
+  const wire::Bytes encoded = encode_agent_payload(payload);
+  // The second blob claims one octet more than the image holds.
+  wire::Bytes overlong = encoded;
+  overlong[1 + 2 + 3 + 1] = 3;
+  EXPECT_FALSE(decode_agent_payload(overlong).has_value());
+  // Claiming exactly the bytes that remain is legal (empty data).
+  EXPECT_TRUE(decode_agent_payload(encoded).has_value());
 }
 
 }  // namespace

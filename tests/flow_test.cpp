@@ -210,9 +210,9 @@ obs::FlowSample sample_of(std::uint64_t digest, std::uint32_t bytes,
 
 TEST(FlowPlane, ScopedSharesObserverByName) {
   flow::FlowPlane plane;
-  obs::FlowSink& a = plane.scoped("r1");
-  obs::FlowSink& b = plane.scoped("r1");
-  obs::FlowSink& c = plane.scoped("r2");
+  flow::FlowObserver& a = plane.scoped("r1");
+  flow::FlowObserver& b = plane.scoped("r1");
+  flow::FlowObserver& c = plane.scoped("r2");
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &c);
 
@@ -291,7 +291,7 @@ flow::FlowPlane& fixture_plane() {
   static bool built = false;
   if (!built) {
     built = true;
-    obs::FlowSink& r1 = plane.scoped("r1");
+    flow::FlowObserver& r1 = plane.scoped("r1");
     for (int i = 0; i < 3; ++i) {
       auto s = sample_of(0x1111, 1000, 10 + i);
       r1.on_forward(s);
@@ -461,7 +461,7 @@ TEST(FlowEndToEnd, NoFlowSinkMeansNoFlowState) {
   ASSERT_FALSE(routes.empty());
   line.src->send(routes.front().route, test::pattern_bytes(64));
   sim.run();
-  // No flow sink wired: forwarding works, no flow metrics appear
+  // No flow plane wired: forwarding works, no flow metrics appear
   // (pay-only-when-enabled).
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(line.routers[0]->stats().forwarded, 1u);

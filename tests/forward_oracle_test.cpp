@@ -338,6 +338,10 @@ TEST_F(ForwardOracle, TreeBranchesRouteCopies) {
   router_.on_arrival(arrival);
 
   ASSERT_EQ(emitted_.size(), 2u);
+  // Each copy's return entry is the hop the arrival earned: the LAN port
+  // with the reversed link header as its portInfo.
+  ReferenceHop hop = arrived_on(1);
+  hop.tunnel_return.emplace(1, encoded(ethernet(1, 2).reversed()));
   const wire::Bytes& bytes = arrival.packet->bytes;
   const std::size_t rest_at = net::EthernetHeader::kWireSize +
                               segment_wire_size(tree);
@@ -349,8 +353,41 @@ TEST_F(ForwardOracle, TreeBranchesRouteCopies) {
                 bytes.end());
     EXPECT_EQ(emitted_[i].out_port, out_port);
     expect_same(*emitted_[i].packet,
-                *test::reference_forward(*arrival.packet, copy,
-                                         arrived_on(1)));
+                *test::reference_forward(*arrival.packet, copy, hop));
+    ++out_port;
+    ++i;
+  }
+  EXPECT_EQ(router_.stats().tree_copies, 2u);
+}
+
+TEST_F(ForwardOracle, TreeBranchesAfterTunnelIngressKeepTheTunnelReturn) {
+  core::SourceRoute left;
+  left.segments.push_back(p2p_segment(2));
+  core::SourceRoute right;
+  right.segments.push_back(p2p_segment(3));
+  core::HeaderSegment tree = p2p_segment(2);
+  tree.flags.vnt = false;
+  tree.port_info = core::encode_tree_info(
+      {encode_route(left), encode_route(right)});
+  const wire::Bytes bytes = image(two_hop(tree), 48);
+  const wire::Bytes info = pattern_bytes(6, 9);
+  router_.inject_from_tunnel(11, bytes, info);
+
+  ASSERT_EQ(emitted_.size(), 2u);
+  const net::Packet& injected = *emitted_[0].packet->parent;
+  // Each copy names the tunnel port and far-end info, not local port 0.
+  ReferenceHop hop = arrived_on(0);
+  hop.tunnel_return.emplace(11, info);
+  const std::size_t rest_at = segment_wire_size(tree);
+  int out_port = 2;
+  std::size_t i = 0;
+  for (const core::SourceRoute& branch : {left, right}) {
+    wire::Bytes copy = encode_route(branch);
+    copy.insert(copy.end(), bytes.begin() + static_cast<long>(rest_at),
+                bytes.end());
+    EXPECT_EQ(emitted_[i].out_port, out_port);
+    expect_same(*emitted_[i].packet,
+                *test::reference_forward(injected, copy, hop));
     ++out_port;
     ++i;
   }

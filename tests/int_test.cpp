@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -323,6 +324,42 @@ TEST(IntLine, ForcedMarkOverridesPeriodZero) {
   EXPECT_EQ(path_sizes[1], 2u);
   EXPECT_EQ(line.src->stats().telemetry_marked, 1u);
   EXPECT_EQ(collector.totals().packets, 1u);
+}
+
+TEST(IntLine, ForcedSendKeepsThePhase) {
+  // Period 4 over 32 sends, once unforced and once with every 5th send
+  // forced.  A forced send still advances the sampler, so the forced run
+  // marks exactly the unforced run's sampled sends plus the forced ones;
+  // skipping the draw on a forced send would shift every later sample.
+  constexpr int kSends = 32;
+  const auto marked_sends = [](bool force) {
+    sim::Simulator sim;
+    dir::Fabric fabric(sim);
+    Line line = build_line(fabric, 2, "src.int", "dst.int");
+    dir::PathTelemetryConfig config;
+    config.sample_period = 4;
+    fabric.enable_path_telemetry(config);
+    std::set<std::uint64_t> marked;
+    line.dst->set_default_handler([&](const viper::Delivery& d) {
+      if (!d.path.empty()) marked.insert(d.flow);
+    });
+    for (int i = 0; i < kSends; ++i) {
+      sim.at((i + 1) * sim::kMillisecond, [&line, force, i] {
+        viper::SendOptions options;
+        options.flow = static_cast<std::uint64_t>(i);
+        options.telemetry = force && i % 5 == 0;
+        line.src->send(line_route(2), pattern_bytes(64), options);
+      });
+    }
+    sim.run();
+    return marked;
+  };
+
+  const std::set<std::uint64_t> sampled = marked_sends(false);
+  ASSERT_EQ(sampled.size(), 8u);
+  std::set<std::uint64_t> want = sampled;
+  for (std::uint64_t i = 0; i < kSends; i += 5) want.insert(i);
+  EXPECT_EQ(marked_sends(true), want);
 }
 
 // --- truncation + stamping bound -------------------------------------------

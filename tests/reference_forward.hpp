@@ -31,7 +31,8 @@ namespace srp::test {
 struct ReferenceHop {
   int in_port = 0;       ///< arrival port: the return entry's port
   bool link_in = false;  ///< a link header precedes the first segment
-  /// Tunnel ingress: the return entry names this port and far-end info.
+  /// Tunnel ingress or a tree branch copy: the return entry names this
+  /// port and info instead of the arrival port and link header.
   std::optional<std::pair<std::uint8_t, wire::Bytes>> tunnel_return;
   bool link_out = false;  ///< LAN egress: prepend the segment's portInfo
   bool token_reversible = false;  ///< echo the token in the return entry

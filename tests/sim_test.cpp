@@ -8,7 +8,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace srp::sim {
 namespace {
@@ -378,70 +377,10 @@ TEST(Rng, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(55);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.normal(5.0, 2.0);
-    sum += v;
-    sq += v * v;
-  }
-  const double mean = sum / n;
-  EXPECT_NEAR(mean, 5.0, 0.1);
-  EXPECT_NEAR(sq / n - mean * mean, 4.0, 0.2);
-}
-
-TEST(Rng, GeometricAtLeastOne) {
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_GE(rng.geometric(0.3), 1u);
-  }
-}
-
 TEST(Rng, SplitStreamsIndependent) {
   Rng a(42);
   Rng b = a.split();
   EXPECT_NE(a.next_u64(), b.next_u64());
-}
-
-TEST(Trace, DisabledByDefaultAndCounts) {
-  Trace trace;
-  trace.emit(1, "x", "hello");
-  EXPECT_TRUE(trace.records().empty());
-  trace.enable();
-  trace.emit(2, "x", "hello world");
-  trace.emit(3, "y", "goodbye");
-  EXPECT_EQ(trace.records().size(), 2u);
-  EXPECT_EQ(trace.count_containing("hello"), 1u);
-  EXPECT_EQ(trace.count_containing("o"), 2u);
-}
-
-TEST(Trace, RetentionIsBoundedByLimit) {
-  Trace trace;
-  trace.enable();
-  trace.set_limit(4);
-  for (int i = 0; i < 10; ++i) {
-    trace.emit(i, "x", "msg" + std::to_string(i));
-  }
-  EXPECT_EQ(trace.records().size(), 4u);
-  EXPECT_EQ(trace.dropped(), 6u);
-  // Oldest evicted first: the retained window is the most recent four.
-  EXPECT_EQ(trace.records().front().message, "msg6");
-  EXPECT_EQ(trace.records().back().message, "msg9");
-}
-
-TEST(Trace, ShrinkingLimitEvictsImmediately) {
-  Trace trace;
-  trace.enable();
-  for (int i = 0; i < 8; ++i) trace.emit(i, "x", "m");
-  EXPECT_EQ(trace.records().size(), 8u);
-  trace.set_limit(3);
-  EXPECT_EQ(trace.records().size(), 3u);
-  EXPECT_EQ(trace.dropped(), 5u);
-  EXPECT_EQ(trace.records().front().when, 5);
-  trace.clear();
-  EXPECT_EQ(trace.dropped(), 5u);  // clear() keeps the drop count
 }
 
 }  // namespace

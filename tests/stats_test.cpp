@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "stats/histogram.hpp"
 #include "stats/queueing.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -92,23 +91,6 @@ TEST(Queueing, SaturationIsInfinite) {
   EXPECT_TRUE(std::isinf(md1_mean_in_system(1.0)));
   EXPECT_TRUE(std::isinf(mm1_mean_in_system(1.2)));
   EXPECT_THROW(md1_mean_in_system(-0.1), std::invalid_argument);
-}
-
-TEST(LinearHistogram, BinningAndCdf) {
-  LinearHistogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  h.add(-1);   // underflow
-  h.add(100);  // overflow
-  EXPECT_EQ(h.total(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-  EXPECT_NEAR(h.cdf(5.0), 6.0 / 12.0, 1e-12);  // underflow + bins 0..4
-}
-
-TEST(LinearHistogram, InvalidConstruction) {
-  EXPECT_THROW(LinearHistogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Table, RendersAlignedRows) {

@@ -345,6 +345,61 @@ TEST_F(ViperRoutingTest, TreeMulticastBranches) {
   EXPECT_EQ(back->data, pattern_bytes(7));
 }
 
+TEST_F(ViperRoutingTest, TreeCopyAfterLanHopKeepsTheReturnHop) {
+  // a -- r1 -- [LAN] -- r2 -- {b1, b2}: the packet crosses the LAN and
+  // branches at r2.  Each copy's return entry must be the hop the arrival
+  // earned — r2's LAN port with the reversed Ethernet header — or the
+  // reply cannot cross the LAN back to r1.
+  auto& a = fabric.add_host("a.test");
+  auto& r1 = fabric.add_router("r1");
+  auto& r2 = fabric.add_router("r2");
+  auto& b1 = fabric.add_host("b1.test");
+  auto& b2 = fabric.add_host("b2.test");
+  fabric.connect(a, r1);
+  auto& lan = fabric.add_lan("lan0");
+  fabric.attach_lan(lan, r1);
+  fabric.attach_lan(lan, r2);  // r2 port 1
+  fabric.mesh_lan(lan);
+  fabric.connect(r2, b1);  // r2 port 2
+  fabric.connect(r2, b2);  // r2 port 3
+
+  const auto routes =
+      fabric.directory().query(fabric.id_of(a), "b1.test", {});
+  ASSERT_FALSE(routes.empty());
+  const auto& issued = routes.front();
+  ASSERT_EQ(issued.route.segments.size(), 3u);
+  auto branch = [&](std::uint8_t port) {
+    core::SourceRoute sub;
+    sub.segments = {p2p_segment(port), local_segment()};
+    return encode_route(sub);
+  };
+  core::HeaderSegment tree;
+  tree.port = 2;  // ignored: branch routes take over
+  tree.port_info = core::encode_tree_info({branch(2), branch(3)});
+  core::SourceRoute route;
+  route.segments = {issued.route.segments[0], tree};
+
+  std::optional<Delivery> d1, d2;
+  b1.set_default_handler([&](const Delivery& d) { d1 = d; });
+  b2.set_default_handler([&](const Delivery& d) { d2 = d; });
+  SendOptions options;
+  options.out_port = issued.host_out_port;
+  options.link = issued.first_hop_link;
+  a.send(route, pattern_bytes(40), options);
+  sim.run();
+  ASSERT_TRUE(d1.has_value());
+  ASSERT_TRUE(d2.has_value());
+  EXPECT_EQ(r2.stats().tree_copies, 2u);
+
+  std::optional<Delivery> back;
+  a.set_default_handler([&](const Delivery& d) { back = d; });
+  b1.reply(*d1, pattern_bytes(7));
+  sim.run();
+  EXPECT_EQ(r2.stats().dropped_malformed, 0u);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->data, pattern_bytes(7));
+}
+
 TEST_F(ViperRoutingTest, CutThroughBeatsStoreAndForward) {
   // Same 3-hop path; compare delivery time with cut-through on vs off.
   auto run_case = [&](bool cut_through) {
