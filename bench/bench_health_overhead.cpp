@@ -1,8 +1,8 @@
 // Health-plane overhead on the fabric data path.
 //
 // The health plane does no per-packet work: its entire cost is the
-// periodic tick (registry snapshot, series roll, detector sweep), which
-// runs off the forwarding path on the simulator clock.  The contract is
+// periodic tick (registry snapshot, per-rule window diff, detector sweep),
+// which runs off the forwarding path on the simulator clock.  The contract is
 // that enabling it leaves data-path throughput within a small multiple
 // of the health-free fabric.  Two configurations of the same send loop
 // through an observed three-router line, tick cost amortized in:
@@ -12,7 +12,7 @@
 //                     density of the 10 ms production default, so the
 //                     measured amortized cost is an overestimate.
 //
-// scripts/check_health_overhead.py gates CI on
+// `scripts/check_overhead.py health` gates CI on
 // health_enabled / no_health <= 1.25.
 #include <benchmark/benchmark.h>
 
@@ -45,9 +45,7 @@ void BM_FabricSend(benchmark::State& state, Mode mode) {
 
   fabric.enable_observability({&registry, nullptr, nullptr});
   if (mode == Mode::kHealthEnabled) {
-    health::HealthConfig config;
-    config.series.window = sim::kMillisecond;
-    fabric.enable_health(config);
+    fabric.enable_health(sim::kMillisecond);
   }
 
   const auto routes =

@@ -5,7 +5,7 @@
 // A VMTP echo workload warms the fabric for 250 ms, then a fault lane
 // starts silently dropping a quarter of the packets leaving r2 toward
 // r3.  Nobody tells the health plane: it watches honest device counters
-// through windowed series, notices that r2:p2's books stop balancing
+// window by window, notices that r2:p2's books stop balancing
 // (packets entered that no exit counter explains), debounces the breach,
 // fires a LinkWireLoss alert naming the router and port, and corroborates
 // the suspect with in-band path telemetry — damaged packets were last
@@ -61,9 +61,7 @@ int main() {
   dir::PathTelemetryConfig telemetry;
   telemetry.sample_period = 4;
   fabric.enable_path_telemetry(telemetry);
-  health::HealthConfig config;
-  config.series.window = 10 * sim::kMillisecond;
-  auto& monitor = fabric.enable_health(config);
+  auto& monitor = fabric.enable_health(10 * sim::kMillisecond);
 
   // The fault engine keeps its ground-truth books in a registry the
   // health plane never sees — detection rests on device counters alone.

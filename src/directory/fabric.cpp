@@ -195,13 +195,13 @@ obs::PathCollector& Fabric::enable_path_telemetry(PathTelemetryConfig config) {
   return *collector_;
 }
 
-health::HealthMonitor& Fabric::enable_health(health::HealthConfig config) {
+health::HealthMonitor& Fabric::enable_health(sim::Time window) {
   if (observer_.registry == nullptr) {
     throw std::logic_error(
         "Fabric::enable_health: enable_observability with a registry first");
   }
   monitor_ = std::make_unique<health::HealthMonitor>(
-      sim_, *observer_.registry, config);
+      sim_, *observer_.registry, window);
   monitor_->set_recorder(observer_.recorder);
   monitor_->set_flow_plane(observer_.flow);
   monitor_->set_path_collector(collector_.get());

@@ -110,9 +110,10 @@ class Fabric {
   /// watching every router port built so far, reading the observer()
   /// registry (call enable_observability first), corroborating root
   /// causes through the path collector and flow plane when present, and
-  /// ticking once per config window.  Like enable_observability, not
+  /// ticking once per @p window.  Like enable_observability, not
   /// retroactive for later components.
-  health::HealthMonitor& enable_health(health::HealthConfig config = {});
+  health::HealthMonitor& enable_health(
+      sim::Time window = health::kDefaultWindow);
 
   /// The monitor built by enable_health(); null before it.
   [[nodiscard]] health::HealthMonitor* health_monitor() {

@@ -84,7 +84,6 @@ class AlertEngine {
   /// Returns true when the rule's state changed this window.
   bool observe(std::size_t rule, sim::Time now, const Verdict& verdict);
 
-  [[nodiscard]] const AlertPolicy& policy() const { return policy_; }
   [[nodiscard]] std::size_t rules() const { return cells_.size(); }
   [[nodiscard]] const Alert& alert(std::size_t rule) const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "check/contract.hpp"
-#include "health/series.hpp"
 
 namespace srp::health {
 
@@ -76,6 +75,29 @@ Verdict EwmaDetector::evaluate(double value) {
     ++seen_;
   }
   return {breached_, value, magnitude};
+}
+
+double fraction_above(const stats::HistogramSnapshot& window,
+                      std::uint64_t threshold) {
+  if (window.count == 0) return 0.0;
+  std::uint64_t above = 0;
+  double partial = 0.0;
+  for (std::size_t i = 0; i < window.kBuckets; ++i) {
+    if (window.buckets[i] == 0) continue;
+    const auto low = stats::Histogram::bucket_low(i);
+    const auto high = stats::Histogram::bucket_high(i);
+    if (low > threshold) {
+      above += window.buckets[i];
+    } else if (high > threshold) {
+      // Straddling bucket: pro-rata share of samples above the threshold
+      // under the within-bucket uniform assumption.
+      const double width = static_cast<double>(high - low) + 1.0;
+      const double over = static_cast<double>(high - threshold);
+      partial += static_cast<double>(window.buckets[i]) * over / width;
+    }
+  }
+  return (static_cast<double>(above) + partial) /
+         static_cast<double>(window.count);
 }
 
 BurnRateDetector::BurnRateDetector(BurnRateConfig config) : config_(config) {

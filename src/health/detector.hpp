@@ -1,4 +1,4 @@
-// Per-window anomaly detectors over SeriesStore readings.
+// Per-window anomaly detectors over the health monitor's windowed readings.
 //
 // Three families, matching what a fabric operator actually pages on:
 //
@@ -97,11 +97,16 @@ struct BurnRateConfig {
   std::uint64_t min_samples = 8; ///< windows with fewer samples are skipped
 };
 
+/// Fraction of @p window's samples whose value exceeds @p threshold,
+/// interpolating pro-rata within the straddling log2 bucket (the same
+/// within-bucket uniform assumption as HistogramSnapshot::percentile).
+/// 0 for an empty window.
+[[nodiscard]] double fraction_above(const stats::HistogramSnapshot& window,
+                                    std::uint64_t threshold);
+
 class BurnRateDetector {
  public:
   explicit BurnRateDetector(BurnRateConfig config);
-
-  [[nodiscard]] const BurnRateConfig& config() const { return config_; }
 
   /// Evaluates one window of the objective histogram.  Windows with fewer
   /// than min_samples samples keep the previous breach state (a quiet

@@ -115,7 +115,7 @@ std::string to_alerts_json(const HealthMonitor& monitor) {
     out += "}";
   }
   out += episodes.empty() ? "],\n" : "\n  ],\n";
-  append_fmt(out, "  \"windows\": %" PRIu64 ",\n", monitor.series().windows());
+  append_fmt(out, "  \"windows\": %" PRIu64 ",\n", monitor.windows());
   append_fmt(out, "  \"rules\": %zu\n", monitor.engine().rules());
   out += "}\n";
   return out;

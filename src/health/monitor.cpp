@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <functional>
 #include <string_view>
 #include <utility>
 
@@ -16,6 +15,59 @@ namespace srp::health {
 namespace {
 
 using stats::append_fmt;
+
+// The rule templates' settings.
+
+/// Threshold rules (wire loss, link-down drops, link down, token rejects)
+/// breach on one event per window and clear on a window with none.
+constexpr ThresholdConfig kAnyEvent{.limit = 1.0, .clear_limit = 0.0};
+
+/// Baseline deviation of windowed p99s (queue wait, RTT); the
+/// min_deviation floor is in histogram units (picoseconds).
+constexpr EwmaConfig kLatencyEwma{.alpha = 0.3,
+                                  .sigmas = 4.0,
+                                  .clear_sigmas = 2.0,
+                                  .min_deviation = 50.0 * sim::kMicrosecond,
+                                  .min_sigma = 10.0 * sim::kMicrosecond,
+                                  .warmup = 3,
+                                  .one_sided = true};
+
+/// Baseline deviation of windowed counter rates (token misses,
+/// retransmits); the min_deviation floor is in events per window.
+constexpr EwmaConfig kRateEwma{.alpha = 0.3,
+                               .sigmas = 4.0,
+                               .clear_sigmas = 2.0,
+                               .min_deviation = 8.0,
+                               .min_sigma = 2.0,
+                               .warmup = 3,
+                               .one_sided = true};
+
+/// Delivery-latency SLO, applied to every `host.*.e2e_latency_ps`
+/// histogram: at most 1% of deliveries may exceed 5 ms; SloBurnRate
+/// fires when the budget burns at 10x or faster.
+constexpr BurnRateConfig kSlo{.objective = 5 * sim::kMillisecond,
+                              .error_budget = 0.01,
+                              .burn_limit = 10.0,
+                              .clear_burn = 1.0,
+                              .min_samples = 8};
+
+/// value - previous, clamped at 0 against resets.
+std::uint64_t clamped_delta(std::uint64_t value, std::uint64_t previous) {
+  return value >= previous ? value - previous : 0;
+}
+
+/// The samples @p now holds beyond @p previous, bucket by bucket.
+stats::HistogramSnapshot window_between(
+    const stats::HistogramSnapshot& previous,
+    const stats::HistogramSnapshot& now) {
+  stats::HistogramSnapshot window;
+  for (std::size_t i = 0; i < now.kBuckets; ++i) {
+    window.buckets[i] = clamped_delta(now.buckets[i], previous.buckets[i]);
+  }
+  window.count = clamped_delta(now.count, previous.count);
+  window.sum = clamped_delta(now.sum, previous.sum);
+  return window;
+}
 
 bool ends_with(std::string_view name, std::string_view suffix) {
   return name.size() >= suffix.size() &&
@@ -40,12 +92,9 @@ std::string instance_segment(std::string_view metric) {
 }  // namespace
 
 HealthMonitor::HealthMonitor(sim::Simulator& sim, stats::Registry& registry,
-                             HealthConfig config)
-    : sim_(sim),
-      registry_(registry),
-      config_(config),
-      series_(config.series),
-      engine_(config.policy) {
+                             sim::Time window)
+    : sim_(sim), registry_(registry), window_(window) {
+  SIRPENT_EXPECTS(window_ > 0);
   windows_counter_ = &registry_.counter("health.monitor.windows");
   transitions_counter_ = &registry_.counter("health.monitor.transitions");
   rules_gauge_ = &registry_.gauge("health.monitor.rules");
@@ -59,25 +108,27 @@ void HealthMonitor::map_router(std::uint32_t id, std::string name) {
 void HealthMonitor::watch_link(net::TxPort& port, std::string owner) {
   LinkProbe probe;
   probe.port = &port;
-  probe.owner = owner;
-  probe.instance = stats::metric_component(port.name());
-  instance_owner_[probe.instance] = owner;
-  instance_port_[probe.instance] = port.name();
+  const std::string inst = stats::metric_component(port.name());
+  probe.handed = &registry_.counter("port." + inst + ".handed");
+  probe.cleared = &registry_.counter("port." + inst + ".cleared");
+  probe.down_drops = &registry_.counter("port." + inst + ".down_drops");
+  probe.local_drops = &registry_.counter("port." + inst + ".local_drops");
+  probe.wire_loss = &registry_.counter("port." + inst + ".wire_loss");
+  probe.link_up = &registry_.gauge("port." + inst + ".link_up");
+  instance_owner_[inst] = std::move(owner);
+  instance_port_[inst] = port.name();
   probes_.push_back(std::move(probe));
 }
 
 void HealthMonitor::start() {
   if (started_) return;
   started_ = true;
-  auto tick_fn = std::make_shared<std::function<void()>>();
-  // Weak self-capture (the enable_load_reporting idiom): the only strong
-  // reference lives in the pending event, so the chain is reclaimed with
-  // the event queue.
-  *tick_fn = [this, weak = std::weak_ptr(tick_fn)] {
-    tick();
-    sim_.after(config_.series.window, [self = weak.lock()] { (*self)(); });
-  };
-  sim_.after(config_.series.window, [tick_fn] { (*tick_fn)(); });
+  sim_.after(window_, [this] { on_window(); });
+}
+
+void HealthMonitor::on_window() {
+  tick();
+  sim_.after(window_, [this] { on_window(); });
 }
 
 void HealthMonitor::publish_probe_mirrors() {
@@ -106,18 +157,15 @@ void HealthMonitor::publish_probe_mirrors() {
                          d_outstanding;
     const std::uint64_t wire_loss =
         residue > 0 ? static_cast<std::uint64_t>(residue) : 0;
-    probe.wire_loss_total += wire_loss;
     probe.prev = s;
     probe.prev_outstanding = outstanding;
 
-    const std::string& inst = probe.instance;
-    registry_.counter("port." + inst + ".handed").add(d_enqueued);
-    registry_.counter("port." + inst + ".cleared").add(d_cleared);
-    registry_.counter("port." + inst + ".down_drops").add(d_down);
-    registry_.counter("port." + inst + ".local_drops").add(d_local);
-    registry_.counter("port." + inst + ".wire_loss").add(wire_loss);
-    registry_.gauge("port." + inst + ".link_up")
-        .set(probe.port->is_up() ? 1 : 0);
+    probe.handed->add(d_enqueued);
+    probe.cleared->add(d_cleared);
+    probe.down_drops->add(d_down);
+    probe.local_drops->add(d_local);
+    probe.wire_loss->add(wire_loss);
+    probe.link_up->set(probe.port->is_up() ? 1 : 0);
   }
 }
 
@@ -135,8 +183,13 @@ void HealthMonitor::instantiate_rules(const stats::MetricsSnapshot& snap) {
         it != instance_port_.end()) {
       labels.port = it->second;
     }
-    rules_.push_back(Rule{metric, reading, engine_.add_rule(std::move(labels)),
-                          std::move(detector)});
+    Rule rule{metric, reading, engine_.add_rule(std::move(labels)),
+              std::move(detector), std::uint64_t{0}};
+    if (reading == Reading::kHistogramP99 ||
+        reading == Reading::kHistogramBurn) {
+      rule.previous = stats::HistogramSnapshot{};
+    }
+    rules_.push_back(std::move(rule));
   };
 
   const auto consider = [&](const std::string& name, bool histogram) {
@@ -146,52 +199,45 @@ void HealthMonitor::instantiate_rules(const stats::MetricsSnapshot& snap) {
       if (starts_with(name, "port.") && ends_with(name, ".wire_loss")) {
         add_rule(name, "LinkWireLoss", Reading::kCounterRate,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = config_.loss_limit,
-                                    .clear_limit = 0.0}));
+                 ThresholdDetector(kAnyEvent));
       } else if (starts_with(name, "port.") &&
                  ends_with(name, ".down_drops")) {
         add_rule(name, "LinkDownDrops", Reading::kCounterRate,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = config_.loss_limit,
-                                    .clear_limit = 0.0}));
+                 ThresholdDetector(kAnyEvent));
       } else if (starts_with(name, "port.") && ends_with(name, ".link_up")) {
         add_rule(name, "LinkDown", Reading::kGaugeInverted,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = 1.0, .clear_limit = 0.0}));
+                 ThresholdDetector(kAnyEvent));
       } else if (starts_with(name, "viper.") &&
                  ends_with(name, ".token_rejected")) {
         add_rule(name, "TokenRejects", Reading::kCounterRate,
                  DetectorKind::kThreshold,
-                 ThresholdDetector({.limit = config_.reject_limit,
-                                    .clear_limit = 0.0}));
+                 ThresholdDetector(kAnyEvent));
       } else if (starts_with(name, "viper.") &&
                  (ends_with(name, ".token_miss_optimistic") ||
                   ends_with(name, ".token_miss_blocking") ||
                   ends_with(name, ".token_miss_drop"))) {
         add_rule(name, "TokenMissSurge", Reading::kCounterRate,
-                 DetectorKind::kEwma, EwmaDetector(config_.rate_ewma));
+                 DetectorKind::kEwma, EwmaDetector(kRateEwma));
       } else if (starts_with(name, "vmtp.") &&
                  ends_with(name, ".retransmits")) {
         add_rule(name, "RetransmitSurge", Reading::kCounterRate,
-                 DetectorKind::kEwma, EwmaDetector(config_.rate_ewma));
+                 DetectorKind::kEwma, EwmaDetector(kRateEwma));
       }
       return;
     }
     if (starts_with(name, "port.") && ends_with(name, ".queue_wait_ps")) {
       add_rule(name, "QueueWaitSurge", Reading::kHistogramP99,
-               DetectorKind::kEwma, EwmaDetector(config_.latency_ewma));
+               DetectorKind::kEwma, EwmaDetector(kLatencyEwma));
     } else if (starts_with(name, "vmtp.") && ends_with(name, ".rtt_ps")) {
       add_rule(name, "RttSurge", Reading::kHistogramP99, DetectorKind::kEwma,
-               EwmaDetector(config_.latency_ewma));
+               EwmaDetector(kLatencyEwma));
     } else if (starts_with(name, "host.") &&
                ends_with(name, ".e2e_latency_ps")) {
       add_rule(name, "SloBurnRate", Reading::kHistogramBurn,
                DetectorKind::kBurnRate,
-               BurnRateDetector({.objective = config_.slo_objective_ps,
-                                 .error_budget = config_.slo_error_budget,
-                                 .burn_limit = config_.slo_burn_limit,
-                                 .clear_burn = config_.slo_clear_burn,
-                                 .min_samples = config_.slo_min_samples}));
+               BurnRateDetector(kSlo));
     }
   };
 
@@ -200,41 +246,47 @@ void HealthMonitor::instantiate_rules(const stats::MetricsSnapshot& snap) {
   for (const auto& [name, hist] : snap.histograms) consider(name, true);
 }
 
-void HealthMonitor::evaluate_rules() {
+void HealthMonitor::evaluate_rules(const stats::MetricsSnapshot& snap) {
   const sim::Time now = sim_.now();
   for (Rule& rule : rules_) {
     Verdict verdict;
     switch (rule.reading) {
       case Reading::kCounterRate: {
-        const auto rate = series_.counter_rate(rule.metric);
-        if (!rate.has_value()) continue;
+        auto& previous = std::get<std::uint64_t>(rule.previous);
+        const std::uint64_t value = snap.counters.at(rule.metric);
+        const auto rate = static_cast<double>(clamped_delta(value, previous));
+        previous = value;
         if (auto* d = std::get_if<ThresholdDetector>(&rule.detector)) {
-          verdict = d->evaluate(*rate);
+          verdict = d->evaluate(rate);
         } else {
-          verdict = std::get<EwmaDetector>(rule.detector).evaluate(*rate);
+          verdict = std::get<EwmaDetector>(rule.detector).evaluate(rate);
         }
         break;
       }
       case Reading::kGaugeInverted: {
-        const auto level = series_.gauge_level(rule.metric);
-        if (!level.has_value()) continue;
-        verdict = std::get<ThresholdDetector>(rule.detector)
-                      .evaluate(1.0 - *level);
+        const auto level = static_cast<double>(snap.gauges.at(rule.metric));
+        verdict =
+            std::get<ThresholdDetector>(rule.detector).evaluate(1.0 - level);
         break;
       }
-      case Reading::kHistogramP99: {
-        const auto* window = series_.histogram_window(rule.metric);
+      case Reading::kHistogramP99:
+      case Reading::kHistogramBurn: {
+        auto& previous = std::get<stats::HistogramSnapshot>(rule.previous);
+        const stats::HistogramSnapshot& value =
+            snap.histograms.at(rule.metric);
+        const stats::HistogramSnapshot window =
+            window_between(previous, value);
+        previous = value;
+        if (rule.reading == Reading::kHistogramBurn) {
+          verdict =
+              std::get<BurnRateDetector>(rule.detector).evaluate(window);
+          break;
+        }
         // An empty window is no evidence either way: keep state, do not
         // teach the baseline that "no traffic" means "zero latency".
-        if (window == nullptr || window->count == 0) continue;
+        if (window.count == 0) continue;
         verdict = std::get<EwmaDetector>(rule.detector)
-                      .evaluate(static_cast<double>(window->percentile(0.99)));
-        break;
-      }
-      case Reading::kHistogramBurn: {
-        const auto* window = series_.histogram_window(rule.metric);
-        if (window == nullptr) continue;
-        verdict = std::get<BurnRateDetector>(rule.detector).evaluate(*window);
+                      .evaluate(static_cast<double>(window.percentile(0.99)));
         break;
       }
     }
@@ -247,9 +299,9 @@ void HealthMonitor::evaluate_rules() {
 void HealthMonitor::tick() {
   publish_probe_mirrors();
   const auto snap = registry_.full_snapshot();
-  series_.roll(sim_.now(), snap);
   instantiate_rules(snap);
-  evaluate_rules();
+  evaluate_rules(snap);
+  ++windows_;
   windows_counter_->add(1);
   rules_gauge_->set(static_cast<std::int64_t>(rules_.size()));
   firing_gauge_->set(static_cast<std::int64_t>(engine_.firing().size()));
@@ -257,7 +309,7 @@ void HealthMonitor::tick() {
 
 void HealthMonitor::on_transition(const Alert& alert) {
   transitions_counter_->add(1);
-  if (!config_.emit_spans || recorder_ == nullptr) return;
+  if (recorder_ == nullptr) return;
   obs::SpanRecord span;
   span.kind = obs::SpanKind::kAlert;
   span.start = span.decision = span.end = sim_.now();

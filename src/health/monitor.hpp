@@ -1,7 +1,8 @@
 // HealthMonitor: the health plane's tick loop and rule book.
 //
-// One monitor owns a SeriesStore, an AlertEngine and a set of link probes.
-// Every `window` of sim time it:
+// One monitor owns an AlertEngine, a set of link probes and its rules.
+// Every window of sim time (kDefaultWindow unless the constructor is told
+// otherwise) it:
 //
 //  1. Reads each watched TxPort's Stats struct (plain struct reads — the
 //     per-packet data path is untouched) and mirrors them into registry
@@ -21,14 +22,18 @@
 //     monitor never reads dropped_injected or any `fault.*` metric; the
 //     fault engine's own books are ground truth for scoring, not input.
 //
-//  2. Rolls the registry snapshot into the SeriesStore (windowed deltas).
+//  2. Takes one registry snapshot and auto-instantiates rules from the
+//     built-in template table the first time a matching metric appears
+//     (a fabric's metric population is not known until traffic flows).
 //
-//  3. Auto-instantiates rules from the built-in template table the first
-//     time a matching metric appears (a fabric's metric population is not
-//     known until traffic flows), then evaluates every rule and folds the
-//     verdicts through the AlertEngine's pending→firing→resolved
-//     lifecycle.  Transitions emit kAlert instants into the flight
-//     recorder and bump `health.monitor.*` self-metrics.
+//  3. Evaluates every rule on its window.  The registry is cumulative, so
+//     each rule keeps its metric's previous reading and diffs against it:
+//     a counter's delta, a histogram's bucket-wise delta (the window's own
+//     samples), both clamped at zero against resets; a gauge is read as
+//     its level.  A rule created this tick diffs against zero.  Verdicts
+//     fold through the AlertEngine's pending→firing→resolved lifecycle;
+//     transitions emit kAlert instants into the flight recorder and bump
+//     `health.monitor.*` self-metrics.
 //
 // diagnose() turns a fired alert into a RootCause: the suspect device and
 // port from the rule labels, corroborated — when the fabric wired them in —
@@ -37,14 +42,12 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "health/alerts.hpp"
 #include "health/detector.hpp"
-#include "health/series.hpp"
 #include "net/port.hpp"
 #include "sim/simulator.hpp"
 #include "stats/registry.hpp"
@@ -59,45 +62,8 @@ class PathCollector;
 
 namespace srp::health {
 
-struct HealthConfig {
-  SeriesConfig series;  ///< window length + retained depth
-  AlertPolicy policy;   ///< for-duration / clear debounce
-
-  /// Delivery-latency SLO, applied to every `host.*.e2e_latency_ps`
-  /// histogram: at most `slo_error_budget` of deliveries may exceed the
-  /// objective; the SloBurnRate alert fires when the budget burns at
-  /// `slo_burn_limit`x or faster.
-  std::uint64_t slo_objective_ps = 5 * sim::kMillisecond;
-  double slo_error_budget = 0.01;
-  double slo_burn_limit = 10.0;
-  double slo_clear_burn = 1.0;
-  std::uint64_t slo_min_samples = 8;
-
-  /// Baseline-deviation templates: latency_ewma scores windowed p99s
-  /// (queue wait, RTT); rate_ewma scores windowed counter rates (token
-  /// misses, retransmits).  min_deviation floors are in histogram units
-  /// (picoseconds) and events/window respectively.
-  EwmaConfig latency_ewma{.alpha = 0.3,
-                          .sigmas = 4.0,
-                          .clear_sigmas = 2.0,
-                          .min_deviation = 50.0 * sim::kMicrosecond,
-                          .min_sigma = 10.0 * sim::kMicrosecond,
-                          .warmup = 3,
-                          .one_sided = true};
-  EwmaConfig rate_ewma{.alpha = 0.3,
-                       .sigmas = 4.0,
-                       .clear_sigmas = 2.0,
-                       .min_deviation = 8.0,
-                       .min_sigma = 2.0,
-                       .warmup = 3,
-                       .one_sided = true};
-
-  /// Wire-loss / reject thresholds, in events per window.
-  double loss_limit = 1.0;
-  double reject_limit = 1.0;
-
-  bool emit_spans = true;  ///< kAlert instants on every transition
-};
+/// Default window length: the tick period and the span of every reading.
+inline constexpr sim::Time kDefaultWindow = 10 * sim::kMillisecond;
 
 /// Localized explanation of a fired alert.
 struct RootCause {
@@ -110,7 +76,7 @@ struct RootCause {
 class HealthMonitor {
  public:
   HealthMonitor(sim::Simulator& sim, stats::Registry& registry,
-                HealthConfig config = {});
+                sim::Time window = kDefaultWindow);
 
   // --- optional corroboration sinks (null = feature off) ---
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
@@ -129,20 +95,19 @@ class HealthMonitor {
   /// Begins the periodic window tick (one sim event per window).
   void start();
 
-  /// Closes one window now: probe mirrors, series roll, rule evaluation.
+  /// Closes one window now: probe mirrors, snapshot, rule evaluation.
   /// start() calls this on its schedule; tests may drive it manually.
   void tick();
 
-  [[nodiscard]] const HealthConfig& config() const { return config_; }
-  [[nodiscard]] const SeriesStore& series() const { return series_; }
+  /// Windows closed so far.
+  [[nodiscard]] std::uint64_t windows() const { return windows_; }
   [[nodiscard]] const AlertEngine& engine() const { return engine_; }
-  [[nodiscard]] std::size_t probes() const { return probes_.size(); }
 
   /// Root-cause hint for @p alert (normally one that fired).
   [[nodiscard]] RootCause diagnose(const Alert& alert) const;
 
  private:
-  /// How a rule reads its windowed value from the SeriesStore.
+  /// How a rule reads its windowed value from the registry snapshot.
   enum class Reading : std::uint8_t {
     kCounterRate,    // counter delta per window
     kGaugeInverted,  // 1 - gauge level (for link_up-style booleans)
@@ -155,11 +120,16 @@ class HealthMonitor {
     Reading reading;
     std::size_t handle = 0;  // AlertEngine rule index
     std::variant<ThresholdDetector, EwmaDetector, BurnRateDetector> detector;
+    /// The metric's cumulative reading at the previous tick (zero before
+    /// the first): a counter value, or a histogram for the two histogram
+    /// readings.  Advances every tick, whether or not the rule evaluates.
+    std::variant<std::uint64_t, stats::HistogramSnapshot> previous;
   };
 
+  void on_window();
   void publish_probe_mirrors();
   void instantiate_rules(const stats::MetricsSnapshot& snap);
-  void evaluate_rules();
+  void evaluate_rules(const stats::MetricsSnapshot& snap);
   void on_transition(const Alert& alert);
   /// Owner device of a metric instance ("r2_p1" -> "r2" via probes,
   /// else the instance segment itself).
@@ -167,17 +137,21 @@ class HealthMonitor {
 
   struct LinkProbe {
     net::TxPort* port = nullptr;
-    std::string owner;
-    std::string instance;  // metric_component(port->name())
     net::TxPort::Stats prev{};
     std::uint64_t prev_outstanding = 0;
-    std::uint64_t wire_loss_total = 0;
+    // Registry mirrors, resolved once in watch_link.
+    stats::Counter* handed = nullptr;
+    stats::Counter* cleared = nullptr;
+    stats::Counter* down_drops = nullptr;
+    stats::Counter* local_drops = nullptr;
+    stats::Counter* wire_loss = nullptr;
+    stats::Gauge* link_up = nullptr;
   };
 
   sim::Simulator& sim_;
   stats::Registry& registry_;
-  HealthConfig config_;
-  SeriesStore series_;
+  sim::Time window_;
+  std::uint64_t windows_ = 0;
   AlertEngine engine_;
   std::vector<LinkProbe> probes_;
   std::vector<Rule> rules_;

@@ -211,7 +211,14 @@ SRP_HOT_PATH void ViperRouter::route(const net::Arrival& arrival,
   }
 
   // Blazenet-style tree multicast: the continuation lives in the branches.
+  // A branch that leads with another tree would multiply the copies of one
+  // arrival by up to 255 per level: it is malformed, so one tree segment
+  // costs at most 255 copies at a hop.
   if (core::is_tree_info(seg.port_info)) {
+    if (ingress.tree_branch) {
+      ++stats_.dropped_malformed;
+      return;
+    }
     branch_tree(arrival, front, bytes);
     return;
   }
@@ -287,7 +294,8 @@ void ViperRouter::branch_tree(const net::Arrival& arrival, const Front& front,
     // caller's frame, which outlives this call).
     route(arrival, copy,
           Ingress{/*link_framed=*/false, /*given_return=*/true,
-                  front.return_port, front.return_info});
+                  front.return_port, front.return_info,
+                  /*tree_branch=*/true});
   }
 }
 

@@ -241,11 +241,13 @@ class ViperRouter : public ViperNode {
   /// first segment and whether its return entry is given rather than
   /// derived from the arrival — the tunnel port and far-end info on tunnel
   /// ingress, or the front's own return entry for a tree branch copy.
+  /// A tree branch copy may not branch again at the same hop.
   struct Ingress {
     bool link_framed = false;
     bool given_return = false;
     std::uint8_t return_port = 0;
     std::span<const std::uint8_t> return_info;
+    bool tree_branch = false;
   };
 
   /// The front of an image: its first segment as views into the image,

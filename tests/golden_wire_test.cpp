@@ -1,8 +1,9 @@
 // Golden wire-format vectors: frozen byte images of the VIPER packet
-// layout (paper §5, Figure 1) and the VMTP transport packet, committed
-// under tests/golden/.  Any codec change that silently alters the bits on
-// the wire fails the byte-compare here; intentional format changes must
-// regenerate the vectors (GOLDEN_REGEN=1) and justify the diff in review.
+// layout (paper §5, Figure 1), the VMTP transport packet and one hostile
+// tree-in-tree route, committed under tests/golden/.  Any codec change
+// that silently alters the bits on the wire fails the byte-compare here;
+// intentional format changes must regenerate the vectors (GOLDEN_REGEN=1)
+// and justify the diff in review.
 //
 // Each vector is also decoded back and checked structurally, so the
 // committed bytes themselves are proven round-trippable.
@@ -11,7 +12,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "core/multicast.hpp"
 #include "core/segment.hpp"
 #include "test_util.hpp"
 #include "transport/header.hpp"
@@ -138,6 +141,19 @@ wire::Bytes build_vmtp_request() {
   return vmtp::encode_transport_packet(h, pattern_bytes(40, 0x50));
 }
 
+/// Tree-in-tree amplifier (hostile input): a tree segment of 255 empty
+/// branches, so every copy leads with the second such tree, then a p2p hop
+/// out port 2 and local delivery of an empty body.  The route is 1,048 B;
+/// without a nesting bound one router turned it into 65,280 copies.
+wire::Bytes build_tree_in_tree() {
+  core::HeaderSegment tree;
+  tree.port = 1;
+  tree.port_info = core::encode_tree_info(std::vector<wire::Bytes>(255));
+  core::SourceRoute route;
+  route.segments = {tree, tree, test::p2p_segment(2), test::local_segment()};
+  return encode_packet(route, {});
+}
+
 // --- byte-compare + structural round-trip ----------------------------------
 
 TEST(GoldenWire, SingleSegment) {
@@ -228,6 +244,30 @@ TEST(GoldenWire, VmtpTransportPacket) {
   if (damaged.has_value()) {
     EXPECT_NE(damaged->header, view->header);
   }
+}
+
+TEST(GoldenWire, TreeInTreeAmplifier) {
+  const wire::Bytes image = build_tree_in_tree();
+  expect_golden("tree_in_tree.bin", image);
+  EXPECT_EQ(image.size(), 1048u + 2u);  // the route, then DataLen 0
+
+  wire::Reader r{std::span{image}};
+  for (int level = 0; level < 2; ++level) {
+    const core::HeaderSegment tree = decode_segment(r);
+    const auto branches = core::TreeView::parse(tree.port_info);
+    ASSERT_TRUE(branches.has_value());
+    std::size_t count = 0;
+    for (const auto blob : *branches) {
+      EXPECT_TRUE(blob.empty());
+      ++count;
+    }
+    EXPECT_EQ(count, 255u);
+  }
+  EXPECT_EQ(decode_segment(r).port, 2);
+  EXPECT_EQ(decode_segment(r).port, core::kLocalPort);
+  const DeliveredBody body = decode_delivered_body(r);
+  EXPECT_TRUE(body.data.empty());
+  EXPECT_TRUE(body.trailer.empty());
 }
 
 }  // namespace

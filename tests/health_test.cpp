@@ -1,4 +1,4 @@
-// Health-plane tests: windowed series, detectors, alert lifecycle,
+// Health-plane tests: per-rule windows, detectors, alert lifecycle,
 // exports, and the headline ground-truth scoring runs — fixed-seed chaos
 // with one fault lane live at a time, where the fault engine's own books
 // say exactly what should have been detected and where.
@@ -20,7 +20,6 @@
 #include "health/detector.hpp"
 #include "health/export.hpp"
 #include "health/monitor.hpp"
-#include "health/series.hpp"
 #include "obs/recorder.hpp"
 #include "stats/registry.hpp"
 #include "test_util.hpp"
@@ -31,82 +30,109 @@ namespace {
 
 using test::pattern_bytes;
 
-// --- SeriesStore -----------------------------------------------------------
+// --- per-rule windows ------------------------------------------------------
 
-TEST(SeriesStore, CounterDeltasPerWindow) {
+/// A bare monitor ticked by hand: each rule's reading is the window
+/// between this tick and the previous one.
+struct WindowRig {
+  sim::Simulator sim;
   stats::Registry registry;
-  auto& counter = registry.counter("viper.r1.token_hit");
-  health::SeriesStore store({.window = sim::kMillisecond, .capacity = 4});
+  health::HealthMonitor monitor{sim, registry};
+  sim::Time at = 0;
 
-  counter.add(10);
-  store.roll(sim::kMillisecond, registry.full_snapshot());
-  counter.add(3);
-  store.roll(2 * sim::kMillisecond, registry.full_snapshot());
-  store.roll(3 * sim::kMillisecond, registry.full_snapshot());
-
-  EXPECT_EQ(store.windows(), 3u);
-  EXPECT_EQ(store.last_roll(), 3 * sim::kMillisecond);
-  EXPECT_EQ(store.counter_rate("viper.r1.token_hit", 0), 0.0);
-  EXPECT_EQ(store.counter_rate("viper.r1.token_hit", 1), 3.0);
-  EXPECT_EQ(store.counter_rate("viper.r1.token_hit", 2), 10.0);
-  EXPECT_EQ(store.counter_rate("viper.r1.token_hit", 3), std::nullopt);
-  EXPECT_EQ(store.counter_rate("viper.r1.token_miss_drop", 0), std::nullopt);
-}
-
-TEST(SeriesStore, RingEvictsBeyondCapacity) {
-  stats::Registry registry;
-  auto& counter = registry.counter("cc.r1.reports");
-  health::SeriesStore store({.window = sim::kMillisecond, .capacity = 2});
-  for (int i = 1; i <= 5; ++i) {
-    counter.add(static_cast<std::uint64_t>(i));
-    store.roll(i * sim::kMillisecond, registry.full_snapshot());
+  void tick() {
+    at += health::kDefaultWindow;
+    sim.run_until(at);
+    monitor.tick();
   }
-  EXPECT_EQ(store.depth("cc.r1.reports"), 2u);
-  EXPECT_EQ(store.counter_rate("cc.r1.reports", 0), 5.0);
-  EXPECT_EQ(store.counter_rate("cc.r1.reports", 1), 4.0);
-  EXPECT_EQ(store.counter_rate("cc.r1.reports", 2), std::nullopt);
+
+  /// The lifecycle events of the rule on @p metric so far.
+  std::vector<health::AlertEvent> events(const std::string& metric) const {
+    for (const auto& cell : monitor.engine().cells()) {
+      if (cell.labels.metric == metric) return cell.events;
+    }
+    ADD_FAILURE() << "no rule on " << metric;
+    return {};
+  }
+};
+
+TEST(HealthWindows, CounterRuleReadsTheWindowDelta) {
+  WindowRig rig;
+  auto& rejected = rig.registry.counter("viper.r2.token_rejected");
+  rejected.add(100);
+  rig.tick();  // breach 1: the first window holds all 100
+  rejected.add(7);
+  rig.tick();  // breach 2: fires on this window's 7, not the total 107
+  rig.tick();
+  rig.tick();  // two empty windows resolve it
+  const auto events = rig.events("viper.r2.token_rejected");
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].state, health::AlertState::kPending);
+  EXPECT_EQ(events[0].value, 100.0);
+  EXPECT_EQ(events[1].state, health::AlertState::kFiring);
+  EXPECT_EQ(events[1].value, 7.0);
+  EXPECT_EQ(events[2].state, health::AlertState::kResolved);
+  EXPECT_EQ(events[2].value, 0.0);
 }
 
-TEST(SeriesStore, GaugeLevelsAndHistogramWindows) {
-  stats::Registry registry;
-  auto& gauge = registry.gauge("port.r1_p1.queue_depth");
-  auto& hist = registry.histogram("port.r1_p1.queue_wait_ps");
-  health::SeriesStore store({.window = sim::kMillisecond, .capacity = 8});
-
-  gauge.set(5);
-  hist.record(100);
-  hist.record(200);
-  store.roll(sim::kMillisecond, registry.full_snapshot());
-  gauge.set(2);
-  hist.record(1'000'000);
-  store.roll(2 * sim::kMillisecond, registry.full_snapshot());
-
-  EXPECT_EQ(store.gauge_level("port.r1_p1.queue_depth", 0), 2.0);
-  EXPECT_EQ(store.gauge_level("port.r1_p1.queue_depth", 1), 5.0);
-  const auto* w0 = store.histogram_window("port.r1_p1.queue_wait_ps", 0);
-  const auto* w1 = store.histogram_window("port.r1_p1.queue_wait_ps", 1);
-  ASSERT_NE(w0, nullptr);
-  ASSERT_NE(w1, nullptr);
-  // The second window contains only the one new sample.
-  EXPECT_EQ(w0->count, 1u);
-  EXPECT_EQ(w0->sum, 1'000'000u);
-  EXPECT_EQ(w1->count, 2u);
-  EXPECT_EQ(w1->sum, 300u);
+TEST(HealthWindows, P99RuleSeesOnlyItsOwnWindow) {
+  WindowRig rig;
+  auto& wait = rig.registry.histogram("port.r1_p1.queue_wait_ps");
+  // Three warmup windows and a steady baseline of 1 us waits.
+  for (int i = 0; i < 8; ++i) {
+    for (int k = 0; k < 20; ++k) wait.record(sim::kMicrosecond);
+    rig.tick();
+  }
+  // One window of 1 ms waits is a surge...
+  for (int k = 0; k < 20; ++k) wait.record(sim::kMillisecond);
+  rig.tick();
+  // ...and the next window of 1 us waits is not: the surge stays in its
+  // own window instead of dominating the run-lifetime p99.
+  for (int k = 0; k < 20; ++k) wait.record(sim::kMicrosecond);
+  rig.tick();
+  const auto events = rig.events("port.r1_p1.queue_wait_ps");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].state, health::AlertState::kPending);
+  EXPECT_GT(events[0].value, 0.5 * sim::kMillisecond);
+  EXPECT_EQ(events[1].state, health::AlertState::kInactive);
+  EXPECT_LT(events[1].value, 2.0 * sim::kMicrosecond);
 }
 
-TEST(SeriesStore, FractionAboveInterpolatesWithinBucket) {
-  stats::HistogramSnapshot window;
-  stats::Histogram h;
-  for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
-  window = h.snapshot();
-  EXPECT_DOUBLE_EQ(health::fraction_above(window, 1u << 20), 0.0);
-  EXPECT_DOUBLE_EQ(health::fraction_above(window, 0), 1.0);
-  // Half the samples exceed 50; the straddling [32,63] bucket is shared
-  // pro-rata, so the estimate lands near 0.5 (within one bucket's error).
-  const double mid = health::fraction_above(window, 50);
-  EXPECT_NEAR(mid, 0.5, 0.07);
-  EXPECT_DOUBLE_EQ(health::fraction_above(stats::HistogramSnapshot{}, 10),
-                   0.0);
+TEST(HealthWindows, MetricRegisteredMidRunDiffsAgainstZero) {
+  WindowRig rig;
+  rig.tick();
+  rig.tick();
+  // First seen at the third tick: its first window is its whole value.
+  rig.registry.counter("port.r3_p2.wire_loss").add(4);
+  rig.tick();
+  const auto events = rig.events("port.r3_p2.wire_loss");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].state, health::AlertState::kPending);
+  EXPECT_EQ(events[0].at, 3 * health::kDefaultWindow);
+  EXPECT_EQ(events[0].value, 4.0);
+}
+
+TEST(HealthWindows, SkippedEmptyWindowStillAdvancesThePreviousReading) {
+  WindowRig rig;
+  auto& wait = rig.registry.histogram("port.r1_p1.queue_wait_ps");
+  for (int i = 0; i < 8; ++i) {
+    for (int k = 0; k < 20; ++k) wait.record(sim::kMicrosecond);
+    rig.tick();
+  }
+  // Twenty slow samples, then an empty window: the rule skips it, but
+  // must still take the slow samples as read.
+  for (int k = 0; k < 20; ++k) wait.record(sim::kMillisecond);
+  rig.tick();
+  rig.tick();  // empty: skipped
+  for (int k = 0; k < 20; ++k) wait.record(sim::kMicrosecond);
+  rig.tick();
+  // Had the skip left the previous reading behind, this window would
+  // hold the slow samples again and read ~1 ms.
+  const auto events = rig.events("port.r1_p1.queue_wait_ps");
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].state, health::AlertState::kInactive);
+  EXPECT_EQ(events[1].at, 11 * health::kDefaultWindow);
+  EXPECT_LT(events[1].value, 2.0 * sim::kMicrosecond);
 }
 
 // --- detectors -------------------------------------------------------------
@@ -190,6 +216,21 @@ TEST(BurnRateDetectorSuite, FiresOnBudgetBurnSkipsQuietWindows) {
   stats::Histogram healthy;
   for (int i = 0; i < 50; ++i) healthy.record(100);
   EXPECT_FALSE(detector.evaluate(healthy.snapshot()).breach);
+}
+
+TEST(BurnRateDetectorSuite, FractionAboveInterpolatesWithinBucket) {
+  stats::HistogramSnapshot window;
+  stats::Histogram h;
+  for (std::uint64_t v = 1; v <= 100; ++v) h.record(v);
+  window = h.snapshot();
+  EXPECT_DOUBLE_EQ(health::fraction_above(window, 1u << 20), 0.0);
+  EXPECT_DOUBLE_EQ(health::fraction_above(window, 0), 1.0);
+  // Half the samples exceed 50; the straddling [32,63] bucket is shared
+  // pro-rata, so the estimate lands near 0.5 (within one bucket's error).
+  const double mid = health::fraction_above(window, 50);
+  EXPECT_NEAR(mid, 0.5, 0.07);
+  EXPECT_DOUBLE_EQ(health::fraction_above(stats::HistogramSnapshot{}, 10),
+                   0.0);
 }
 
 // --- alert lifecycle -------------------------------------------------------
@@ -298,10 +339,7 @@ HealthRun run_health_chaos(Lane lane, std::uint64_t seed) {
   fabric.enable_tokens(0x8EA17, /*enforce=*/true,
                        tokens::UncachedPolicy::kOptimistic);
   fabric.enable_observability(observer);
-  health::HealthConfig config;
-  config.series.window = kWindow;
-  config.policy = {.for_windows = 2, .clear_windows = 2};
-  auto& monitor = fabric.enable_health(config);
+  auto& monitor = fabric.enable_health(kWindow);
 
   fault::FaultPlan plan;
   plan.seed = seed;
@@ -372,7 +410,7 @@ HealthRun run_health_chaos(Lane lane, std::uint64_t seed) {
   }
   run.alerts_json = health::to_alerts_json(monitor);
   run.alerts_prom = health::to_prometheus_alerts(monitor.engine());
-  run.windows = monitor.series().windows();
+  run.windows = monitor.windows();
   return run;
 }
 
@@ -461,7 +499,7 @@ TEST(HealthGroundTruth, FaultedRunAlertsAreDeterministic) {
 struct ResidueRig {
   sim::Simulator sim;
   stats::Registry registry;
-  health::HealthMonitor monitor{sim, registry, health::HealthConfig{}};
+  health::HealthMonitor monitor{sim, registry};
   test::SinkNode peer{sim, "peer"};
   net::TxPort port{sim, "r1:p1",
                    net::LinkConfig{1e9, 2 * sim::kMicrosecond, 1500}};
@@ -541,10 +579,7 @@ void expect_golden_text(const std::string& name, const std::string& text) {
 TEST(HealthExportGolden, PromAndJsonMatchGoldens) {
   sim::Simulator sim;
   stats::Registry registry;
-  health::HealthConfig config;
-  config.series.window = 10 * sim::kMillisecond;
-  config.policy = {.for_windows = 2, .clear_windows = 2};
-  health::HealthMonitor monitor(sim, registry, config);
+  health::HealthMonitor monitor(sim, registry, kWindow);
   monitor.map_router(2, "r2");
 
   auto& rejected = registry.counter("viper.r2.token_rejected");
@@ -554,7 +589,7 @@ TEST(HealthExportGolden, PromAndJsonMatchGoldens) {
     ++window;
     rejected.add(rejects);
     wait.record(2000 + 17 * window);
-    sim.run_until(static_cast<sim::Time>(window) * config.series.window);
+    sim.run_until(static_cast<sim::Time>(window) * kWindow);
     monitor.tick();
   };
   step(0);

@@ -231,9 +231,7 @@ HealthSoakOutcome run_health_soak(std::uint64_t seed) {
   sim::Simulator& sim = net.sim;
   net.fabric.enable_observability(
       obs::Observer{&registry, &recorder, &flow_plane});
-  health::HealthConfig config;
-  config.series.window = 10 * sim::kMillisecond;
-  auto& monitor = net.fabric.enable_health(config);
+  auto& monitor = net.fabric.enable_health(10 * sim::kMillisecond);
 
   vmtp::VmtpConfig vconfig;
   vconfig.max_retries = 6;
@@ -270,7 +268,7 @@ HealthSoakOutcome run_health_soak(std::uint64_t seed) {
   });
   sim.run_until(kDrainEnd);
 
-  outcome.windows = monitor.series().windows();
+  outcome.windows = monitor.windows();
   outcome.firing = monitor.engine().firing().size();
   outcome.fired_total = monitor.engine().fired().size();
   outcome.alerts_json = health::to_alerts_json(monitor);

@@ -3,7 +3,9 @@
 // truncation, multicast, and logical ports.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <string>
 
 #include "directory/fabric.hpp"
 #include "test_util.hpp"
@@ -398,6 +400,34 @@ TEST_F(ViperRoutingTest, TreeCopyAfterLanHopKeepsTheReturnHop) {
   EXPECT_EQ(r2.stats().dropped_malformed, 0u);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->data, pattern_bytes(7));
+}
+
+TEST_F(ViperRoutingTest, TreeInTreeIsDroppedAtTheNestedBranch) {
+  // a -> r1 -> b (r1 port 2).  The frozen image leads with a tree of 255
+  // empty branches whose every copy leads with another such tree: each
+  // copy is malformed, so one packet costs 255 copies, not 65,280.
+  auto& a = fabric.add_host("a.test");
+  auto& r = fabric.add_router("r1");
+  auto& b = fabric.add_host("b.test");
+  fabric.connect(a, r);
+  fabric.connect(r, b);  // port 2
+  int deliveries = 0;
+  b.set_default_handler([&](const Delivery&) { ++deliveries; });
+
+  std::ifstream in(std::string(GOLDEN_DIR) + "/tree_in_tree.bin",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  wire::Bytes image((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  net::PacketFactory packets;
+  a.port(1).enqueue(packets.make(std::move(image), sim.now()),
+                    net::TxMeta{});
+  sim.run();
+
+  EXPECT_EQ(r.stats().received, 1u);
+  EXPECT_EQ(r.stats().tree_copies, 255u);
+  EXPECT_EQ(r.stats().dropped_malformed, 255u);
+  EXPECT_EQ(deliveries, 0);
 }
 
 TEST_F(ViperRoutingTest, CutThroughBeatsStoreAndForward) {
