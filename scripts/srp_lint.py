@@ -39,8 +39,8 @@ linters cannot know about (DESIGN.md section 9):
                   legal: the encoders' >4 GiB field guards reject caller
                   misuse, not wire input.
 
-  metric-names    Every string handed to stats::Registry counter() /
-                  gauge() / histogram() must match the
+  metric-names    Every name handed to stats::Registry counter(name,
+                  source) / gauge() / histogram() must match the
                   `component.instance.metric` contract: 2..5 dot
                   separated segments of [A-Za-z0-9_-].  Runtime
                   fragments (variables, metric_component(...) calls)
@@ -642,6 +642,21 @@ def candidate_names(src: SourceFile, arg_start: int, arg_end: int) -> List[str]:
     return names
 
 
+def first_argument_end(code: str, start: int, end: int) -> int:
+    """End of the first call argument in code[start:end]: the name in the
+    binding form counter(name, source), whose source is never judged."""
+    depth = 0
+    for i in range(start, end):
+        c = code[i]
+        if c in "(<[{":
+            depth += 1
+        elif c in ")>]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            return i
+    return end
+
+
 def valid_metric_name(name: str) -> bool:
     segments = name.split(".")
     if not 2 <= len(segments) <= 5:
@@ -654,10 +669,10 @@ def pass_metric_names(sources: Sequence[SourceFile]) -> List[Finding]:
     for src in sources:
         for m in METRIC_CALL_RE.finditer(src.code):
             open_paren = src.code.index("(", m.end() - 1)
-            close = match_paren(src.code, open_paren) - 1
-            arg = src.code[open_paren + 1 : close]
+            close = first_argument_end(
+                src.code, open_paren + 1, match_paren(src.code, open_paren) - 1)
             # Only metric registrations take a name: skip calls whose
-            # argument carries no string literal at all (e.g. gauge
+            # name argument carries no string literal at all (e.g. gauge
             # pointer plumbing like set_occupancy_gauge(nullptr)).
             has_literal = any(open_paren < off < close for off in src.strings)
             if not has_literal:
@@ -891,7 +906,7 @@ def self_test() -> int:
         ("determinism", "determinism_bad.cpp", 6),
         ("hotpath-alloc", "hotpath_alloc_bad.cpp", 2),
         ("hotpath-alloc", "hotpath_try_bad.cpp", 2),
-        ("metric-names", "metric_name_bad.cpp", 2),
+        ("metric-names", "metric_name_bad.cpp", 5),
         ("metric-names", "metric_namespace_bad.cpp", 1),
         ("metric-names", "metric_namespace_health.cpp", 1),
         ("state-switch-default", "state_switch_default_bad.cpp", 2),

@@ -40,17 +40,15 @@ void CongestionController::set_observer(const obs::Observer& observer) {
   if (observer.registry != nullptr) {
     const auto instance = stats::metric_component(router_.name());
     obs_flows_ = &observer.registry->gauge("cc." + instance + ".flows");
-    obs_reports_sent_ =
-        &observer.registry->counter("cc." + instance + ".reports_sent");
-    obs_reports_received_ =
-        &observer.registry->counter("cc." + instance + ".reports_received");
-    obs_shaped_ = &observer.registry->counter("cc." + instance + ".shaped");
+    observer.registry->counter("cc." + instance + ".reports_sent",
+                               stats_.reports_sent);
+    observer.registry->counter("cc." + instance + ".reports_received",
+                               stats_.reports_received);
+    observer.registry->counter("cc." + instance + ".shaped",
+                               stats_.packets_shaped);
     update_flows_gauge();
   } else {
     obs_flows_ = nullptr;
-    obs_reports_sent_ = nullptr;
-    obs_reports_received_ = nullptr;
-    obs_shaped_ = nullptr;
   }
   obs_recorder_ = observer.recorder;
 }
@@ -100,7 +98,6 @@ bool CongestionController::shape(int out_port, std::uint8_t next_port,
   }
 
   ++stats_.packets_shaped;
-  if (obs_shaped_ != nullptr) obs_shaped_->add();
   if (obs_recorder_ != nullptr && packet->trace_id != 0) {
     // Throttle events render as instants: the shaper held this packet.
     obs::SpanRecord span;
@@ -179,7 +176,6 @@ void CongestionController::on_control(const core::HeaderSegment&,
   const auto report = decode_rate_report(payload);
   if (!report.has_value()) return;
   ++stats_.reports_received;
-  if (obs_reports_received_ != nullptr) obs_reports_received_->add();
   const FlowKey key{report->router_id, report->port};
   auto [it, inserted] = flows_.try_emplace(key);
   FlowState& flow = it->second;
@@ -257,7 +253,6 @@ void CongestionController::send_rate_report(int port, double rate_bps,
   for (int feeder : feeders) {
     router_.send_control(feeder, payload);
     ++stats_.reports_sent;
-    if (obs_reports_sent_ != nullptr) obs_reports_sent_->add();
   }
 }
 

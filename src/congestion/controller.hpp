@@ -78,7 +78,8 @@ class CongestionController {
 
   /// Wires the controller to an observability sink: a `cc.<router>.flows`
   /// gauge (throttle-table size), `cc.<router>.reports_*` / `.shaped`
-  /// counters, and — with a recorder — a kThrottle instant span whenever a
+  /// counters bound to stats(), and — with a recorder — a kThrottle
+  /// instant span whenever a
   /// traced packet is held by the shaper.
   void set_observer(const obs::Observer& observer);
 
@@ -151,9 +152,6 @@ class CongestionController {
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Gauge* obs_flows_ = nullptr;
-  stats::Counter* obs_reports_sent_ = nullptr;
-  stats::Counter* obs_reports_received_ = nullptr;
-  stats::Counter* obs_shaped_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
 
   void update_flows_gauge() {

@@ -44,15 +44,12 @@ SRP_SIM_VISIBLE void FaultEngine::attach(net::TxPort& port) {
 
   ports_.emplace_back(&port, lane, stream_for(port.name()));
   PortState& state = ports_.back();
-  // Port names contain ':' (e.g. "r1:p2"), which the metric-naming
-  // convention forbids; sanitize the instance segment.
-  const std::string name = stats::metric_component(port.name());
-  state.dropped = &registry_.counter("fault." + name + ".drop");
-  state.corrupted = &registry_.counter("fault." + name + ".corrupt");
-  state.duplicated = &registry_.counter("fault." + name + ".duplicate");
-  state.reordered = &registry_.counter("fault." + name + ".reorder");
-  state.jittered = &registry_.counter("fault." + name + ".jitter");
-  state.flapped = &registry_.counter("fault." + name + ".flap");
+  state.dropped = &tally(port.name(), "drop");
+  state.corrupted = &tally(port.name(), "corrupt");
+  state.duplicated = &tally(port.name(), "duplicate");
+  state.reordered = &tally(port.name(), "reorder");
+  state.jittered = &tally(port.name(), "jitter");
+  state.flapped = &tally(port.name(), "flap");
 
   if (lane.drop_rate > 0 || lane.corrupt_rate > 0 ||
       lane.duplicate_rate > 0 || lane.reorder_rate > 0 ||
@@ -85,7 +82,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     if (scripted.packet_index != index) continue;
     switch (scripted.action) {
       case ScriptedFault::Action::kDrop:
-        state.dropped->add();
+        ++*state.dropped;
         return net::FaultVerdict::kDrop;
       case ScriptedFault::Action::kCorrupt: {
         if (packet->bytes.empty()) break;
@@ -95,12 +92,12 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
         for (std::size_t i = 0; i < 4 && i < damaged->bytes.size(); ++i) {
           damaged->bytes[i] ^= 0xFF;
         }
-        state.corrupted->add();
+        ++*state.corrupted;
         packet = std::move(damaged);
         break;
       }
       case ScriptedFault::Action::kDuplicate:
-        state.duplicated->add();
+        ++*state.duplicated;
         sim_.after(std::max<sim::Time>(scripted.delay, 1),
                    [port = state.port, copy = clone_packet(*packet), meta,
                     earliest_start]() mutable {
@@ -109,7 +106,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
                    });
         break;
       case ScriptedFault::Action::kReorder:
-        state.reordered->add();
+        ++*state.reordered;
         sim_.after(std::max<sim::Time>(scripted.delay, 1),
                    [port = state.port, held = std::move(packet), meta,
                     earliest_start]() mutable {
@@ -122,7 +119,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
 
   // Lane order is fixed — it is part of the seed-replay contract.
   if (lane.drop_rate > 0 && rng.chance(lane.drop_rate)) {
-    state.dropped->add();
+    ++*state.dropped;
     return net::FaultVerdict::kDrop;
   }
 
@@ -132,7 +129,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     // upstream cut-through chain that must keep its own bytes intact.
     net::PacketPtr damaged = clone_packet(*packet);
     corrupt_bytes(state, damaged->bytes);
-    state.corrupted->add();
+    ++*state.corrupted;
     packet = std::move(damaged);
   }
 
@@ -140,7 +137,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     const sim::Time lag =
         1 + static_cast<sim::Time>(rng.uniform_int(
                 0, static_cast<std::uint64_t>(lane.duplicate_lag_max)));
-    state.duplicated->add();
+    ++*state.duplicated;
     sim_.after(lag, [port = state.port, copy = clone_packet(*packet), meta,
                      earliest_start]() mutable {
       port->enqueue_unfiltered(std::move(copy), meta, earliest_start);
@@ -153,7 +150,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     const sim::Time hold =
         1 + static_cast<sim::Time>(rng.uniform_int(
                 0, static_cast<std::uint64_t>(lane.reorder_hold_max)));
-    state.reordered->add();
+    ++*state.reordered;
     sim_.after(hold, [port = state.port, held = std::move(packet), meta,
                       earliest_start]() mutable {
       port->enqueue_unfiltered(std::move(held), meta, earliest_start);
@@ -165,7 +162,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     const sim::Time jitter = static_cast<sim::Time>(
         rng.uniform_int(1, static_cast<std::uint64_t>(
                                std::max<sim::Time>(lane.jitter_max, 1))));
-    state.jittered->add();
+    ++*state.jittered;
     earliest_start = std::max(earliest_start, sim_.now()) + jitter;
   }
 
@@ -202,7 +199,7 @@ void FaultEngine::schedule_next_flap(PortState& state) {
       static_cast<std::uint64_t>(
           std::max(state.lane.flap_down_max, state.lane.flap_down_min))));
   sim_.after(gap, [this, &state, down_for] {
-    state.flapped->add();
+    ++*state.flapped;
     state.port->set_up(false);
     sim_.after(down_for, [this, &state] {
       state.port->set_up(true);
@@ -214,11 +211,9 @@ void FaultEngine::schedule_next_flap(PortState& state) {
 void FaultEngine::schedule_flap(net::TxPort& port, sim::Time down_at,
                                 sim::Time down_for) {
   SIRPENT_EXPECTS(down_for > 0);
-  stats::Counter& counter =
-      registry_.counter("fault." + stats::metric_component(port.name()) +
-                        ".flap");
-  sim_.at(down_at, [this, &port, &counter, down_for] {
-    counter.add();
+  std::uint64_t& flaps = tally(port.name(), "flap");
+  sim_.at(down_at, [this, &port, &flaps, down_for] {
+    ++flaps;
     port.set_up(false);
     sim_.after(down_for, [&port] { port.set_up(true); });
   });
@@ -229,37 +224,50 @@ void FaultEngine::attach_token_cache(const std::string& name,
   const bool scripted = !plan_.scripted_poisons.empty();
   const bool random = plan_.token_poisons_per_second > 0;
   if (!scripted && !random) return;
-  stats::Counter& counter =
-      registry_.counter("fault." + stats::metric_component(name) +
-                        ".token_poison");
+  std::uint64_t& poisons = tally(name, "token_poison");
   for (const FaultPlan::ScriptedPoison& poison : plan_.scripted_poisons) {
-    sim_.at(poison.at, [&cache, &counter, poison] {
-      if (cache.poison(poison.selector, poison.flag) > 0) counter.add();
+    sim_.at(poison.at, [&cache, &poisons, poison] {
+      if (cache.poison(poison.selector, poison.flag) > 0) ++poisons;
     });
   }
   if (!random) return;
-  schedule_next_poison(name, cache, stream_for(name + "/tokens"), counter);
+  schedule_next_poison(name, cache, stream_for(name + "/tokens"), poisons);
 }
 
 void FaultEngine::schedule_next_poison(const std::string& name,
                                        tokens::TokenCache& cache,
-                                       sim::Rng rng,
-                                       stats::Counter& counter) {
+                                       sim::Rng rng, std::uint64_t& poisons) {
   const double mean_gap_seconds = 1.0 / plan_.token_poisons_per_second;
   const sim::Time gap =
       rng.exp_interval(static_cast<sim::Time>(mean_gap_seconds * sim::kSecond));
   const std::uint64_t selector = rng.next_u64();
-  sim_.after(gap, [this, name, &cache, rng, &counter, selector]() mutable {
-    if (cache.poison(selector, plan_.token_poison_flag) > 0) counter.add();
-    schedule_next_poison(name, cache, rng, counter);
+  sim_.after(gap, [this, name, &cache, rng, &poisons, selector]() mutable {
+    if (cache.poison(selector, plan_.token_poison_flag) > 0) ++poisons;
+    schedule_next_poison(name, cache, rng, poisons);
   });
+}
+
+namespace {
+
+// Port names contain ':' (e.g. "r1:p2"), which the metric-naming
+// convention forbids; sanitize the instance segment.
+std::string fault_metric(std::string_view target, std::string_view lane) {
+  return "fault." + stats::metric_component(target) + "." + std::string(lane);
+}
+
+}  // namespace
+
+std::uint64_t& FaultEngine::tally(std::string_view target,
+                                  std::string_view lane) {
+  const auto [it, inserted] = counts_.try_emplace(fault_metric(target, lane));
+  if (inserted) registry_.counter(it->first, it->second);
+  return it->second;
 }
 
 std::uint64_t FaultEngine::count(const std::string& target,
                                  const std::string& lane) const {
-  return registry_
-      .counter("fault." + stats::metric_component(target) + "." + lane)
-      .value();
+  const auto it = counts_.find(fault_metric(target, lane));
+  return it != counts_.end() ? it->second : 0;
 }
 
 }  // namespace srp::fault

@@ -8,15 +8,17 @@
 // from attach order — so a topology attached in any order replays
 // byte-identically from one seed.
 //
-// Each lane fires through a stats::Registry counter named
-// "fault.<target>.<lane>"; chaos tests reconcile these counters against the
-// end-to-end transport counters to prove every injected fault was either
-// absorbed or detected.
+// Each lane counts its firings in an engine-owned count bound to the
+// stats::Registry as "fault.<target>.<lane>"; chaos tests reconcile these
+// counters against the end-to-end transport counters to prove every
+// injected fault was either absorbed or detected.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
+#include <string_view>
 
 #include "fault/plan.hpp"
 #include "net/network.hpp"
@@ -30,7 +32,8 @@ namespace srp::fault {
 
 class FaultEngine {
  public:
-  /// The engine schedules on @p sim and counts through @p registry.
+  /// The engine schedules on @p sim and binds its counts to @p registry,
+  /// which must not be read after the engine is destroyed.
   FaultEngine(sim::Simulator& sim, FaultPlan plan, stats::Registry& registry);
 
   /// Installs the plan's lane for @p port (by port name).  A port whose
@@ -53,7 +56,8 @@ class FaultEngine {
   void attach_token_cache(const std::string& name,
                           tokens::TokenCache& cache);
 
-  /// Convenience: value of counter "fault.<target>.<lane>".
+  /// Value of counter "fault.<target>.<lane>"; 0, and no series created,
+  /// for a target or lane the engine never counted.
   [[nodiscard]] std::uint64_t count(const std::string& target,
                                     const std::string& lane) const;
 
@@ -66,12 +70,12 @@ class FaultEngine {
     /// keys on (duplicates and re-held packets bypass the hook and are
     /// not counted, so indices match the model's per-direction ordinals).
     std::uint64_t enqueues = 0;
-    stats::Counter* dropped = nullptr;
-    stats::Counter* corrupted = nullptr;
-    stats::Counter* duplicated = nullptr;
-    stats::Counter* reordered = nullptr;
-    stats::Counter* jittered = nullptr;
-    stats::Counter* flapped = nullptr;
+    std::uint64_t* dropped = nullptr;
+    std::uint64_t* corrupted = nullptr;
+    std::uint64_t* duplicated = nullptr;
+    std::uint64_t* reordered = nullptr;
+    std::uint64_t* jittered = nullptr;
+    std::uint64_t* flapped = nullptr;
 
     PortState(net::TxPort* p, LaneConfig l, sim::Rng r)
         : port(p), lane(l), rng(r) {}
@@ -83,10 +87,14 @@ class FaultEngine {
   void schedule_next_flap(PortState& state);
   void schedule_next_poison(const std::string& name,
                             tokens::TokenCache& cache, sim::Rng rng,
-                            stats::Counter& counter);
+                            std::uint64_t& poisons);
 
   /// Independent RNG stream for @p target_name (attach-order free).
   [[nodiscard]] sim::Rng stream_for(const std::string& target_name) const;
+
+  /// The count named "fault.<target>.<lane>", created and bound to the
+  /// registry on first use (schedule_flap and a flapping lane share one).
+  std::uint64_t& tally(std::string_view target, std::string_view lane);
 
   sim::Simulator& sim_;
   FaultPlan plan_;
@@ -94,6 +102,9 @@ class FaultEngine {
   /// deque: PortState addresses must stay stable — the installed hooks
   /// capture them.
   std::deque<PortState> ports_;
+  /// Every lane's count by metric name; map nodes never move, so each is
+  /// a registry source and a stable PortState / event handle.
+  std::map<std::string, std::uint64_t> counts_;
 };
 
 /// Deep copy of a packet sharing no mutable state with the original: fresh

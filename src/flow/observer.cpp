@@ -13,25 +13,22 @@ FlowObserver::FlowObserver(std::string name, const FlowConfig& config,
       sampler_(config.seed, name_, config.sample_period) {
   if (registry != nullptr) {
     const auto instance = stats::metric_component(name_);
-    sampled_counter_ = &registry->counter("flow." + instance + ".sampled");
-    evictions_counter_ =
-        &registry->counter("flow." + instance + ".evictions");
+    registry->counter("flow." + instance + ".sampled", sampled_total_);
+    registry->counter("flow." + instance + ".evictions",
+                      table_.stats().evictions);
     flows_gauge_ = &registry->gauge("flow." + instance + ".flows");
   }
 }
 
 SRP_HOT_PATH void FlowObserver::on_forward(const obs::FlowSample& sample) {
   const FlowKey key{sample.route_digest, sample.account, sample.tos_class};
-  const bool evicted = table_.record(key, sample.bytes, sample.cut_through,
-                                     sample.now, sample.in_port,
-                                     sample.out_port);
-  if (evicted && evictions_counter_ != nullptr) evictions_counter_->add();
+  table_.record(key, sample.bytes, sample.cut_through, sample.now,
+                sample.in_port, sample.out_port);
   if (flows_gauge_ != nullptr) {
     flows_gauge_->set(static_cast<std::int64_t>(table_.size()));
   }
   if (sampler_.sample()) {
     ++sampled_total_;
-    if (sampled_counter_ != nullptr) sampled_counter_->add();
     if (recorder_ != nullptr) {
       obs::SpanRecord span;
       // Sampled captures are useful even for untraced packets; fall back

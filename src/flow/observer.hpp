@@ -45,6 +45,8 @@ class FlowObserver {
   /// counters and a `flow.<name>.flows` gauge.
   FlowObserver(std::string name, const FlowConfig& config,
                stats::Registry* registry, obs::FlightRecorder* recorder);
+  FlowObserver(const FlowObserver&) = delete;  // the registry reads counts
+  FlowObserver& operator=(const FlowObserver&) = delete;
 
   /// One packet forwarded by the component.  Hot path: called per packet
   /// whenever flow accounting is wired.
@@ -71,8 +73,6 @@ class FlowObserver {
   const std::string name_;
   FlowTable table_;
   obs::FlightRecorder* recorder_ = nullptr;
-  stats::Counter* sampled_counter_ = nullptr;
-  stats::Counter* evictions_counter_ = nullptr;
   stats::Gauge* flows_gauge_ = nullptr;
   Sampler sampler_;
   std::uint64_t sampled_total_ = 0;

@@ -95,7 +95,7 @@ class FlowTable {
   /// Every monitored flow in deterministic (key) order.
   [[nodiscard]] std::vector<FlowRecord> all() const;
 
-  [[nodiscard]] Stats stats() const { return stats_; }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 

@@ -95,8 +95,8 @@ HealthMonitor::HealthMonitor(sim::Simulator& sim, stats::Registry& registry,
                              sim::Time window)
     : sim_(sim), registry_(registry), window_(window) {
   SIRPENT_EXPECTS(window_ > 0);
-  windows_counter_ = &registry_.counter("health.monitor.windows");
-  transitions_counter_ = &registry_.counter("health.monitor.transitions");
+  registry_.counter("health.monitor.windows", windows_);
+  registry_.counter("health.monitor.transitions", transitions_);
   rules_gauge_ = &registry_.gauge("health.monitor.rules");
   firing_gauge_ = &registry_.gauge("health.monitor.alerts_firing");
 }
@@ -106,18 +106,17 @@ void HealthMonitor::map_router(std::uint32_t id, std::string name) {
 }
 
 void HealthMonitor::watch_link(net::TxPort& port, std::string owner) {
-  LinkProbe probe;
+  LinkProbe& probe = probes_.emplace_back();
   probe.port = &port;
   const std::string inst = stats::metric_component(port.name());
-  probe.handed = &registry_.counter("port." + inst + ".handed");
-  probe.cleared = &registry_.counter("port." + inst + ".cleared");
-  probe.down_drops = &registry_.counter("port." + inst + ".down_drops");
-  probe.local_drops = &registry_.counter("port." + inst + ".local_drops");
-  probe.wire_loss = &registry_.counter("port." + inst + ".wire_loss");
+  registry_.counter("port." + inst + ".handed", probe.handed);
+  registry_.counter("port." + inst + ".cleared", probe.cleared);
+  registry_.counter("port." + inst + ".down_drops", probe.down_drops);
+  registry_.counter("port." + inst + ".local_drops", probe.local_drops);
+  registry_.counter("port." + inst + ".wire_loss", probe.wire_loss);
   probe.link_up = &registry_.gauge("port." + inst + ".link_up");
   instance_owner_[inst] = std::move(owner);
   instance_port_[inst] = port.name();
-  probes_.push_back(std::move(probe));
 }
 
 void HealthMonitor::start() {
@@ -160,11 +159,11 @@ void HealthMonitor::publish_probe_mirrors() {
     probe.prev = s;
     probe.prev_outstanding = outstanding;
 
-    probe.handed->add(d_enqueued);
-    probe.cleared->add(d_cleared);
-    probe.down_drops->add(d_down);
-    probe.local_drops->add(d_local);
-    probe.wire_loss->add(wire_loss);
+    probe.handed += d_enqueued;
+    probe.cleared += d_cleared;
+    probe.down_drops += d_down;
+    probe.local_drops += d_local;
+    probe.wire_loss += wire_loss;
     probe.link_up->set(probe.port->is_up() ? 1 : 0);
   }
 }
@@ -302,13 +301,12 @@ void HealthMonitor::tick() {
   instantiate_rules(snap);
   evaluate_rules(snap);
   ++windows_;
-  windows_counter_->add(1);
   rules_gauge_->set(static_cast<std::int64_t>(rules_.size()));
   firing_gauge_->set(static_cast<std::int64_t>(engine_.firing().size()));
 }
 
 void HealthMonitor::on_transition(const Alert& alert) {
-  transitions_counter_->add(1);
+  ++transitions_;
   if (recorder_ == nullptr) return;
   obs::SpanRecord span;
   span.kind = obs::SpanKind::kAlert;

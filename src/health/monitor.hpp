@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <variant>
@@ -139,12 +140,12 @@ class HealthMonitor {
     net::TxPort* port = nullptr;
     net::TxPort::Stats prev{};
     std::uint64_t prev_outstanding = 0;
-    // Registry mirrors, resolved once in watch_link.
-    stats::Counter* handed = nullptr;
-    stats::Counter* cleared = nullptr;
-    stats::Counter* down_drops = nullptr;
-    stats::Counter* local_drops = nullptr;
-    stats::Counter* wire_loss = nullptr;
+    // Registry mirrors, bound once in watch_link.
+    std::uint64_t handed = 0;
+    std::uint64_t cleared = 0;
+    std::uint64_t down_drops = 0;
+    std::uint64_t local_drops = 0;
+    std::uint64_t wire_loss = 0;
     stats::Gauge* link_up = nullptr;
   };
 
@@ -152,8 +153,9 @@ class HealthMonitor {
   stats::Registry& registry_;
   sim::Time window_;
   std::uint64_t windows_ = 0;
+  std::uint64_t transitions_ = 0;
   AlertEngine engine_;
-  std::vector<LinkProbe> probes_;
+  std::deque<LinkProbe> probes_;  // deque: bound probe fields never move
   std::vector<Rule> rules_;
   std::map<std::string, bool> ruled_metrics_;  // metric -> rules created
   std::map<std::string, std::string> instance_owner_;  // "r2_p1" -> "r2"
@@ -164,9 +166,7 @@ class HealthMonitor {
   const obs::PathCollector* collector_ = nullptr;
   bool started_ = false;
 
-  // Self metrics.
-  stats::Counter* windows_counter_ = nullptr;
-  stats::Counter* transitions_counter_ = nullptr;
+  // Self metrics (the counters are bound to windows_ / transitions_).
   stats::Gauge* rules_gauge_ = nullptr;
   stats::Gauge* firing_gauge_ = nullptr;
 };

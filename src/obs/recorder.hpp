@@ -145,8 +145,6 @@ struct Observer {
   stats::Registry* registry = nullptr;
   FlightRecorder* recorder = nullptr;
   flow::FlowPlane* flow = nullptr;  ///< flow accounting plane (src/flow)
-
-  [[nodiscard]] bool has_metrics() const { return registry != nullptr; }
 };
 
 }  // namespace srp::obs

@@ -153,12 +153,14 @@ PathCollector::PathCollector(stats::Registry* registry,
   if (config_.max_records == 0) config_.max_records = 1;
   if (registry_ == nullptr) return;
   const std::string inst = stats::metric_component(config_.instance);
-  m_packets_ = &registry_->counter("int." + inst + ".packets");
-  m_hops_stamped_ = &registry_->counter("int." + inst + ".hops_stamped");
-  m_truncated_ = &registry_->counter("int." + inst + ".truncated");
-  m_decode_errors_ = &registry_->counter("int." + inst + ".decode_errors");
-  m_drops_localized_ = &registry_->counter("int." + inst + ".drops_localized");
-  m_paths_overflow_ = &registry_->counter("int." + inst + ".paths_overflow");
+  registry_->counter("int." + inst + ".packets", totals_.packets);
+  registry_->counter("int." + inst + ".hops_stamped", totals_.hops_stamped);
+  registry_->counter("int." + inst + ".truncated", totals_.truncated);
+  registry_->counter("int." + inst + ".decode_errors", totals_.decode_errors);
+  registry_->counter("int." + inst + ".drops_localized",
+                     totals_.drops_localized);
+  registry_->counter("int." + inst + ".paths_overflow",
+                     totals_.paths_overflow);
   m_paths_ = &registry_->gauge("int." + inst + ".paths");
   m_hop_latency_ = &registry_->histogram("int." + inst + ".hop_latency_ps");
   m_queue_depth_ = &registry_->histogram("int." + inst + ".queue_depth");
@@ -171,26 +173,26 @@ PathCollector::PathCollector(stats::Registry* registry,
 PathCollector::PathSeries& PathCollector::series_for(std::uint64_t digest) {
   const auto it = series_.find(digest);
   if (it != series_.end()) return it->second;
-  PathSeries series;
-  if (registry_ != nullptr && series_.size() < config_.max_paths) {
-    const std::string path = "p" + hex16(digest);
-    series.packets = &registry_->counter("int." + path + ".packets");
-    series.e2e_ps = &registry_->histogram("int." + path + ".e2e_ps");
-  } else if (series_.size() >= config_.max_paths) {
-    totals_.paths_overflow += 1;
-    if (m_paths_overflow_ != nullptr) m_paths_overflow_->add();
-  }
+  const bool named = series_.size() < config_.max_paths;
+  if (!named) totals_.paths_overflow += 1;
   totals_.paths = series_.size() + 1;
   if (m_paths_ != nullptr) {
     m_paths_->set(static_cast<std::int64_t>(totals_.paths));
   }
-  return series_.emplace(digest, series).first->second;
+  // Bind after the emplace: map nodes never move, so the series' packet
+  // count can be a registry source.
+  PathSeries& series = series_[digest];
+  if (registry_ != nullptr && named) {
+    const std::string path = "p" + hex16(digest);
+    registry_->counter("int." + path + ".packets", series.packets);
+    series.e2e_ps = &registry_->histogram("int." + path + ".e2e_ps");
+  }
+  return series;
 }
 
 void PathCollector::localize(const HopTelemetry& postcard) {
   totals_.drops_localized += 1;
   drops_after_router_[postcard.router_id] += 1;
-  if (m_drops_localized_ != nullptr) m_drops_localized_->add();
   if (m_drop_last_hop_ != nullptr) m_drop_last_hop_->record(postcard.hop);
 }
 
@@ -207,11 +209,6 @@ void PathCollector::on_delivery(const DeliveredTelemetry& delivered,
   totals_.packets += 1;
   totals_.hops_stamped += hops.size();
   totals_.decode_errors += decode_errors;
-  if (m_packets_ != nullptr) m_packets_->add();
-  if (m_hops_stamped_ != nullptr) m_hops_stamped_->add(hops.size());
-  if (m_decode_errors_ != nullptr && decode_errors > 0) {
-    m_decode_errors_->add(decode_errors);
-  }
 
   PathRecord record;
   record.trace_id = delivered.trace_id;
@@ -256,12 +253,11 @@ void PathCollector::on_delivery(const DeliveredTelemetry& delivered,
     m_residual_->record(static_cast<std::uint64_t>(record.residual_latency()));
   }
   PathSeries& series = series_for(record.digest);
-  if (series.packets != nullptr) series.packets->add();
+  ++series.packets;
   if (series.e2e_ps != nullptr) series.e2e_ps->record(e2e);
 
   if (record.truncated) {
     totals_.truncated += 1;
-    if (m_truncated_ != nullptr) m_truncated_->add();
     // A truncated arrival is a partial loss: the newest surviving record
     // names the last router the trailer cleared intact.
     if (!record.hops.empty()) localize(record.hops.back());

@@ -159,6 +159,8 @@ class PathCollector {
 
   PathCollector(stats::Registry* registry, FlightRecorder* recorder,
                 PathCollectorConfig config = {});
+  PathCollector(const PathCollector&) = delete;  // the registry reads totals_
+  PathCollector& operator=(const PathCollector&) = delete;
 
   /// A marked packet was delivered: @p hops are its decoded telemetry
   /// records (any order; re-sorted by hop number), @p decode_errors the
@@ -187,7 +189,7 @@ class PathCollector {
 
  private:
   struct PathSeries {
-    stats::Counter* packets = nullptr;
+    std::uint64_t packets = 0;  ///< `int.p<digest>.packets` source
     stats::Histogram* e2e_ps = nullptr;
   };
   PathSeries& series_for(std::uint64_t digest);
@@ -202,13 +204,8 @@ class PathCollector {
   std::map<std::uint64_t, PathSeries> series_;
   std::map<std::uint32_t, std::uint64_t> drops_after_router_;
 
-  // Aggregate handles, resolved at construction; null = metrics off.
-  stats::Counter* m_packets_ = nullptr;
-  stats::Counter* m_hops_stamped_ = nullptr;
-  stats::Counter* m_truncated_ = nullptr;
-  stats::Counter* m_decode_errors_ = nullptr;
-  stats::Counter* m_drops_localized_ = nullptr;
-  stats::Counter* m_paths_overflow_ = nullptr;
+  // Aggregate handles, resolved at construction; null = metrics off.  The
+  // `int.<instance>.*` counters are bound to totals_.
   stats::Gauge* m_paths_ = nullptr;
   stats::Histogram* m_hop_latency_ = nullptr;
   stats::Histogram* m_queue_depth_ = nullptr;

@@ -1,5 +1,6 @@
 #include "stats/registry.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "check/contract.hpp"
@@ -18,6 +19,12 @@ T& find_or_create(std::map<std::string, std::unique_ptr<T>>& map,
   auto& slot = map[name];
   if (slot == nullptr) slot = std::make_unique<T>();
   return *slot;
+}
+
+std::uint64_t sum_of(const std::vector<const std::uint64_t*>& sources) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t* source : sources) total += *source;
+  return total;
 }
 
 }  // namespace
@@ -94,9 +101,12 @@ HistogramSnapshot Histogram::snapshot() const {
   return snap;
 }
 
-Counter& Registry::counter(const std::string& name) {
+void Registry::counter(const std::string& name, const std::uint64_t& source) {
   SIRPENT_EXPECTS(is_valid_metric_name(name));
-  return find_or_create(counters_, name);
+  auto& sources = counters_[name];
+  if (std::find(sources.begin(), sources.end(), &source) == sources.end()) {
+    sources.push_back(&source);
+  }
 }
 
 Gauge& Registry::gauge(const std::string& name) {
@@ -111,17 +121,15 @@ Histogram& Registry::histogram(const std::string& name) {
 
 std::map<std::string, std::uint64_t> Registry::snapshot() const {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, counter] : counters_) {
-    out.emplace(name, counter->value());
+  for (const auto& [name, sources] : counters_) {
+    out.emplace(name, sum_of(sources));
   }
   return out;
 }
 
 MetricsSnapshot Registry::full_snapshot() const {
   MetricsSnapshot out;
-  for (const auto& [name, counter] : counters_) {
-    out.counters.emplace(name, counter->value());
-  }
+  out.counters = snapshot();
   for (const auto& [name, gauge] : gauges_) {
     out.gauges.emplace(name, gauge->value());
   }
@@ -129,11 +137,6 @@ MetricsSnapshot Registry::full_snapshot() const {
     out.histograms.emplace(name, histogram->snapshot());
   }
   return out;
-}
-
-Registry& Registry::global() {
-  static Registry instance;
-  return instance;
 }
 
 }  // namespace srp::stats

@@ -1,14 +1,24 @@
-// Named-metric registry.  Three metric kinds share one contract:
+// Named-metric registry.  Three metric kinds share one naming contract:
 //
-//   Counter    monotonically increasing event count,
+//   counter    monotonically increasing event count, *bound*: the
+//              registry owns no storage for it and reads a std::uint64_t
+//              its component already keeps (a Stats field or a plain
+//              member) — one home per count,
 //   Gauge      instantaneous level (queue depth, cache occupancy),
 //   Histogram  fixed log2-bucket distribution (latencies, sizes).
 //
-// Creation/lookup walks the name map once; the returned reference is
-// stable for the registry's lifetime (std::map node stability) and may be
-// cached, so every hot-path update is a handful of plain integer adds: the
-// simulator is single-threaded (srp-lint bans threads and atomics
-// under src/).
+// Gauges and histograms are registry-owned and pushed: creation/lookup
+// walks the name map once and the returned reference is stable for the
+// registry's lifetime (std::map node stability), so components cache it
+// and every hot-path update is a handful of plain integer adds — the
+// simulator is single-threaded (srp-lint bans threads and atomics under
+// src/).  A counter's value is the sum of the sources bound to its name,
+// read at snapshot time.
+//
+// Lifetime: a bound source must outlive every read of its registry —
+// snapshot(), full_snapshot() and everything built on them (exporters,
+// the health tick).  Destroying a registry reads no source, so a
+// component may be destroyed first as long as nothing snapshots after.
 //
 // Naming convention: `component.instance.metric` — 2 to 5 non-empty
 // segments of [A-Za-z0-9_-] joined by single dots, nothing else.  The
@@ -24,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "check/analysis.hpp"
 
@@ -37,16 +48,6 @@ namespace srp::stats {
 /// character outside [A-Za-z0-9_-] becomes '_' ("h0.prop:p1" ->
 /// "h0_prop_p1"); an empty input becomes "_".
 [[nodiscard]] std::string metric_component(std::string_view raw);
-
-/// One monotonically increasing counter.
-class Counter {
- public:
-  SRP_HOT_PATH void add(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// An instantaneous level that can move both ways (queue depth, token-cache
 /// occupancy, throttle-table size).
@@ -143,30 +144,33 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// The counter named @p name, created on first use.  The returned
-  /// reference stays valid for the registry's lifetime and may be cached.
-  /// @p name must satisfy is_valid_metric_name() (contract-checked in
-  /// debug builds).
-  Counter& counter(const std::string& name);
+  /// Binds the counter named @p name to @p source, which its owner keeps
+  /// counting; the registry only reads it.  The counter's value is the
+  /// sum of every source bound to @p name, and binding a source already
+  /// bound to @p name is a no-op.  @p source must outlive every snapshot
+  /// of this registry; @p name must satisfy is_valid_metric_name()
+  /// (contract-checked in debug builds).
+  void counter(const std::string& name, const std::uint64_t& source);
+  void counter(const std::string& name, const std::uint64_t&& source) =
+      delete;  // a temporary would dangle
 
-  /// The gauge named @p name; same lifetime and naming contract.
+  /// The gauge named @p name, created on first use.  The returned
+  /// reference stays valid for the registry's lifetime and may be cached.
+  /// Same naming contract.
   Gauge& gauge(const std::string& name);
 
   /// The histogram named @p name; same lifetime and naming contract.
   Histogram& histogram(const std::string& name);
 
-  /// Point-in-time copy of every counter value.
+  /// Point-in-time reading of every counter.
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
 
   /// Point-in-time copy of every metric (counters, gauges, histograms) —
   /// what the exporters consume.
   [[nodiscard]] MetricsSnapshot full_snapshot() const;
 
-  /// Process-wide registry for components without an obvious owner.
-  static Registry& global();
-
  private:
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::vector<const std::uint64_t*>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };

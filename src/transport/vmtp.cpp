@@ -30,12 +30,13 @@ VmtpEndpoint::~VmtpEndpoint() {
 }
 
 void VmtpEndpoint::set_observer(const obs::Observer& observer) {
-  if (observer.has_metrics()) {
+  if (observer.registry != nullptr) {
     const std::string base = "vmtp." + stats::metric_component(host_.name());
     obs_rtt_ = &observer.registry->histogram(base + ".rtt_ps");
-    obs_timeouts_ = &observer.registry->counter(base + ".timeouts");
-    obs_failures_ = &observer.registry->counter(base + ".failures");
-    obs_retransmits_ = &observer.registry->counter(base + ".retransmits");
+    observer.registry->counter(base + ".timeouts", stats_.timeouts);
+    observer.registry->counter(base + ".failures", stats_.failures);
+    observer.registry->counter(base + ".retransmits",
+                               stats_.retransmitted_packets);
   }
   obs_recorder_ = observer.recorder;
 }
@@ -406,10 +407,6 @@ void VmtpEndpoint::handle_nack(const TransportPacket& packet,
     base.timestamp = clock_.now_ms();
     stats_.retransmitted_packets +=
         static_cast<std::uint64_t>(std::popcount(actions.resend_mask));
-    if (obs_retransmits_ != nullptr) {
-      obs_retransmits_->add(
-          static_cast<std::uint64_t>(std::popcount(actions.resend_mask)));
-    }
     send_group(base, st.request_parts, actions.resend_mask, &st.route,
                nullptr);
     return;
@@ -431,9 +428,6 @@ void VmtpEndpoint::handle_nack(const TransportPacket& packet,
     base.timestamp = clock_.now_ms();
     stats_.retransmitted_packets +=
         static_cast<std::uint64_t>(std::popcount(missing));
-    if (obs_retransmits_ != nullptr) {
-      obs_retransmits_->add(static_cast<std::uint64_t>(std::popcount(missing)));
-    }
     send_group(base, done->second.response_parts, missing, nullptr,
                &delivery);
   }
@@ -462,11 +456,9 @@ void VmtpEndpoint::on_rto(std::uint32_t transaction) {
   st.retries = txn.retries;
   if (actions.count_timeout) {
     ++stats_.timeouts;
-    if (obs_timeouts_ != nullptr) obs_timeouts_->add(1);
   }
   if (actions.fail) {
     ++stats_.failures;
-    if (obs_failures_ != nullptr) obs_failures_->add(1);
     if (on_failure_) on_failure_();
     Result result;
     result.ok = false;
@@ -486,10 +478,6 @@ void VmtpEndpoint::on_rto(std::uint32_t transaction) {
     base.timestamp = clock_.now_ms();
     stats_.retransmitted_packets +=
         static_cast<std::uint64_t>(std::popcount(actions.resend_mask));
-    if (obs_retransmits_ != nullptr) {
-      obs_retransmits_->add(
-          static_cast<std::uint64_t>(std::popcount(actions.resend_mask)));
-    }
     send_group(base, st.request_parts, actions.resend_mask, &st.route,
                nullptr);
   }

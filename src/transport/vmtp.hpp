@@ -110,7 +110,8 @@ class VmtpEndpoint {
 
   /// Wires the endpoint to an observability sink: a
   /// `vmtp.<host>.rtt_ps` histogram plus `.timeouts` / `.failures` /
-  /// `.retransmits` counters, and — with a recorder — one kTxn span per
+  /// `.retransmits` counters bound to stats() (endpoints sharing a host
+  /// sum into one series), and — with a recorder — one kTxn span per
   /// completed client transaction (invoke to response/failure).
   void set_observer(const obs::Observer& observer);
 
@@ -219,9 +220,6 @@ class VmtpEndpoint {
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_rtt_ = nullptr;
-  stats::Counter* obs_timeouts_ = nullptr;
-  stats::Counter* obs_failures_ = nullptr;
-  stats::Counter* obs_retransmits_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
 };
 

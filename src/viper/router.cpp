@@ -130,14 +130,13 @@ void ViperRouter::set_observer(const obs::Observer& observer) {
         nullptr,          "token_hit",       "token_miss_optimistic",
         "token_miss_blocking", "token_miss_drop", "token_rejected"};
     for (std::size_t i = 1; i < kOutcomeMetric.size(); ++i) {
-      obs_token_counters_[i] = &observer.registry->counter(
-          "viper." + instance + "." + kOutcomeMetric[i]);
+      observer.registry->counter("viper." + instance + "." + kOutcomeMetric[i],
+                                 token_outcomes_[i]);
     }
     token_cache_.set_occupancy_gauge(
         &observer.registry->gauge("tokens." + instance + ".cache_entries"));
   } else {
     obs_hop_latency_ = nullptr;
-    obs_token_counters_ = {};
     token_cache_.set_occupancy_gauge(nullptr);
   }
   obs_recorder_ = observer.recorder;
@@ -146,11 +145,6 @@ void ViperRouter::set_observer(const obs::Observer& observer) {
   obs_flow_ =
       observer.flow != nullptr ? &observer.flow->scoped(name()) : nullptr;
   for (int p = 1; p <= port_count(); ++p) port(p).set_observer(observer);
-}
-
-void ViperRouter::count_token_outcome(obs::TokenOutcome outcome) {
-  stats::Counter* c = obs_token_counters_[static_cast<std::size_t>(outcome)];
-  if (c != nullptr) c->add();
 }
 
 SRP_SIM_VISIBLE void ViperRouter::on_arrival(const net::Arrival& arrival) {

@@ -334,8 +334,10 @@ class ViperRouter : public ViperNode {
                                              std::size_t consumed,
                                              int out_port) const;
 
-  /// Bumps the `viper.<name>.token_*` counter for @p outcome, if observed.
-  void count_token_outcome(obs::TokenOutcome outcome);
+  /// Counts one token-cache @p outcome (the `viper.<name>.token_*` source).
+  void count_token_outcome(obs::TokenOutcome outcome) {
+    ++token_outcomes_[static_cast<std::size_t>(outcome)];
+  }
 
   /// Appends this hop's telemetry record to @p out_bytes (the rewritten
   /// image, return entry already in place).  @p out is the egress TxPort
@@ -368,11 +370,13 @@ class ViperRouter : public ViperNode {
   ControlHandler control_handler_;
   Shaper shaper_;
   Stats stats_;
+  /// Token-cache outcomes by obs::TokenOutcome (kNone is never counted);
+  /// set_observer() binds them as `viper.<router>.token_*`.
+  std::array<std::uint64_t, 6> token_outcomes_{};
   bool telemetry_enabled_ = false;  ///< set_path_telemetry()
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_hop_latency_ = nullptr;
-  std::array<stats::Counter*, 6> obs_token_counters_{};  // by TokenOutcome
   obs::FlightRecorder* obs_recorder_ = nullptr;
   flow::FlowObserver* obs_flow_ = nullptr;  // scoped to this router's name
 };

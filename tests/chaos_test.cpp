@@ -127,12 +127,16 @@ TEST(ChaosFlowAccounting, RollupsReconcileWithLedgerUnderChaos) {
 TEST(ChaosObservability, SpanTimelinesStayCoherentUnderChaos) {
   stats::Registry registry;
   obs::FlightRecorder recorder(std::size_t{1} << 18);
-  const ChaosOutcome outcome = run_chaos(1, {&registry, &recorder});
+  stats::MetricsSnapshot snap;
+  // Counters read their components' fields: snapshot while the fabric is
+  // alive.
+  const ChaosOutcome outcome = run_chaos(
+      1, {&registry, &recorder},
+      [&](dir::Fabric&) { snap = registry.full_snapshot(); });
   EXPECT_GT(outcome.ok, 0);
   EXPECT_GT(recorder.recorded(), 0u);
 
   // Per-hop latency histograms filled at the routers on the primary path.
-  const auto snap = registry.full_snapshot();
   EXPECT_GT(snap.histograms.at("viper.r1.hop_latency_ps").count, 0u);
   EXPECT_GT(snap.histograms.at("viper.r4.hop_latency_ps").count, 0u);
 

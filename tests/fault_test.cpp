@@ -67,6 +67,18 @@ TEST_F(FaultFixture, DropLaneLosesCountedPacketsOnly) {
   EXPECT_EQ(a->port(pa).stats().dropped_injected, dropped);
 }
 
+TEST_F(FaultFixture, CountOfAnUnknownLaneCreatesNoSeries) {
+  link();
+  FaultPlan plan;
+  plan.lane(a->port(pa).name()).drop_rate = 0.5;
+  FaultEngine engine(sim, plan, registry);
+  engine.attach(a->port(pa));
+  const std::size_t series = registry.snapshot().size();
+  EXPECT_EQ(engine.count("nowhere:p9", "drop"), 0u);
+  EXPECT_EQ(engine.count(a->port(pa).name(), "no_such_lane"), 0u);
+  EXPECT_EQ(registry.snapshot().size(), series);
+}
+
 TEST_F(FaultFixture, LaneThatCannotFireLeavesPortUntouched) {
   link();
   FaultPlan plan;  // all rates zero

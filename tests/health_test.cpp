@@ -58,10 +58,11 @@ struct WindowRig {
 
 TEST(HealthWindows, CounterRuleReadsTheWindowDelta) {
   WindowRig rig;
-  auto& rejected = rig.registry.counter("viper.r2.token_rejected");
-  rejected.add(100);
+  std::uint64_t rejected = 0;
+  rig.registry.counter("viper.r2.token_rejected", rejected);
+  rejected += 100;
   rig.tick();  // breach 1: the first window holds all 100
-  rejected.add(7);
+  rejected += 7;
   rig.tick();  // breach 2: fires on this window's 7, not the total 107
   rig.tick();
   rig.tick();  // two empty windows resolve it
@@ -103,7 +104,8 @@ TEST(HealthWindows, MetricRegisteredMidRunDiffsAgainstZero) {
   rig.tick();
   rig.tick();
   // First seen at the third tick: its first window is its whole value.
-  rig.registry.counter("port.r3_p2.wire_loss").add(4);
+  const std::uint64_t wire_loss = 4;
+  rig.registry.counter("port.r3_p2.wire_loss", wire_loss);
   rig.tick();
   const auto events = rig.events("port.r3_p2.wire_loss");
   ASSERT_EQ(events.size(), 1u);
@@ -512,9 +514,10 @@ struct ResidueRig {
 
   std::int64_t tick() {
     monitor.tick();
+    const auto snap = registry.snapshot();
     const auto count = [&](const char* what) {
       return static_cast<std::int64_t>(
-          registry.counter(std::string("port.r1_p1.") + what).value());
+          snap.at(std::string("port.r1_p1.") + what));
     };
     EXPECT_EQ(count("wire_loss"), 0);
     const auto held = static_cast<std::int64_t>(
@@ -582,12 +585,13 @@ TEST(HealthExportGolden, PromAndJsonMatchGoldens) {
   health::HealthMonitor monitor(sim, registry, kWindow);
   monitor.map_router(2, "r2");
 
-  auto& rejected = registry.counter("viper.r2.token_rejected");
+  std::uint64_t rejected = 0;
+  registry.counter("viper.r2.token_rejected", rejected);
   auto& wait = registry.histogram("port.r2_p1.queue_wait_ps");
   std::uint64_t window = 0;
   const auto step = [&](std::uint64_t rejects) {
     ++window;
-    rejected.add(rejects);
+    rejected += rejects;
     wait.record(2000 + 17 * window);
     sim.run_until(static_cast<sim::Time>(window) * kWindow);
     monitor.tick();

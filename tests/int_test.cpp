@@ -468,6 +468,7 @@ TEST(IntChaos, CollectorAgreesWithFlightRecorder) {
   std::vector<PathRecord> records;
   PathCollector::Totals totals;
   std::map<std::uint32_t, std::uint64_t> drops;
+  std::map<std::string, std::uint64_t> counters;
   const test::ChaosOutcome outcome = run_chaos(
       kSeed, {&registry, &recorder},
       [&](dir::Fabric& fabric) {
@@ -476,6 +477,9 @@ TEST(IntChaos, CollectorAgreesWithFlightRecorder) {
         records = collector->records();
         totals = collector->totals();
         drops = collector->drops_after_router();
+        // Counters read their components' fields: snapshot while the
+        // fabric is alive.
+        counters = registry.snapshot();
       },
       telemetry_on(2));
   EXPECT_GT(outcome.ok, 0);
@@ -530,7 +534,6 @@ TEST(IntChaos, CollectorAgreesWithFlightRecorder) {
   for (const auto& [router, count] : drops) localized += count;
   EXPECT_EQ(localized, totals.drops_localized);
   EXPECT_GT(totals.packets, 0u);
-  const auto counters = registry.snapshot();
   EXPECT_EQ(counters.at("int.path.packets"), totals.packets);
   EXPECT_EQ(counters.at("int.path.hops_stamped"), totals.hops_stamped);
 }

@@ -13,13 +13,8 @@
 
 namespace fixture {
 
-struct Counter {
-  void add() {}
-};
-
 struct Registry {
-  Counter& counter(const std::string&) { return c_; }
-  Counter c_;
+  void counter(const std::string&, const std::uint64_t&) {}
 };
 
 class GoodTable {
@@ -61,11 +56,11 @@ class GoodTable {
 // Metric names that honor component.instance.metric, including a
 // runtime instance fragment and a ternary between two valid names.
 inline void register_metrics(Registry& registry, const std::string& inst,
-                             bool hit) {
-  registry.counter("viper.r1.forwarded").add();
-  registry.counter("viper." + inst + ".forwarded").add();
-  registry.counter(hit ? "tokens.r1.cache_hits" : "tokens.r1.cache_misses")
-      .add();
+                             bool hit, const std::uint64_t& count) {
+  registry.counter("viper.r1.forwarded", count);
+  registry.counter("viper." + inst + ".forwarded", count);
+  registry.counter(hit ? "tokens.r1.cache_hits" : "tokens.r1.cache_misses",
+                   count);
 }
 
 }  // namespace fixture

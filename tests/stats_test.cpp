@@ -1,9 +1,13 @@
-// Unit tests for statistics and queueing analytics.
+// Unit tests for statistics, queueing analytics and the metric registry's
+// counter bindings.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "check/contract.hpp"
 #include "stats/queueing.hpp"
+#include "stats/registry.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -111,6 +115,57 @@ TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(1.0 / 0.0), "inf");
   EXPECT_EQ(Table::num(std::nan("")), "nan");
 }
+
+TEST(RegistryBinding, CounterReadsTheLiveField) {
+  Registry registry;
+  std::uint64_t forwarded = 5;
+  registry.counter("viper.r1.forwarded", forwarded);
+  EXPECT_EQ(registry.snapshot().at("viper.r1.forwarded"), 5u);
+  forwarded += 3;  // no push: the next snapshot reads the field itself
+  EXPECT_EQ(registry.snapshot().at("viper.r1.forwarded"), 8u);
+  EXPECT_EQ(registry.full_snapshot().counters.at("viper.r1.forwarded"), 8u);
+}
+
+TEST(RegistryBinding, SourcesSharingANameSum) {
+  Registry registry;
+  std::uint64_t client_a = 2;
+  std::uint64_t client_b = 40;
+  registry.counter("vmtp.client.timeouts", client_a);
+  registry.counter("vmtp.client.timeouts", client_b);
+  EXPECT_EQ(registry.snapshot().size(), 1u);
+  EXPECT_EQ(registry.snapshot().at("vmtp.client.timeouts"), 42u);
+  ++client_a;
+  EXPECT_EQ(registry.full_snapshot().counters.at("vmtp.client.timeouts"),
+            43u);
+}
+
+TEST(RegistryBinding, RebindingASourceCountsItOnce) {
+  Registry registry;
+  std::uint64_t windows = 7;
+  registry.counter("health.monitor.windows", windows);
+  registry.counter("health.monitor.windows", windows);  // set_observer twice
+  EXPECT_EQ(registry.snapshot().at("health.monitor.windows"), 7u);
+}
+
+#if SIRPENT_CONTRACTS_ENABLED
+struct NamingViolation {};
+[[noreturn]] void throwing_handler(const check::Violation&) {
+  throw NamingViolation{};
+}
+
+TEST(MetricNaming, RegistryRejectsMalformedNames) {
+  const auto previous = check::set_violation_handler(throwing_handler);
+  Registry registry;
+  const std::uint64_t source = 0;
+  EXPECT_THROW(registry.counter("shared", source), NamingViolation);
+  EXPECT_THROW(registry.counter("viper..forwarded", source), NamingViolation);
+  EXPECT_THROW(registry.gauge("a..b"), NamingViolation);
+  EXPECT_THROW(registry.histogram("a.b.c.d.e.f"), NamingViolation);
+  EXPECT_NO_THROW(registry.counter("a.b", source));
+  EXPECT_NO_THROW(registry.histogram("a.b.c.d.e"));
+  check::set_violation_handler(previous);
+}
+#endif
 
 }  // namespace
 }  // namespace srp::stats
