@@ -10,11 +10,13 @@ SourceThrottle::SourceThrottle(sim::Simulator& sim, viper::ViperHost& host,
       core_config_{config.flow_ttl, config.ramp_factor, config.ramp_interval,
                    config.rate_ceiling_bps} {
   host.set_control_handler(
-      [this](wire::Bytes payload, int) { on_control(std::move(payload)); });
+      [this](std::span<const std::uint8_t> payload, int) {
+        on_control(payload);
+      });
   sim_.after(config_.ramp_interval, [this] { tick(); });
 }
 
-void SourceThrottle::on_control(wire::Bytes payload) {
+void SourceThrottle::on_control(std::span<const std::uint8_t> payload) {
   const auto report = decode_rate_report(payload);
   if (!report.has_value()) return;
   apply_report(*report);

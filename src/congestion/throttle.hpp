@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 
 #include "congestion/messages.hpp"
 #include "congestion/throttle_core.hpp"
@@ -64,7 +65,7 @@ class SourceThrottle {
   void set_step_for_test(ThrottleStepFn step) { step_ = step; }
 
  private:
-  void on_control(wire::Bytes payload);
+  void on_control(std::span<const std::uint8_t> payload);
   void tick();
 
   sim::Simulator& sim_;

@@ -1,10 +1,13 @@
 #include "cvc/host.hpp"
 
+#include "check/contract.hpp"
+
 namespace srp::cvc {
 
 CvcHost::CvcHost(sim::Simulator& sim, std::string name,
                  net::PacketFactory& packets, CvcHostConfig config)
-    : net::PortedNode(sim, std::move(name)), packets_(packets),
+    : net::PortedNode(sim, std::move(name), /*whole_packet=*/true),
+      packets_(packets),
       config_(config) {}
 
 void CvcHost::transmit(const Frame& frame) {
@@ -64,10 +67,8 @@ void CvcHost::close(std::uint16_t circuit) {
 }
 
 void CvcHost::on_arrival(const net::Arrival& arrival) {
-  sim_.at(arrival.tail, [this, arrival] { process(arrival); });
-}
-
-void CvcHost::process(const net::Arrival& arrival) {
+  // Whole-packet node: its ports deliver at the tail.
+  SIRPENT_EXPECTS(sim_.now() >= arrival.tail);
   if (arrival.packet->effectively_truncated()) return;
   const auto frame = decode_frame(arrival.packet->bytes);
   if (!frame.has_value()) return;

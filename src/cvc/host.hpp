@@ -66,7 +66,6 @@ class CvcHost : public net::PortedNode {
     sim::EventId timer = 0;
   };
 
-  void process(const net::Arrival& arrival);
   void transmit(const Frame& frame);
 
   net::PacketFactory& packets_;

@@ -23,6 +23,7 @@ net::PacketPtr clone_packet(const net::Packet& packet) {
   copy->route_digest = packet.route_digest;
   copy->telemetry = packet.telemetry;
   copy->parent = packet.parent;
+  copy->settled = packet.settled;
   return copy;
 }
 

@@ -1,10 +1,13 @@
 #include "ip/host.hpp"
 
+#include "check/contract.hpp"
+
 namespace srp::ip {
 
 IpHost::IpHost(sim::Simulator& sim, std::string name,
                net::PacketFactory& packets, IpHostConfig config)
-    : net::PortedNode(sim, std::move(name)), packets_(packets),
+    : net::PortedNode(sim, std::move(name), /*whole_packet=*/true),
+      packets_(packets),
       config_(config) {}
 
 void IpHost::send(Addr dst, std::uint8_t protocol,
@@ -25,10 +28,8 @@ void IpHost::send(Addr dst, std::uint8_t protocol,
 }
 
 void IpHost::on_arrival(const net::Arrival& arrival) {
-  sim_.at(arrival.tail, [this, arrival] { process(arrival); });
-}
-
-void IpHost::process(const net::Arrival& arrival) {
+  // Whole-packet node: its ports deliver at the tail.
+  SIRPENT_EXPECTS(sim_.now() >= arrival.tail);
   if (arrival.packet->effectively_truncated()) {
     ++stats_.checksum_drops;
     return;

@@ -63,7 +63,6 @@ class IpHost : public net::PortedNode {
     IpHeader first_header;
   };
 
-  void process(const net::Arrival& arrival);
   void accept_fragment(const IpPacketView& view);
   void deliver(const IpHeader& header, wire::Bytes payload,
                bool was_fragmented);

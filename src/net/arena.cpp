@@ -1,6 +1,8 @@
 #include "net/arena.hpp"
 
+#include "check/analysis.hpp"
 #include "check/contract.hpp"
+#include "net/packet.hpp"
 
 namespace srp::net {
 
@@ -18,6 +20,7 @@ void PacketArena::reset_slab(Packet& p) {
   p.route_digest = 0;
   p.telemetry = false;
   p.parent.reset();
+  p.settled = 0;
 }
 
 SRP_HOT_PATH PacketPtr PacketArena::acquire() {

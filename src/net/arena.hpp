@@ -1,16 +1,18 @@
 // Slab-reusing packet arena: the allocator behind every router rewrite
-// (DESIGN.md §11).
+// and every VIPER host send (DESIGN.md §11).
 //
-// A router hop produces a new packet image (remainder + return entry).
-// Allocating it fresh costs a heap-backed byte buffer plus a make_shared
-// per hop; the arena replaces both.  It owns a bounded pool of Packet
+// A router hop produces a new packet image (remainder + return entry), and
+// a host send a fresh one.  Allocating it fresh costs a heap-backed byte
+// buffer plus a make_shared per packet; the arena replaces both.  Each
+// router owns one arena; the hosts of one network share the arena of its
+// net::PacketFactory.  An arena owns a bounded pool of Packet
 // slabs and recycles a slab the moment the pool is its *only* owner
 // (use_count() == 1).  Everything that still needs a packet — an output
 // queue, an in-flight transmission, a fault lane holding a duplicate, a
-// downstream derive's parent chain — holds a PacketPtr reference and
-// thereby blocks recycling, so a slab can never be reused while any byte
-// of it is observable.  The sim is single-threaded, which makes
-// use_count() an exact, deterministic liveness oracle.
+// downstream derive's parent chain, a test holding a PacketPtr — holds a
+// reference and thereby blocks recycling, so a slab can never be reused
+// while any byte of it is observable.  The sim is single-threaded, which
+// makes use_count() an exact, deterministic liveness oracle.
 //
 // A recycled slab keeps its wire::Bytes capacity, so steady-state
 // acquire()+append runs with zero allocations (pinned by
@@ -18,12 +20,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "check/analysis.hpp"
-#include "net/packet.hpp"
-
 namespace srp::net {
+
+struct Packet;
+using PacketPtr = std::shared_ptr<Packet>;
 
 class PacketArena {
  public:

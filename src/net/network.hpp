@@ -17,8 +17,9 @@ namespace srp::net {
 /// assigned to a link.
 class PortedNode : public Node {
  public:
-  PortedNode(sim::Simulator& sim, std::string name)
-      : Node(std::move(name)), sim_(sim) {
+  PortedNode(sim::Simulator& sim, std::string name,
+             bool whole_packet = false)
+      : Node(std::move(name), whole_packet), sim_(sim) {
     ports_.push_back(nullptr);  // slot 0 reserved
   }
 

@@ -6,20 +6,19 @@
 // flow labels).  Routers that rewrite a packet produce a new Packet and
 // copy the bookkeeping forward: via Packet::derive(), or — the Sirpent
 // router moving a header segment to the trailer — into a recycled
-// net::PacketArena slab with the same bookkeeping.
+// net::PacketArena slab with the same bookkeeping.  VIPER hosts encode
+// their sends into slabs of the PacketFactory's arena.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <utility>
 
+#include "net/arena.hpp"
 #include "sim/time.hpp"
 #include "wire/buffer.hpp"
 
 namespace srp::net {
-
-struct Packet;
-using PacketPtr = std::shared_ptr<Packet>;
 
 struct Packet : std::enable_shared_from_this<Packet> {
   wire::Bytes bytes;  ///< full wire image, link header onward
@@ -56,6 +55,11 @@ struct Packet : std::enable_shared_from_this<Packet> {
   /// is discovered by walking this chain (effectively_truncated()), just as
   /// a real cut-through abort propagates to every downstream copy.
   std::shared_ptr<const Packet> parent;
+  /// Time from which the `truncated` flag of every image in the `parent`
+  /// chain is final: the latest last-bit arrival along the chain.  An
+  /// abort cuts a transmission before its last bit, so no image of the
+  /// chain can become truncated after it.
+  sim::Time settled = 0;
 
   [[nodiscard]] std::size_t size() const { return bytes.size(); }
 
@@ -68,8 +72,21 @@ struct Packet : std::enable_shared_from_this<Packet> {
     return false;
   }
 
+  /// Drops the parent chain once it can no longer change (at or after
+  /// `settled`), folding its truncation into `truncated`.  A port calls it
+  /// when this image's transmission ends, so a finished image does not
+  /// keep its upstream images alive — a free arena slab would otherwise
+  /// pin its parent's slab until it is recycled itself.
+  void fold_parent(sim::Time now) {
+    if (parent == nullptr || now < settled) return;
+    truncated = effectively_truncated();
+    parent.reset();
+  }
+
   /// New packet derived from this one (rewritten at a router): fresh wire
   /// image, inherited bookkeeping, hop count bumped, truncation chained.
+  /// For store-and-forward rewrites, made once this image's last bit is
+  /// in: only the settle time of this image's own chain carries over.
   [[nodiscard]] PacketPtr derive(wire::Bytes new_bytes) const {
     auto p = std::make_shared<Packet>();
     p->bytes = std::move(new_bytes);
@@ -81,26 +98,41 @@ struct Packet : std::enable_shared_from_this<Packet> {
     p->route_digest = route_digest;
     p->telemetry = telemetry;
     p->parent = shared_from_this();
+    p->settled = settled;
     return p;
   }
 };
 
-/// Factory assigning unique ids; one per simulation run.
+/// Factory assigning unique ids; one per simulation run.  It also owns the
+/// arena its network's hosts encode into: one pool for every host, since a
+/// pool per host would keep a warm slab set per host.
 class PacketFactory {
  public:
+  /// A packet owning @p bytes, stamped with the next id.
   PacketPtr make(wire::Bytes bytes, sim::Time now, std::uint64_t flow = 0) {
     auto p = std::make_shared<Packet>();
     p->bytes = std::move(bytes);
-    p->id = ++last_id_;
-    p->created = now;
-    p->flow = flow;
+    stamp(*p, now, flow);
     return p;
   }
 
+  /// A blank recycled slab (empty bytes with warm capacity, zeroed
+  /// side-band) for an origin to encode into; stamp() then numbers it.
+  PacketPtr blank() { return arena_.acquire(); }
+
+  /// Gives @p packet the next id, its creation time and its flow label.
+  void stamp(Packet& packet, sim::Time now, std::uint64_t flow) {
+    packet.id = ++last_id_;
+    packet.created = now;
+    packet.flow = flow;
+  }
+
   [[nodiscard]] std::uint64_t issued() const { return last_id_; }
+  [[nodiscard]] const PacketArena& arena() const { return arena_; }
 
  private:
   std::uint64_t last_id_ = 0;
+  PacketArena arena_;
 };
 
 }  // namespace srp::net

@@ -50,9 +50,9 @@ void TxPort::set_observer(const obs::Observer& observer) {
 }
 
 void TxPort::notify_queue_change(sim::Time at) const {
-  if (on_queue_change) on_queue_change(at, queue_.size());
+  if (on_queue_change) on_queue_change(at, queued());
   if (obs_queue_depth_ != nullptr) {
-    obs_queue_depth_->set(static_cast<std::int64_t>(queue_.size()));
+    obs_queue_depth_->set(static_cast<std::int64_t>(queued()));
   }
 }
 
@@ -95,7 +95,7 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
   // "Blocked" per the paper: the packet cannot go straight onto the wire —
   // a transmission is in progress or others (a committed head included)
   // are already waiting.
-  const bool blocked = transmitting_ || !queue_.empty();
+  const bool blocked = transmitting_ || queued() != 0;
   if (blocked && meta.drop_if_blocked) {
     ++stats_.dropped_blocked;
   } else if (queue_bytes_ + item.packet->size() > buffer_limit_) {
@@ -108,7 +108,7 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
     if (on_enqueue) on_enqueue(*item.packet);
     // A higher rank overtakes a committed head before its start: the port
     // would now start this packet instead.
-    if (committed_ && meta.rank > queue_.front().meta.rank) revoke();
+    if (committed_ && meta.rank > front().meta.rank) revoke();
     queue_bytes_ += item.packet->size();
     insert_by_rank(std::move(item));
     notify_queue_change(sim_.now());
@@ -124,36 +124,46 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
 
 SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
   // Descending rank, FIFO within a rank: scan from the back.
+  const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
   auto it = queue_.end();
-  while (it != queue_.begin() && std::prev(it)->meta.rank < item.meta.rank) {
-    --it;
-  }
+  while (it != first && std::prev(it)->meta.rank < item.meta.rank) --it;
   // The output queue is the paper's "output buffer space": buffering a
-  // blocked packet is the deliberate allocation on this path.  Append
-  // with push_back: deque::insert at begin() (== end() when empty) takes
-  // push_front, allocating a front chunk the next pop_front frees.
-  if (it == queue_.end()) {
-    SRP_ALLOC_OK(queue_.push_back(std::move(item)));
-  } else {
-    SRP_ALLOC_OK(queue_.insert(it, std::move(item)));
+  // blocked packet is the deliberate allocation on this path, made only
+  // while the vector grows to the deepest backlog it has held.
+  SRP_ALLOC_OK(queue_.insert(it, std::move(item)));
+}
+
+SRP_HOT_PATH void TxPort::pop_front() const {
+  ++head_;
+  if (head_ == queue_.size()) {
+    queue_.clear();  // keeps the storage for the next packets
+    head_ = 0;
+  } else if (head_ > queue_.size() / 2) {
+    // Move the live part to the front so dead slots never outnumber it.
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
 }
 
 SRP_HOT_PATH void TxPort::try_start() {
-  if (transmitting_ || committed_ || queue_.empty() || !up_) return;
+  if (transmitting_ || committed_ || queued() == 0 || !up_) return;
 
-  const Queued& head = queue_.front();
+  const Queued& head = front();
   committed_ = true;
   current_start_ = std::max(sim_.now(), head.earliest_start);
   current_end_ = current_start_ + tx_time(head.packet->size());
-  if (queue_.size() > 1) schedule_completion();
+  if (queued() > 1) schedule_completion();
   arrival_event_ = 0;
   if (peer_ != nullptr) {
     const Arrival arrival{head.packet, peer_in_port_,
                           current_start_ + config_.prop_delay,
                           current_end_ + config_.prop_delay, config_.rate_bps};
-    arrival_event_ = sim_.at(
-        arrival.head, [peer = peer_, arrival] { peer->on_arrival(arrival); });
+    // A whole-packet peer (a host) acts on the last bit: deliver it then,
+    // in this one event, instead of at the head for it to wait again.
+    const sim::Time when = peer_->whole_packet() ? arrival.tail : arrival.head;
+    arrival_event_ =
+        sim_.at(when, [peer = peer_, arrival] { peer->on_arrival(arrival); });
   }
   settle();  // starts at once unless the cut-through bound lies ahead
 }
@@ -162,8 +172,8 @@ SRP_HOT_PATH void TxPort::begin_transmission() const {
   SIRPENT_EXPECTS(committed_ && !transmitting_);
   committed_ = false;
   transmitting_ = true;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = std::move(front());
+  pop_front();
   SIRPENT_INVARIANT(queue_bytes_ >= current_.packet->size());
   queue_bytes_ -= current_.packet->size();
 
@@ -196,6 +206,7 @@ SRP_HOT_PATH void TxPort::end_transmission() const {
   ++stats_.sent;
   stats_.bytes_sent += current_.packet->size();
   stats_.busy_time += current_end_ - current_start_;
+  current_.packet->fold_parent(sim_.now());
   transmitting_ = false;
   current_ = Queued{};
 }
@@ -241,8 +252,9 @@ void TxPort::set_up(bool up) {
   if (!up_) {
     if (transmitting_) abort_transmission();
     if (committed_) revoke();
-    stats_.dropped_down += queue_.size();
+    stats_.dropped_down += queued();
     queue_.clear();
+    head_ = 0;
     queue_bytes_ = 0;
     notify_queue_change(sim_.now());
   } else {

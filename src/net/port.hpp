@@ -18,14 +18,23 @@
 // commits the next one at the end instant.  A commit is revoked — arrival
 // and completion cancelled, the packet left at the head — whenever, before
 // `start`, the decision would have come out differently: a higher-rank
-// enqueue, the link going down, or connect() to a new peer.
+// enqueue, the link going down, or connect() to a new peer.  The arrival
+// fires at the peer's first bit, or at its last bit when the peer is a
+// whole-packet node (Node::whole_packet: every end host), which then does
+// its work inside that one event.
+//
+// The queue is a vector with a head index: a transmission's start advances
+// the head, drained storage is reused, and the live part is moved to the
+// front once the head passes half the vector, so a warm port queues and
+// dequeues without allocating.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -135,10 +144,11 @@ class TxPort final : private sim::ClockDriven {
 
   /// Queue introspection — congestion control reads the source routes of
   /// waiting packets to identify upstream feeders (paper §2.2).
-  /// A committed packet whose start is still ahead is queued.
-  [[nodiscard]] const std::deque<Queued>& queue() const {
+  /// A committed packet whose start is still ahead is queued.  The view,
+  /// head first, is valid until the next operation on the port.
+  [[nodiscard]] std::span<const Queued> queue() const {
     settle();
-    return queue_;
+    return std::span<const Queued>(queue_).subspan(head_);
   }
   [[nodiscard]] std::size_t queue_bytes() const {
     settle();
@@ -146,7 +156,7 @@ class TxPort final : private sim::ClockDriven {
   }
   [[nodiscard]] std::size_t queue_packets() const {
     settle();
-    return queue_.size();
+    return queued();
   }
 
   /// Fault-injection hook; empty (one untaken branch) in normal operation.
@@ -196,6 +206,9 @@ class TxPort final : private sim::ClockDriven {
       end_transmission();
     }
   }
+  [[nodiscard]] std::size_t queued() const { return queue_.size() - head_; }
+  [[nodiscard]] Queued& front() const { return queue_[head_]; }
+  void pop_front() const;
   void try_start();
   void begin_transmission() const;
   void end_transmission() const;
@@ -214,7 +227,8 @@ class TxPort final : private sim::ClockDriven {
   bool up_ = true;
 
   // Lifecycle state, advanced by settle() from the const accessors too.
-  mutable std::deque<Queued> queue_;
+  mutable std::vector<Queued> queue_;  ///< live from head_ on, by rank
+  mutable std::size_t head_ = 0;       ///< first live entry of queue_
   mutable std::size_t queue_bytes_ = 0;
   mutable bool committed_ = false;     ///< queue head committed, not started
   mutable bool transmitting_ = false;  ///< current_ is on the wire

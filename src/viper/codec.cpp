@@ -188,12 +188,16 @@ SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
 
 core::HeaderSegment to_segment(const SegmentView& view) {
   core::HeaderSegment seg;
-  seg.port = view.port;
-  seg.tos = view.tos;
-  seg.flags = view.flags;
-  seg.token.assign(view.token.begin(), view.token.end());
-  seg.port_info.assign(view.port_info.begin(), view.port_info.end());
+  assign_segment(seg, view);
   return seg;
+}
+
+void assign_segment(core::HeaderSegment& out, const SegmentView& view) {
+  out.port = view.port;
+  out.tos = view.tos;
+  out.flags = view.flags;
+  out.token.assign(view.token.begin(), view.token.end());
+  out.port_info.assign(view.port_info.begin(), view.port_info.end());
 }
 
 SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,

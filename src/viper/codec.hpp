@@ -77,6 +77,8 @@ struct SegmentView {
 
 /// The owning segment equal to @p view (fields copied out of the buffer).
 core::HeaderSegment to_segment(const SegmentView& view);
+/// Makes @p out equal to @p view, reusing the capacity of its byte fields.
+void assign_segment(core::HeaderSegment& out, const SegmentView& view);
 
 /// Parses the segment starting at @p offset of @p bytes without copying
 /// its fields: nullopt where decode_segment would throw, otherwise the same

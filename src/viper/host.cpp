@@ -25,7 +25,8 @@ void add_postcard(std::vector<obs::HopTelemetry>& path,
 
 ViperHost::ViperHost(sim::Simulator& sim, std::string name,
                      net::PacketFactory& packets)
-    : ViperNode(sim, std::move(name)), packets_(packets) {}
+    : ViperNode(sim, std::move(name), /*whole_packet=*/true),
+      packets_(packets) {}
 
 void ViperHost::bind(std::uint64_t endpoint_id, Handler handler) {
   endpoints_[endpoint_id] = std::move(handler);
@@ -62,18 +63,20 @@ void ViperHost::set_observer(const obs::Observer& observer) {
 std::uint64_t ViperHost::send(const core::SourceRoute& route,
                               std::span<const std::uint8_t> data,
                               const SendOptions& options) {
-  // One exactly sized buffer: the first hop's link header (on a LAN), the
-  // route, DataLen and the data.
+  // One image in a recycled slab of the network's arena, its buffer sized
+  // once: the first hop's link header (on a LAN), the route, DataLen and
+  // the data.  The id is stamped only once the encode has succeeded.
   const std::size_t link_size =
       options.link.has_value() ? net::EthernetHeader::kWireSize : 0;
-  wire::Writer w(link_size + packet_wire_size(route, data.size()));
+  net::PacketPtr packet = packets_.blank();
+  wire::Writer w(std::move(packet->bytes),
+                 link_size + packet_wire_size(route, data.size()));
   if (options.link.has_value()) {
     options.link->encode(w);
   }
   encode_packet(w, route, data);
-
-  net::PacketPtr packet =
-      packets_.make(std::move(w).take(), sim_.now(), options.flow);
+  packet->bytes = std::move(w).take();
+  packets_.stamp(*packet, sim_.now(), options.flow);
   const std::uint64_t id = packet->id;
   // Mint the trace context at the origin: the packet id is already unique
   // per simulation, so it doubles as the trace id.
@@ -118,8 +121,13 @@ std::uint64_t ViperHost::reply(const Delivery& delivery,
 }
 
 SRP_SIM_VISIBLE void ViperHost::on_arrival(const net::Arrival& arrival) {
-  // A host needs the whole packet (data + trailer): act at last-bit time.
-  sim_.at(arrival.tail, [this, arrival] { process(arrival); });
+  // A host needs the whole packet (data + trailer).  Its ports deliver at
+  // the tail; a direct call before the tail waits for it.
+  if (sim_.now() < arrival.tail) {
+    sim_.at(arrival.tail, [this, arrival] { process(arrival); });
+    return;
+  }
+  process(arrival);
 }
 
 void ViperHost::process(const net::Arrival& arrival) {
@@ -162,13 +170,24 @@ void ViperHost::process(const net::Arrival& arrival) {
     return;
   }
 
-  Delivery delivery;
+  if (endpoint.has_value() && *endpoint == kControlEndpoint) {
+    ++stats_.control_received;
+    if (control_handler_) control_handler_(body->data, arrival.in_port);
+    return;
+  }
+
+  // Every field of the kept Delivery is overwritten below; its vectors
+  // keep their capacity from packet to packet.
+  Delivery& delivery = delivery_;
   delivery.data.assign(body->data.begin(), body->data.end());
+  delivery.path.clear();
   // The return route is the trailer's legal entries reversed, then the
   // local segment, RPF set on all; truncation marks and telemetry records
-  // are filtered out as the trailer is walked.
+  // are filtered out as the trailer is walked.  Entries are assigned over
+  // the previous delivery's, so their byte fields keep their capacity too.
   std::vector<core::HeaderSegment>& segments = delivery.return_route.segments;
   segments.reserve(body->trailer_segments + 1);
+  std::size_t entries = 0;
   bool truncation_mark = false;
   std::size_t telemetry_decode_errors = 0;
   for (std::size_t at = 0; at < body->trailer.size();) {
@@ -180,23 +199,22 @@ void ViperHost::process(const net::Arrival& arrival) {
     } else if (entry.flags.trm) {
       truncation_mark = true;
     } else {
-      segments.push_back(to_segment(entry));
+      if (entries == segments.size()) segments.emplace_back();
+      assign_segment(segments[entries++], entry);
     }
   }
-  std::reverse(segments.begin(), segments.end());
-  core::HeaderSegment local;
+  const auto end = segments.begin() + static_cast<std::ptrdiff_t>(entries);
+  std::reverse(segments.begin(), end);
+  if (entries == segments.size()) segments.emplace_back();
+  core::HeaderSegment& local = segments[entries];
   local.port = core::kLocalPort;
+  local.tos = core::TypeOfService{};
+  local.flags = core::SegmentFlags{};
   local.flags.vnt = true;
-  segments.push_back(std::move(local));
+  local.token.clear();
+  local.port_info.clear();
+  segments.resize(entries + 1);  // drops what a longer route left
   delivery.return_route.set_rpf();
-
-  if (endpoint.has_value() && *endpoint == kControlEndpoint) {
-    ++stats_.control_received;
-    if (control_handler_) {
-      control_handler_(std::move(delivery.data), arrival.in_port);
-    }
-    return;
-  }
 
   // Hop number — not trailer position — orders the path; the records
   // enter the sort newest first.
@@ -210,6 +228,7 @@ void ViperHost::process(const net::Arrival& arrival) {
   SIRPENT_ENSURES(!delivery.return_route.empty() &&
                   delivery.return_route.segments.back().port ==
                       core::kLocalPort);
+  delivery.reply_link.reset();
   if (link.has_value()) delivery.reply_link = link->reversed();
   delivery.truncated = truncation_mark || packet.effectively_truncated();
   delivery.endpoint = endpoint.value_or(0);

@@ -1,12 +1,20 @@
 // End-host Sirpent module: sends source-routed VIPER packets and, on
 // delivery, rebuilds the return route from the trailer (paper §2).
+//
+// A host is a whole-packet node: its ports deliver each packet at last-bit
+// time, and the host parses and delivers it inside that arrival event.
+// Per packet it allocates nothing once warm: a send encodes into a
+// recycled slab of the network's PacketFactory arena, and a delivery
+// refills one Delivery the host keeps (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/segment.hpp"
 #include "flow/sampler.hpp"
@@ -21,6 +29,11 @@ namespace srp::viper {
 /// A packet delivered to an end host, with everything the higher layers
 /// need: the data, the network-independently reversed return route, the
 /// link header for the first return hop, and truncation status.
+///
+/// Handlers receive the host's own Delivery, refilled for every packet so
+/// that `data`, `return_route.segments` and `path` keep their capacity: the
+/// reference is valid only for the handler call.  A handler that keeps a
+/// delivery copies it.
 struct Delivery {
   wire::Bytes data;
   core::SourceRoute return_route;  ///< trailer reversed + local segment
@@ -55,8 +68,10 @@ struct SendOptions {
 class ViperHost : public ViperNode {
  public:
   using Handler = std::function<void(const Delivery&)>;
+  /// Receives a control packet's payload, a view into the arrived packet
+  /// valid only for the call.
   using ControlHandler =
-      std::function<void(wire::Bytes payload, int in_port)>;
+      std::function<void(std::span<const std::uint8_t> payload, int in_port)>;
 
   struct Stats {
     std::uint64_t sent = 0;
@@ -119,6 +134,8 @@ class ViperHost : public ViperNode {
   void set_path_telemetry(obs::PathCollector* collector, std::uint64_t seed,
                           std::uint32_t sample_period);
 
+  /// Parses and delivers the packet.  Ports call it at the tail; a direct
+  /// call before the tail waits for it.
   void on_arrival(const net::Arrival& arrival) override;
 
  private:
@@ -129,6 +146,7 @@ class ViperHost : public ViperNode {
   Handler default_handler_;
   ControlHandler control_handler_;
   Stats stats_;
+  Delivery delivery_;  ///< refilled for every delivered packet
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_e2e_latency_ = nullptr;

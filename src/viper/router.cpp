@@ -584,6 +584,7 @@ SRP_HOT_PATH void ViperRouter::forward_to_port(
   derived->route_digest = src.route_digest;
   derived->telemetry = src.telemetry;
   derived->parent = arrival.packet;
+  derived->settled = std::max(arrival.tail, src.settled);
   derived->truncated = truncated;
   derived->last_in_port = arrival.in_port;
   // Feed-forward load info rides one hop: stamped by the upstream shaper,

@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace srp::wire {
@@ -27,6 +28,13 @@ class Writer {
  public:
   Writer() = default;
   explicit Writer(std::size_t reserve) { out_.reserve(reserve); }
+  /// Writes into @p reuse's storage: cleared, its capacity kept, then
+  /// grown to @p reserve if smaller — a recycled buffer costs no
+  /// allocation once warm.
+  Writer(Bytes reuse, std::size_t reserve) : out_(std::move(reuse)) {
+    out_.clear();
+    out_.reserve(reserve);
+  }
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v);

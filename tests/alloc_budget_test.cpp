@@ -9,10 +9,9 @@
 // allocation in anywhere — router, port, codec, scheduler, flow
 // accounting — the budget assertion moves and the regression is
 // attributable to the change that made it, not discovered in a profile
-// much later.  The end-to-end cost of a 2-router line is pinned at the
-// measured cost plus modest headroom; a warm router hop and a warm
-// scheduler schedule + pop must be exactly zero, and an idle output port
-// nearly so.
+// much later.  The end-to-end cost of a warm 2-router line, a warm router
+// hop, a warm idle output port and a warm scheduler schedule + pop are
+// each pinned at exactly zero.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,21 +73,12 @@ std::uint64_t allocation_count() {
 
 /// Steady-state allocations per packet across a 2-router line, measured
 /// end to end: host encode, two router forwards (cut-through peek, port
-/// queueing, flow accounting, hop events), final local delivery.  The
-/// measured value on libstdc++ 12 is 4.25: the host's one exactly sized
-/// encode buffer and its packet, and at delivery the data copy and the
-/// return-route vector; the 0.25 is output-queue chunk turnover on the
-/// three ports (IdlePortCycleRarelyAllocates).  Router hops add none —
-/// each rewrites into a recycled arena slab — and neither do sim events,
-/// since every per-hop capture fits the scheduler's inline buffer.  It
-/// was 20.1 while each hop copied the packet (decode field copies, a
-/// Writer buffer, a derive()d packet) and every enqueue into an idle port
-/// turned over a queue chunk.  The cap is the
-/// measured value plus ~15%, room for small-buffer-optimization
-/// differences between standard libraries, not for new allocations on
-/// the path.
-constexpr std::uint64_t kSteadyStatePacketBudget = 5;
-
+/// queueing, flow accounting, hop events), final local delivery.  Pinned
+/// at zero: the host encodes into a recycled slab of the network's arena,
+/// delivery refills the host's kept Delivery (data, return route), router
+/// hops rewrite into their own arena slabs, port queues reuse their
+/// vectors, and every sim event's capture fits the scheduler's inline
+/// buffer.
 TEST(AllocBudget, SteadyStateLineForwardingStaysWithinBudget) {
   sim::Simulator sim;
   dir::Fabric fabric{sim};
@@ -100,34 +90,28 @@ TEST(AllocBudget, SteadyStateLineForwardingStaysWithinBudget) {
   const core::SourceRoute route = line_route(2);
   const wire::Bytes payload = pattern_bytes(64);
 
-  // Warm-up: populate flow tables, port queues, the simulator's event
-  // storage and every first-touch std::map node so the measured window
-  // sees only the recurring per-packet cost.
-  constexpr int kWarmup = 50;
-  for (int i = 0; i < kWarmup; ++i) line.src->send(route, payload);
-  sim.run();
-  ASSERT_EQ(delivered, static_cast<std::uint64_t>(kWarmup));
-
   constexpr int kPackets = 200;
+  auto burst = [&] {
+    for (int i = 0; i < kPackets; ++i) line.src->send(route, payload);
+    sim.run();
+  };
+  // Warm-up: one burst of the measured size grows every pool, queue and
+  // table to the window's depth.
+  burst();
+  ASSERT_EQ(delivered, static_cast<std::uint64_t>(kPackets));
+
   const std::uint64_t before = allocation_count();
-  for (int i = 0; i < kPackets; ++i) line.src->send(route, payload);
-  sim.run();
+  burst();
   const std::uint64_t total = allocation_count() - before;
-  const std::uint64_t per_packet = total / kPackets;
   std::printf("steady-state allocations/packet: %.2f\n",
               static_cast<double>(total) / kPackets);
 
-  EXPECT_EQ(delivered, static_cast<std::uint64_t>(kWarmup + kPackets));
-  EXPECT_LE(per_packet, kSteadyStatePacketBudget)
-      << "steady-state forwarding now allocates " << per_packet
-      << " times per packet (budget " << kSteadyStatePacketBudget
-      << "); either hoist the new allocation off the hot path or update "
-         "the documented budget with a rationale";
-  // A budget that is far too loose is as useless as one that is too
-  // tight: if an optimization lands, ratchet the constant down.
-  EXPECT_GE(per_packet, kSteadyStatePacketBudget / 4)
-      << "measured " << per_packet
-      << " allocations/packet — tighten kSteadyStatePacketBudget";
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(2 * kPackets));
+  EXPECT_EQ(total, 0u)
+      << "steady-state forwarding now allocates "
+      << static_cast<double>(total) / kPackets
+      << " times per packet; hoist the new allocation off the per-packet "
+         "path (DESIGN.md §11)";
 }
 
 /// The router hop itself: once the arena has a warm slab, on_arrival's
@@ -176,10 +160,9 @@ TEST(AllocBudget, PerPacketForwardIsAllocationFreeOnceWarm) {
 
 /// An output port that is idle at every enqueue — the common case on a
 /// lightly loaded link — keeps its queue storage: enqueue → transmit →
-/// complete appends at the back and pops the front, so a deque chunk is
-/// allocated only once per chunk's worth of packets.  (Inserting at
-/// begin() on the empty queue took the push_front branch instead, which
-/// allocated a chunk that the next pop_front freed: once per packet.)
+/// complete appends to the queue vector and advances its head, and the
+/// drained vector is cleared with its capacity kept, so a warm cycle
+/// allocates nothing.
 TEST(AllocBudget, IdlePortCycleRarelyAllocates) {
   sim::Simulator sim;
   net::TxPort port(sim, "p.idle", net::LinkConfig{});
@@ -191,13 +174,13 @@ TEST(AllocBudget, IdlePortCycleRarelyAllocates) {
       sim.run();
     }
   };
-  cycle(100);  // warm: event slots and the first queue chunk settle
+  cycle(100);  // warm: event slots and the queue vector settle
 
   constexpr std::uint64_t kPackets = 1'000;
   const std::uint64_t before = allocation_count();
   cycle(kPackets);
   const std::uint64_t allocations = allocation_count() - before;
-  EXPECT_LT(allocations, kPackets / 10)
+  EXPECT_EQ(allocations, 0u)
       << allocations << " allocations over " << kPackets
       << " idle-port enqueue/transmit/complete cycles";
   EXPECT_EQ(port.stats().sent, 100 + kPackets);

@@ -186,8 +186,9 @@ HostOutcome run_host(const wire::Bytes& image, bool cut_in_flight) {
   host.set_path_telemetry(&collector, 1, 0);
   HostOutcome out;
   host.set_default_handler([&](const Delivery& d) { out.delivery = d; });
-  host.set_control_handler(
-      [&](wire::Bytes payload, int) { out.control_payload = payload; });
+  host.set_control_handler([&](std::span<const std::uint8_t> payload, int) {
+    out.control_payload = wire::Bytes(payload.begin(), payload.end());
+  });
   net::Arrival arrival;
   arrival.packet = packets.make(image, 0);
   arrival.packet->telemetry = true;
