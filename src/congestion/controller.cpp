@@ -216,42 +216,43 @@ void CongestionController::report_port_congestion(int port_index) {
 
   // "Because the congested router has access to the source route, it can
   // easily determine the upstream routers feeding the queue."
-  std::set<int> feeders;
+  feeders_.clear();
   for (const auto& queued : out.queue()) {
-    if (queued.packet->last_in_port > 0) {
-      feeders.insert(queued.packet->last_in_port);
-    }
+    add_feeder(queued.packet->last_in_port);
   }
-  if (feeders.empty()) return;
+  if (feeders_.empty()) return;
 
   const double share = out.config().rate_bps * config_.target_utilization /
-                       static_cast<double>(feeders.size());
+                       static_cast<double>(feeders_.size());
   monitor.last_share_bps = share;
-  send_rate_report(port_index, share, feeders);
-  monitor.last_feeders = std::move(feeders);
+  send_rate_report(port_index, share, feeders_);
+  monitor.last_feeders = feeders_;
 }
 
 void CongestionController::report_backlog(FlowState& flow) {
   // Recursive backpressure: our shaping queue for this flow is itself
   // congested, so grant our feeders shares of *our* granted rate.
-  std::set<int> feeders;
-  for (const auto& held : flow.held) {
-    if (held.packet->last_in_port > 0) {
-      feeders.insert(held.packet->last_in_port);
-    }
-  }
-  if (feeders.empty()) return;
+  feeders_.clear();
+  for (const auto& held : flow.held) add_feeder(held.packet->last_in_port);
+  if (feeders_.empty()) return;
   send_rate_report(flow.out_port,
-                   flow.rate_bps / static_cast<double>(feeders.size()),
-                   feeders);
+                   flow.rate_bps / static_cast<double>(feeders_.size()),
+                   feeders_);
+}
+
+void CongestionController::add_feeder(int in_port) {
+  if (in_port <= 0) return;
+  const auto at = std::lower_bound(feeders_.begin(), feeders_.end(), in_port);
+  if (at == feeders_.end() || *at != in_port) feeders_.insert(at, in_port);
 }
 
 void CongestionController::send_rate_report(int port, double rate_bps,
-                                            const std::set<int>& feeders) {
-  const wire::Bytes payload = encode_rate_report(RateReport{
-      router_.router_id(), static_cast<std::uint8_t>(port), rate_bps});
+                                            std::span<const int> feeders) {
+  encode_rate_report(RateReport{router_.router_id(),
+                                static_cast<std::uint8_t>(port), rate_bps},
+                     report_);
   for (int feeder : feeders) {
-    router_.send_control(feeder, payload);
+    router_.send_control(feeder, report_);
     ++stats_.reports_sent;
   }
 }

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "congestion/messages.hpp"
@@ -130,15 +130,18 @@ class CongestionController {
   void flush(FlowState& flow);
   void report_port_congestion(int port_index);
   void report_backlog(FlowState& flow);
+  /// Adds @p in_port (a packet's last_in_port; 0 = none) to feeders_,
+  /// which stays ascending and free of repeats.
+  void add_feeder(int in_port);
   /// Grants each of @p feeders @p rate_bps toward this router's queue on
   /// @p port: one RateReport, sent to every feeder and counted.
   void send_rate_report(int port, double rate_bps,
-                        const std::set<int>& feeders);
+                        std::span<const int> feeders);
 
   struct PortMonitor {
     std::uint64_t feedforward_seen = 0;  ///< sum over the current interval
     double last_share_bps = 0.0;         ///< most recent grant per feeder
-    std::set<int> last_feeders;
+    std::vector<int> last_feeders;       ///< ascending
   };
 
   sim::Simulator& sim_;
@@ -149,6 +152,10 @@ class CongestionController {
   std::map<int, std::uint32_t> neighbors_;  // out port -> router id
   std::map<FlowKey, FlowState> flows_;
   Stats stats_;
+  /// Reused by every report: the feeders of the queue being reported, in
+  /// ascending port order, and the encoded RateReport.
+  std::vector<int> feeders_;
+  wire::Bytes report_;
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Gauge* obs_flows_ = nullptr;

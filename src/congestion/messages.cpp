@@ -4,13 +4,19 @@
 
 namespace srp::cc {
 
-wire::Bytes encode_rate_report(const RateReport& report) {
-  wire::Writer w(14);
+void encode_rate_report(const RateReport& report, wire::Bytes& out) {
+  wire::Writer w(std::move(out), 14);
   w.u8(kTagRateReport);
   w.u32(report.router_id);
   w.u8(report.port);
   w.u64(std::bit_cast<std::uint64_t>(report.rate_bps));
-  return std::move(w).take();
+  out = std::move(w).take();
+}
+
+wire::Bytes encode_rate_report(const RateReport& report) {
+  wire::Bytes out;
+  encode_rate_report(report, out);
+  return out;
 }
 
 std::optional<RateReport> decode_rate_report(

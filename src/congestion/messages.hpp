@@ -31,6 +31,8 @@ struct RateReport {
 };
 
 wire::Bytes encode_rate_report(const RateReport& report);
+/// The same encoding written over @p out, whose capacity is kept.
+void encode_rate_report(const RateReport& report, wire::Bytes& out);
 
 /// Decodes a control payload; nullopt when it is not a rate report.
 std::optional<RateReport> decode_rate_report(

@@ -74,9 +74,10 @@ struct Packet : std::enable_shared_from_this<Packet> {
 
   /// Drops the parent chain once it can no longer change (at or after
   /// `settled`), folding its truncation into `truncated`.  A port calls it
-  /// when this image's transmission ends, so a finished image does not
-  /// keep its upstream images alive — a free arena slab would otherwise
-  /// pin its parent's slab until it is recycled itself.
+  /// when it queues this image and again when the image's transmission
+  /// ends, so neither a waiting nor a finished image keeps its upstream
+  /// images alive — a free arena slab would otherwise pin its parent's
+  /// slab until it is recycled itself.
   void fold_parent(sim::Time now) {
     if (parent == nullptr || now < settled) return;
     truncated = effectively_truncated();

@@ -109,6 +109,10 @@ SRP_HOT_PATH void TxPort::enqueue_unfiltered(PacketPtr packet, TxMeta meta,
     // A higher rank overtakes a committed head before its start: the port
     // would now start this packet instead.
     if (committed_ && meta.rank > front().meta.rank) revoke();
+    // A chain already settled when its image is queued (a shaped, delayed
+    // or re-injected image's) is folded now, so the image does not pin its
+    // upstream slab while it waits; fold_waiting() folds the others.
+    item.packet->fold_parent(sim_.now());
     queue_bytes_ += item.packet->size();
     insert_by_rank(std::move(item));
     notify_queue_change(sim_.now());
@@ -127,6 +131,12 @@ SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
   const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
   auto it = queue_.end();
   while (it != first && std::prev(it)->meta.rank < item.meta.rank) --it;
+  // Keep the folded prefix: it grows by a folded image inserted in or at
+  // its end, and ends before an unfolded one.
+  const auto at = static_cast<std::size_t>(it - first);
+  if (at <= folded_) {
+    folded_ = item.packet->parent == nullptr ? folded_ + 1 : at;
+  }
   // The output queue is the paper's "output buffer space": buffering a
   // blocked packet is the deliberate allocation on this path, made only
   // while the vector grows to the deepest backlog it has held.
@@ -134,6 +144,7 @@ SRP_HOT_PATH void TxPort::insert_by_rank(Queued item) {
 }
 
 SRP_HOT_PATH void TxPort::pop_front() const {
+  if (folded_ > 0) --folded_;
   ++head_;
   if (head_ == queue_.size()) {
     queue_.clear();  // keeps the storage for the next packets
@@ -174,6 +185,7 @@ SRP_HOT_PATH void TxPort::begin_transmission() const {
   transmitting_ = true;
   current_ = std::move(front());
   pop_front();
+  fold_waiting();
   SIRPENT_INVARIANT(queue_bytes_ >= current_.packet->size());
   queue_bytes_ -= current_.packet->size();
 
@@ -199,6 +211,15 @@ SRP_HOT_PATH void TxPort::begin_transmission() const {
   // Start first, notify after: observers of the queue change must see the
   // port already busy.
   notify_queue_change(start);
+}
+
+SRP_HOT_PATH void TxPort::fold_waiting() const {
+  while (folded_ < queued()) {
+    Packet& waiting = *queue_[head_ + folded_].packet;
+    waiting.fold_parent(sim_.now());
+    if (waiting.parent != nullptr) return;  // not settled yet
+    ++folded_;
+  }
 }
 
 SRP_HOT_PATH void TxPort::end_transmission() const {
@@ -255,6 +276,7 @@ void TxPort::set_up(bool up) {
     stats_.dropped_down += queued();
     queue_.clear();
     head_ = 0;
+    folded_ = 0;
     queue_bytes_ = 0;
     notify_queue_change(sim_.now());
   } else {

@@ -26,7 +26,10 @@
 // The queue is a vector with a head index: a transmission's start advances
 // the head, drained storage is reused, and the live part is moved to the
 // front once the head passes half the vector, so a warm port queues and
-// dequeues without allocating.
+// dequeues without allocating.  A queued image's `parent` chain is folded
+// (Packet::fold_parent) at enqueue when it has settled, and otherwise at
+// the first transmission start after it settles, so a waiting image does
+// not pin its upstream slab.
 #pragma once
 
 #include <cstdint>
@@ -209,6 +212,9 @@ class TxPort final : private sim::ClockDriven {
   [[nodiscard]] std::size_t queued() const { return queue_.size() - head_; }
   [[nodiscard]] Queued& front() const { return queue_[head_]; }
   void pop_front() const;
+  /// Folds the parent chain of waiting images, from the first not yet
+  /// folded, until one whose chain has not settled.
+  void fold_waiting() const;
   void try_start();
   void begin_transmission() const;
   void end_transmission() const;
@@ -229,6 +235,8 @@ class TxPort final : private sim::ClockDriven {
   // Lifecycle state, advanced by settle() from the const accessors too.
   mutable std::vector<Queued> queue_;  ///< live from head_ on, by rank
   mutable std::size_t head_ = 0;       ///< first live entry of queue_
+  /// The first folded_ live entries hold no parent chain.
+  mutable std::size_t folded_ = 0;
   mutable std::size_t queue_bytes_ = 0;
   mutable bool committed_ = false;     ///< queue head committed, not started
   mutable bool transmitting_ = false;  ///< current_ is on the wire

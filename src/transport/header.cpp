@@ -4,9 +4,10 @@
 
 namespace srp::vmtp {
 
-wire::Bytes encode_transport_packet(const Header& header,
-                                    std::span<const std::uint8_t> payload) {
-  wire::Writer w(Header::kWireSize + payload.size());
+void encode_transport_packet(const Header& header,
+                             std::span<const std::uint8_t> payload,
+                             wire::Bytes& out) {
+  wire::Writer w(std::move(out), Header::kWireSize + payload.size());
   w.u64(header.src_entity);
   w.u64(header.dst_entity);
   w.u32(header.transaction);
@@ -19,11 +20,17 @@ wire::Bytes encode_transport_packet(const Header& header,
   const std::size_t checksum_offset = w.size();
   w.u16(0);
   w.bytes(payload);
-  wire::Bytes bytes = std::move(w).take();
-  const std::uint16_t checksum = wire::internet_checksum(bytes);
-  bytes[checksum_offset] = static_cast<std::uint8_t>(checksum >> 8);
-  bytes[checksum_offset + 1] = static_cast<std::uint8_t>(checksum);
-  return bytes;
+  out = std::move(w).take();
+  const std::uint16_t checksum = wire::internet_checksum(out);
+  out[checksum_offset] = static_cast<std::uint8_t>(checksum >> 8);
+  out[checksum_offset + 1] = static_cast<std::uint8_t>(checksum);
+}
+
+wire::Bytes encode_transport_packet(const Header& header,
+                                    std::span<const std::uint8_t> payload) {
+  wire::Bytes out;
+  encode_transport_packet(header, payload, out);
+  return out;
 }
 
 std::optional<TransportPacket> decode_transport_packet(

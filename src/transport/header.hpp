@@ -43,6 +43,10 @@ struct Header {
 /// Encodes header + payload with the trailing end-to-end checksum filled in.
 wire::Bytes encode_transport_packet(const Header& header,
                                     std::span<const std::uint8_t> payload);
+/// The same encoding written over @p out, whose capacity is kept.
+void encode_transport_packet(const Header& header,
+                             std::span<const std::uint8_t> payload,
+                             wire::Bytes& out);
 
 /// Decoded packet; `payload` views into the caller's buffer.
 struct TransportPacket {

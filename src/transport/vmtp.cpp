@@ -3,12 +3,35 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
+#include "check/analysis.hpp"
 #include "check/contract.hpp"
 
 // full_mask / missing_mask and both step functions now live in
 // transport/txn_core.hpp so the model checker shares them (DESIGN.md §10).
 namespace srp::vmtp {
+namespace {
+
+/// Inserts @p key, absent from @p map, into a node recycled from @p spare
+/// when it holds one: the mapped value is then the spare's, for the caller
+/// to reset, and keeps its buffers' capacity.
+template <typename Map>
+typename Map::iterator insert_recycled(Map& map,
+                                       typename Map::node_type& spare,
+                                       const typename Map::key_type& key) {
+  if (spare.empty()) {
+    const auto [it, inserted] = map.try_emplace(key);
+    SIRPENT_INVARIANT(inserted);
+    return it;
+  }
+  spare.key() = key;
+  auto result = map.insert(std::move(spare));
+  SIRPENT_INVARIANT(result.inserted);
+  return result.position;
+}
+
+}  // namespace
 
 VmtpEndpoint::VmtpEndpoint(sim::Simulator& sim, viper::ViperHost& host,
                            std::uint64_t entity_id, VmtpConfig config)
@@ -41,27 +64,50 @@ void VmtpEndpoint::set_observer(const obs::Observer& observer) {
   obs_recorder_ = observer.recorder;
 }
 
-std::vector<wire::Bytes> VmtpEndpoint::split(
-    std::span<const std::uint8_t> data) const {
-  std::vector<wire::Bytes> parts;
-  if (data.empty()) {
-    parts.emplace_back();
-    return parts;
+VmtpEndpoint::GroupRx::GroupRx() = default;
+VmtpEndpoint::TxState::TxState() = default;
+
+void VmtpEndpoint::GroupRx::reset() {
+  arrived.clear();
+  parts.fill(Extent{});
+  received_mask = 0;
+  group_size = 0;
+  gap_timer = 0;
+}
+
+void VmtpEndpoint::GroupRx::accept(std::uint8_t index,
+                                   std::span<const std::uint8_t> payload) {
+  SIRPENT_EXPECTS(index < parts.size());  // decode caps groups at 32
+  parts[index] = Extent{static_cast<std::uint32_t>(arrived.size()),
+                        static_cast<std::uint32_t>(payload.size())};
+  arrived.insert(arrived.end(), payload.begin(), payload.end());
+}
+
+void VmtpEndpoint::GroupRx::assemble(wire::Bytes& out) const {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < group_size; ++i) total += parts[i].size;
+  out.clear();
+  out.reserve(total);
+  for (std::size_t i = 0; i < group_size; ++i) {
+    const auto first = arrived.begin() + parts[i].offset;
+    out.insert(out.end(), first, first + parts[i].size);
   }
-  for (std::size_t off = 0; off < data.size();
-       off += config_.max_data_per_packet) {
-    const std::size_t len =
-        std::min(config_.max_data_per_packet, data.size() - off);
-    const auto piece = data.subspan(off, len);
-    parts.emplace_back(piece.begin(), piece.end());
-  }
-  if (parts.size() > config_.max_group) {
+}
+
+std::size_t VmtpEndpoint::part_count(std::size_t bytes) const {
+  if (bytes == 0) return 1;
+  return (bytes + config_.max_data_per_packet - 1) /
+         config_.max_data_per_packet;
+}
+
+std::uint8_t VmtpEndpoint::group_size_for(std::size_t bytes) const {
+  const std::size_t parts = part_count(bytes);
+  if (parts > config_.max_group) {
     throw std::invalid_argument(
-        "VMTP: message exceeds one packet group (" +
-        std::to_string(parts.size()) + " > " +
-        std::to_string(config_.max_group) + " packets)");
+        "VMTP: message exceeds one packet group (" + std::to_string(parts) +
+        " > " + std::to_string(config_.max_group) + " packets)");
   }
-  return parts;
+  return static_cast<std::uint8_t>(parts);
 }
 
 void VmtpEndpoint::invoke(const dir::IssuedRoute& route,
@@ -69,14 +115,18 @@ void VmtpEndpoint::invoke(const dir::IssuedRoute& route,
                           std::span<const std::uint8_t> request,
                           ResponseCallback callback) {
   const std::uint32_t txn = next_transaction_++;
-  TxState state;
+  const std::uint8_t group_size = group_size_for(request.size());
+  // Assigned over a finished transaction's state, so the route and the
+  // buffers keep their capacity.
+  TxState& state = insert_recycled(outstanding_, spare_txn_, txn)->second;
   state.route = route;
   state.server = server_entity;
-  state.request_parts = split(request);
+  state.request.assign(request.begin(), request.end());
   state.callback = std::move(callback);
   state.started = sim_.now();
-  auto [it, inserted] = outstanding_.emplace(txn, std::move(state));
-  SIRPENT_INVARIANT(inserted);
+  state.retries = 0;
+  state.rto_timer = 0;
+  state.response.reset();
   ++stats_.requests_sent;
 
   Header base;
@@ -84,25 +134,28 @@ void VmtpEndpoint::invoke(const dir::IssuedRoute& route,
   base.dst_entity = server_entity;
   base.transaction = txn;
   base.type = PacketType::kRequest;
-  base.group_size = static_cast<std::uint8_t>(it->second.request_parts.size());
+  base.group_size = group_size;
   base.timestamp = clock_.now_ms();
-  send_group(base, it->second.request_parts, full_mask(base.group_size),
-             &it->second.route, nullptr);
+  send_group(base, state.request, full_mask(base.group_size), &state.route,
+             nullptr);
   arm_rto(txn);
 }
 
 void VmtpEndpoint::send_group(const Header& base,
-                              const std::vector<wire::Bytes>& parts,
+                              std::span<const std::uint8_t> message,
                               std::uint32_t mask,
                               const dir::IssuedRoute* route,
-                              const viper::Delivery* reply_via) {
+                              const viper::ReplyPath* reply_via) {
   sim::Time t = sim_.now();
-  for (std::size_t i = 0; i < parts.size(); ++i) {
+  for (std::size_t i = 0; i < base.group_size; ++i) {
     if ((mask & (1u << i)) == 0) continue;
     Header h = base;
     h.index = static_cast<std::uint8_t>(i);
-    const std::size_t wire_size = Header::kWireSize + parts[i].size();
-    send_one(h, parts[i], route, reply_via, t);
+    const std::size_t offset = i * config_.max_data_per_packet;
+    const std::span<const std::uint8_t> part = message.subspan(
+        offset, std::min(config_.max_data_per_packet, message.size() - offset));
+    const std::size_t wire_size = Header::kWireSize + part.size();
+    send_one(h, part, route, reply_via, t);
     ++stats_.data_packets_sent;
     if (config_.send_rate_bps > 0.0) {
       // "rate-based flow control is used between packets within a packet
@@ -113,47 +166,43 @@ void VmtpEndpoint::send_group(const Header& base,
   }
 }
 
-void VmtpEndpoint::send_one(const Header& header, const wire::Bytes& payload,
-                            const dir::IssuedRoute* route,
-                            const viper::Delivery* reply_via,
-                            sim::Time when) {
-  wire::Bytes packet = encode_transport_packet(header, payload);
+SRP_HOT_PATH void VmtpEndpoint::send_one(
+    const Header& header, std::span<const std::uint8_t> payload,
+    const dir::IssuedRoute* route, const viper::ReplyPath* reply_via,
+    sim::Time when) {
+  SIRPENT_INVARIANT(route != nullptr || reply_via != nullptr);
+  viper::SendOptions options;
+  options.tos.priority = config_.priority;
   if (route != nullptr) {
-    core::SourceRoute source_route = route->route;
-    viper::SendOptions options;
-    options.tos.priority = config_.priority;
     options.flow = header.transaction;
     options.out_port = route->host_out_port;
     options.link = route->first_hop_link;
-    auto do_send = [this, source_route = std::move(source_route),
-                    packet = std::move(packet), options] {
-      host_.send(source_route, packet, options);
-    };
-    if (when <= sim_.now()) {
-      do_send();
+  }
+  if (when > sim_.now()) {
+    // A paced send waits for its time with copies of its own: the route or
+    // reply path it was given may change before then.
+    SRP_ALLOC_OK(wire::Bytes packet = encode_transport_packet(header, payload));
+    if (route != nullptr) {
+      SRP_ALLOC_OK(sim_.at(when, [this, source_route = route->route,
+                                  packet = std::move(packet), options] {
+        host_.send(source_route, packet, options);
+      }));
     } else {
-      sim_.at(when, std::move(do_send));
+      SRP_ALLOC_OK(sim_.at(when, [this, via = *reply_via,
+                                  packet = std::move(packet), options,
+                                  peer = header.dst_entity] {
+        host_.reply(via, packet, options.tos, peer);
+      }));
     }
     return;
   }
-  SIRPENT_INVARIANT(reply_via != nullptr);
-  viper::Delivery via = *reply_via;
-  // Address the reply to the peer's transport entity: Sirpent's local
-  // port-0 segment doubles as intra-host addressing (§2.2), so the entity
-  // id is the endpoint id at the peer host.
-  if (!via.return_route.segments.empty()) {
-    core::HeaderSegment& last = via.return_route.segments.back();
-    last.port_info = viper::encode_endpoint_id(header.dst_entity);
-    last.flags.vnt = false;
-  }
-  core::TypeOfService tos;
-  tos.priority = config_.priority;
-  auto do_send = [this, via = std::move(via), packet = std::move(packet),
-                  tos] { host_.reply(via, packet, tos); };
-  if (when <= sim_.now()) {
-    do_send();
+  // Due now: encoded into the endpoint's buffer and sent on the borrowed
+  // route, or replied along the reply path to the peer's transport entity.
+  encode_transport_packet(header, payload, tx_packet_);
+  if (route != nullptr) {
+    host_.send(route->route, tx_packet_, options);
   } else {
-    sim_.at(when, std::move(do_send));
+    host_.reply(*reply_via, tx_packet_, options.tos, header.dst_entity);
   }
 }
 
@@ -167,7 +216,8 @@ bool VmtpEndpoint::lifetime_ok(const Header& header) {
   return true;
 }
 
-void VmtpEndpoint::on_delivery(const viper::Delivery& delivery) {
+SRP_HOT_PATH void VmtpEndpoint::on_delivery(
+    const viper::Delivery& delivery) {
   const auto packet = decode_transport_packet(delivery.data);
   if (!packet.has_value()) {
     // Damaged (e.g. header corruption somewhere upstream, or truncation):
@@ -217,7 +267,6 @@ void VmtpEndpoint::arm_gap_timer(GroupRx& rx, std::uint64_t peer,
     hooks_.rx(RxState{rx_now->group_size, rx_now->received_mask}, event,
               &actions);
     if (!actions.send_nack) return;  // group completed in the meantime
-    if (!rx_now->reply_via.has_value()) return;
     // Selective retransmission: tell the sender what we have (§4.3).
     Header nack;
     nack.src_entity = entity_;
@@ -228,15 +277,15 @@ void VmtpEndpoint::arm_gap_timer(GroupRx& rx, std::uint64_t peer,
     nack.mask = actions.nack_mask;
     nack.timestamp = clock_.now_ms();
     ++stats_.nacks_sent;
-    send_one(nack, {}, nullptr, &*rx_now->reply_via, sim_.now());
+    send_one(nack, {}, nullptr, &rx_now->reply_via, sim_.now());
     if (actions.arm_gap) arm_gap_timer(*rx_now, peer, transaction, kind);
   });
 }
 
-void VmtpEndpoint::handle_request_packet(const TransportPacket& packet,
-                                         const viper::Delivery& delivery) {
+SRP_HOT_PATH void VmtpEndpoint::handle_request_packet(
+    const TransportPacket& packet, const viper::Delivery& delivery) {
   const Header& h = packet.header;
-  const auto key = std::make_pair(h.src_entity, h.transaction);
+  const PeerTxn key{h.src_entity, h.transaction};
 
   const auto done = served_.find(key);
   if (done != served_.end()) {
@@ -248,40 +297,43 @@ void VmtpEndpoint::handle_request_packet(const TransportPacket& packet,
     base.transaction = h.transaction;
     base.type = PacketType::kResponse;
     base.group_size =
-        static_cast<std::uint8_t>(done->second.response_parts.size());
+        static_cast<std::uint8_t>(part_count(done->second.size()));
     base.flags = kFlagRetransmission;
     base.timestamp = clock_.now_ms();
-    send_group(base, done->second.response_parts, full_mask(base.group_size),
-               nullptr, &delivery);
+    send_group(base, done->second, full_mask(base.group_size), nullptr,
+               &delivery);
     return;
   }
 
-  GroupRx& rx = inbound_[key];
+  auto it = inbound_.find(key);
+  const bool fresh = it == inbound_.end();
   RxEvent event;
   event.type = RxEvent::Type::kPart;
   event.index = h.index;
   event.group_size = h.group_size;
   RxActions actions;
-  const RxState core =
-      hooks_.rx(RxState{rx.group_size, rx.received_mask}, event, &actions);
+  const RxState core = hooks_.rx(
+      fresh ? RxState{}
+            : RxState{it->second.group_size, it->second.received_mask},
+      event, &actions);
   if (!actions.part_ok) return;  // malformed or mixed group
-  if (rx.parts.empty()) {
-    rx.parts.resize(core.group_size);
-    rx.first_at = sim_.now();
+  if (fresh) {
+    it = insert_recycled(inbound_, spare_group_, key);
+    it->second.reset();
   }
+  GroupRx& rx = it->second;
   rx.group_size = core.group_size;
   rx.received_mask = core.mask;
-  if (actions.accept) {
-    rx.parts[h.index].assign(packet.payload.begin(), packet.payload.end());
-  }
-  rx.reply_via = delivery;
+  if (actions.accept) rx.accept(h.index, packet.payload);
 
   if (actions.complete) {
     if (rx.gap_timer != 0) sim_.cancel(rx.gap_timer);
-    complete_request(h.src_entity, h.transaction, rx);
-    inbound_.erase(key);
+    rx.assemble(request_);
+    spare_group_ = inbound_.extract(it);
+    complete_request(h.src_entity, h.transaction, delivery);
     return;
   }
+  rx.reply_via = delivery;
   if (actions.arm_gap) {
     arm_gap_timer(rx, h.src_entity, h.transaction, PacketType::kRequest);
   }
@@ -289,38 +341,42 @@ void VmtpEndpoint::handle_request_packet(const TransportPacket& packet,
 
 void VmtpEndpoint::complete_request(std::uint64_t peer,
                                     std::uint32_t transaction,
-                                    const GroupRx& rx) {
-  wire::Bytes request;
-  for (const auto& part : rx.parts) {
-    request.insert(request.end(), part.begin(), part.end());
-  }
+                                    const viper::Delivery& via) {
   ++stats_.requests_served;
-  const viper::Delivery& via = *rx.reply_via;
-  wire::Bytes response =
-      handler_ ? handler_(request, via) : wire::Bytes{};
-  std::vector<wire::Bytes> parts = split(response);
+  wire::Bytes response = handler_ ? handler_(request_, via) : wire::Bytes{};
+  const std::uint8_t group_size = group_size_for(response.size());
 
   Header base;
   base.src_entity = entity_;
   base.dst_entity = peer;
   base.transaction = transaction;
   base.type = PacketType::kResponse;
-  base.group_size = static_cast<std::uint8_t>(parts.size());
+  base.group_size = group_size;
   base.timestamp = clock_.now_ms();
-
-  served_[{peer, transaction}] = Served{parts};
-  served_order_.emplace_back(peer, transaction);
-  constexpr std::size_t kServedCap = 4096;
-  while (served_order_.size() > kServedCap) {
-    served_.erase(served_order_.front());
-    served_order_.pop_front();
-  }
-
-  send_group(base, parts, full_mask(base.group_size), nullptr, &via);
+  const wire::Bytes& kept =
+      remember_served({peer, transaction}, std::move(response));
+  send_group(base, kept, full_mask(base.group_size), nullptr, &via);
 }
 
-void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
-                                          const viper::Delivery& delivery) {
+const wire::Bytes& VmtpEndpoint::remember_served(const PeerTxn& key,
+                                                 wire::Bytes response) {
+  decltype(served_)::node_type evicted;
+  if (served_order_.size() < kServedCap) {
+    served_order_.push_back(key);
+  } else {
+    // Full: the oldest entry makes room, and its node holds the new one.
+    PeerTxn& oldest = served_order_[served_oldest_];
+    evicted = served_.extract(oldest);
+    oldest = key;
+    served_oldest_ = (served_oldest_ + 1) % kServedCap;
+  }
+  wire::Bytes& kept = insert_recycled(served_, evicted, key)->second;
+  kept = std::move(response);
+  return kept;
+}
+
+SRP_HOT_PATH void VmtpEndpoint::handle_response_packet(
+    const TransportPacket& packet, const viper::Delivery& delivery) {
   const Header& h = packet.header;
   const auto it = outstanding_.find(h.transaction);
   if (it == outstanding_.end()) return;  // late duplicate
@@ -338,16 +394,9 @@ void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
   const RxState core =
       hooks_.rx(RxState{rx.group_size, rx.received_mask}, event, &actions);
   if (!actions.part_ok) return;
-  if (rx.parts.empty()) {
-    rx.parts.resize(core.group_size);
-    rx.first_at = sim_.now();
-  }
   rx.group_size = core.group_size;
   rx.received_mask = core.mask;
-  if (actions.accept) {
-    rx.parts[h.index].assign(packet.payload.begin(), packet.payload.end());
-  }
-  rx.reply_via = delivery;
+  if (actions.accept) rx.accept(h.index, packet.payload);
 
   if (actions.complete) {
     TxnEvent done;
@@ -361,10 +410,8 @@ void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
     if (!txn_actions.deliver) return;
     Result result;
     result.ok = true;
-    for (const auto& part : rx.parts) {
-      result.response.insert(result.response.end(), part.begin(),
-                             part.end());
-    }
+    // SRP_ALLOC_OK(the response handed to the caller is a buffer of its own)
+    rx.assemble(result.response);
     result.rtt = sim_.now() - st.started;
     result.retransmissions = st.retries;
     observe_rtt(result.rtt);
@@ -373,6 +420,7 @@ void VmtpEndpoint::handle_response_packet(const TransportPacket& packet,
     finish(h.transaction, std::move(result));
     return;
   }
+  rx.reply_via = delivery;
   if (actions.arm_gap) {
     arm_gap_timer(rx, st.server, h.transaction, PacketType::kResponse);
   }
@@ -402,13 +450,12 @@ void VmtpEndpoint::handle_nack(const TransportPacket& packet,
     base.dst_entity = st.server;
     base.transaction = h.transaction;
     base.type = PacketType::kRequest;
-    base.group_size = static_cast<std::uint8_t>(st.request_parts.size());
+    base.group_size = static_cast<std::uint8_t>(part_count(st.request.size()));
     base.flags = kFlagRetransmission;
     base.timestamp = clock_.now_ms();
     stats_.retransmitted_packets +=
         static_cast<std::uint64_t>(std::popcount(actions.resend_mask));
-    send_group(base, st.request_parts, actions.resend_mask, &st.route,
-               nullptr);
+    send_group(base, st.request, actions.resend_mask, &st.route, nullptr);
     return;
   }
 
@@ -423,13 +470,12 @@ void VmtpEndpoint::handle_nack(const TransportPacket& packet,
     base.transaction = h.transaction;
     base.type = PacketType::kResponse;
     base.group_size =
-        static_cast<std::uint8_t>(done->second.response_parts.size());
+        static_cast<std::uint8_t>(part_count(done->second.size()));
     base.flags = kFlagRetransmission;
     base.timestamp = clock_.now_ms();
     stats_.retransmitted_packets +=
         static_cast<std::uint64_t>(std::popcount(missing));
-    send_group(base, done->second.response_parts, missing, nullptr,
-               &delivery);
+    send_group(base, done->second, missing, nullptr, &delivery);
   }
 }
 
@@ -447,7 +493,7 @@ void VmtpEndpoint::on_rto(std::uint32_t transaction) {
   st.rto_timer = 0;
   TxnEvent event;
   event.type = TxnEvent::Type::kRtoFire;
-  event.group_size = static_cast<std::uint8_t>(st.request_parts.size());
+  event.group_size = static_cast<std::uint8_t>(part_count(st.request.size()));
   TxnActions actions;
   const TxnState txn =
       hooks_.txn(TxnConfig{config_.max_retries},
@@ -473,13 +519,12 @@ void VmtpEndpoint::on_rto(std::uint32_t transaction) {
     base.dst_entity = st.server;
     base.transaction = transaction;
     base.type = PacketType::kRequest;
-    base.group_size = static_cast<std::uint8_t>(st.request_parts.size());
+    base.group_size = static_cast<std::uint8_t>(part_count(st.request.size()));
     base.flags = kFlagRetransmission;
     base.timestamp = clock_.now_ms();
     stats_.retransmitted_packets +=
         static_cast<std::uint64_t>(std::popcount(actions.resend_mask));
-    send_group(base, st.request_parts, actions.resend_mask, &st.route,
-               nullptr);
+    send_group(base, st.request, actions.resend_mask, &st.route, nullptr);
   }
   if (actions.arm_rto) arm_rto(transaction);
 }
@@ -501,8 +546,11 @@ void VmtpEndpoint::finish(std::uint32_t transaction, Result result) {
     span.set_component(host_.name());
     obs_recorder_->record(span);
   }
+  // The callback leaves the state before its node is recycled: a callback
+  // that invokes again re-fills that node.
   ResponseCallback callback = std::move(st.callback);
-  outstanding_.erase(it);
+  st.callback = nullptr;
+  spare_txn_ = outstanding_.extract(it);
   if (callback) callback(std::move(result));
 }
 

@@ -12,13 +12,23 @@
 //
 // Responses travel on the return route recovered from the request packet's
 // trailer, exercising Sirpent's core mechanism end to end.
+//
+// Once warm, a transaction allocates only the Result::response it hands
+// to the caller (DESIGN.md §11).  A message is one buffer and its group
+// parts are spans into it; a send due now encodes into a buffer the
+// endpoint keeps and borrows the issued route; a completing packet
+// replies through the live Delivery; reassembly keeps only a partial
+// group's parts and the reply path its NACKs need; and the map nodes of
+// finished transactions, completed groups and evicted served responses
+// are recycled.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "directory/routes.hpp"
@@ -135,33 +145,50 @@ class VmtpEndpoint {
   void set_core_hooks_for_test(const CoreHooks& hooks) { hooks_ = hooks; }
 
  private:
-  /// Reassembly buffer for one incoming packet group.
+  /// (peer entity, transaction): the key of a server-side group.
+  using PeerTxn = std::pair<std::uint64_t, std::uint32_t>;
+
+  /// Where one part's bytes lie in GroupRx::arrived.
+  struct Extent {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+  };
+
+  /// Reassembly state for one incoming packet group.  It is recycled from
+  /// group to group, so its buffer keeps its capacity.
   struct GroupRx {
-    std::vector<wire::Bytes> parts;
+    wire::Bytes arrived;  ///< accepted parts, in arrival order
+    std::array<Extent, 32> parts{};  ///< by index; group_size <= 32 on the wire
     std::uint32_t received_mask = 0;
     std::uint8_t group_size = 0;
-    sim::Time first_at = 0;
-    std::optional<viper::Delivery> reply_via;  ///< latest packet's delivery
+    /// The latest part's reply path, for a gap NACK.  Not refreshed by
+    /// the completing part, which replies through its own Delivery.
+    viper::ReplyPath reply_via;
     sim::EventId gap_timer = 0;
+
+    // Declared here, defaulted in the .cpp: the spare node members below
+    // need the constructor before this class's initializers are complete.
+    GroupRx();
+    /// Empties the group, keeping every buffer's capacity.
+    void reset();
+    /// Stores part @p index (a later copy replaces an earlier one).
+    void accept(std::uint8_t index, std::span<const std::uint8_t> payload);
+    /// Writes the parts, in index order, over @p out.
+    void assemble(wire::Bytes& out) const;
   };
 
   /// Sender state for one outstanding transaction (client side).
   struct TxState {
     dir::IssuedRoute route;
     std::uint64_t server = 0;
-    std::vector<wire::Bytes> request_parts;
+    wire::Bytes request;  ///< the whole message; its parts are spans
     ResponseCallback callback;
     sim::Time started = 0;
     int retries = 0;
     sim::EventId rto_timer = 0;
     GroupRx response;
-    bool response_started = false;
-  };
 
-  /// Server-side memory of a completed transaction, for duplicate
-  /// suppression and response retransmission.
-  struct Served {
-    std::vector<wire::Bytes> response_parts;
+    TxState();  // see GroupRx()
   };
 
   void on_delivery(const viper::Delivery& delivery);
@@ -174,29 +201,41 @@ class VmtpEndpoint {
 
   bool lifetime_ok(const Header& header);
 
-  /// Splits @p data into group payload parts.
-  std::vector<wire::Bytes> split(std::span<const std::uint8_t> data) const;
+  /// Packets in the group carrying a @p bytes message (an empty message is
+  /// one empty packet).
+  [[nodiscard]] std::size_t part_count(std::size_t bytes) const;
+  /// part_count, throwing std::invalid_argument past one packet group.
+  [[nodiscard]] std::uint8_t group_size_for(std::size_t bytes) const;
 
-  /// Sends the group packets selected by @p mask (bit i => send part i)
-  /// with rate pacing, via direct route or reply path.
-  void send_group(const Header& base, const std::vector<wire::Bytes>& parts,
+  /// Sends the parts of @p message selected by @p mask (bit i => send part
+  /// i) with rate pacing, via direct route or reply path.
+  void send_group(const Header& base, std::span<const std::uint8_t> message,
                   std::uint32_t mask, const dir::IssuedRoute* route,
-                  const viper::Delivery* reply_via);
+                  const viper::ReplyPath* reply_via);
 
-  void send_one(const Header& header, const wire::Bytes& payload,
+  void send_one(const Header& header, std::span<const std::uint8_t> payload,
                 const dir::IssuedRoute* route,
-                const viper::Delivery* reply_via, sim::Time when);
+                const viper::ReplyPath* reply_via, sim::Time when);
 
   void arm_rto(std::uint32_t transaction);
   void on_rto(std::uint32_t transaction);
   void arm_gap_timer(GroupRx& rx, std::uint64_t peer,
                      std::uint32_t transaction, PacketType kind);
+  /// Runs the handler on the assembled request_ and sends its response
+  /// through @p via, the completing packet's delivery.
   void complete_request(std::uint64_t peer, std::uint32_t transaction,
-                        const GroupRx& rx);
+                        const viper::Delivery& via);
+  /// Keeps @p response for duplicate suppression, evicting the oldest
+  /// entry at kServedCap; returns the kept bytes.
+  const wire::Bytes& remember_served(const PeerTxn& key,
+                                     wire::Bytes response);
   void finish(std::uint32_t transaction, Result result);
 
   void observe_rtt(sim::Time rtt);
   [[nodiscard]] sim::Time rto() const;
+
+  /// Completed transactions remembered per endpoint.
+  static constexpr std::size_t kServedCap = 4096;
 
   sim::Simulator& sim_;
   viper::ViperHost& host_;
@@ -211,9 +250,22 @@ class VmtpEndpoint {
 
   std::uint32_t next_transaction_ = 1;
   std::map<std::uint32_t, TxState> outstanding_;
-  std::map<std::pair<std::uint64_t, std::uint32_t>, GroupRx> inbound_;
-  std::map<std::pair<std::uint64_t, std::uint32_t>, Served> served_;
-  std::deque<std::pair<std::uint64_t, std::uint32_t>> served_order_;
+  std::map<PeerTxn, GroupRx> inbound_;
+  /// Server-side memory of completed transactions' responses, for
+  /// duplicate suppression and response retransmission.
+  std::map<PeerTxn, wire::Bytes> served_;
+  /// served_'s keys, oldest first from served_oldest_ (a ring once full).
+  std::vector<PeerTxn> served_order_;
+  std::size_t served_oldest_ = 0;
+
+  // A finished transaction and a completed group leave their map node
+  // here for the next one (an evicted served entry feeds its successor
+  // directly).
+  decltype(outstanding_)::node_type spare_txn_;
+  decltype(inbound_)::node_type spare_group_;
+
+  wire::Bytes tx_packet_;  ///< a send due now is encoded here
+  wire::Bytes request_;    ///< the request a completing group assembles
 
   sim::Time srtt_ = 0;
   Stats stats_;

@@ -371,11 +371,22 @@ DeliveredBody decode_delivered_body(wire::Reader& r) {
   return body;
 }
 
-std::uint64_t route_digest(const core::SourceRoute& route) {
+namespace {
+
+/// Fixed SipHash key of route_digest().
+constexpr crypto::SipKey kRouteDigestKey{0x53495250454E5421ULL,
+                                         0x464C4F574B455921ULL};
+
+}  // namespace
+
+SRP_HOT_PATH std::uint64_t route_digest(const core::SourceRoute& route,
+                                        wire::Bytes& scratch) {
   // Serialize the token-free shape of the route and SipHash it under a
   // fixed key: the digest must be identical for every packet sent down
   // the same path, while distinct paths should collide only by accident.
-  wire::Writer w(route.hops() * 8);
+  // The serialization reuses the caller's buffer, so a warm call allocates
+  // nothing.
+  SRP_ALLOC_OK(wire::Writer w(std::move(scratch), route.hops() * 8));
   for (const auto& seg : route.segments) {
     w.u8(seg.port);
     w.u8(static_cast<std::uint8_t>((seg.tos.priority & 0x0F) |
@@ -392,9 +403,8 @@ std::uint64_t route_digest(const core::SourceRoute& route) {
     }
     w.bytes(seg.port_info);
   }
-  static constexpr crypto::SipKey kRouteDigestKey{0x53495250454E5421ULL,
-                                                  0x464C4F574B455921ULL};
-  const auto digest = crypto::siphash24(kRouteDigestKey, w.view());
+  scratch = std::move(w).take();
+  const auto digest = crypto::siphash24(kRouteDigestKey, scratch);
   // 0 means "unattributed" in flow accounting; dodge the (astronomically
   // unlikely) collision so real routes are always attributable.
   return digest == 0 ? 1 : digest;

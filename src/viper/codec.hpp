@@ -167,6 +167,9 @@ DeliveredBody decode_delivered_body(wire::Reader& r);
 /// priority, flags and port_info, excluding tokens — so the same physical
 /// route hashes identically no matter which tokens were minted for it.
 /// Used as the flow-accounting key (obs::FlowSample::route_digest).
-std::uint64_t route_digest(const core::SourceRoute& route);
+/// @p scratch holds the serialization; the caller keeps it between calls
+/// so its capacity is reused.
+std::uint64_t route_digest(const core::SourceRoute& route,
+                           wire::Bytes& scratch);
 
 }  // namespace srp::viper

@@ -84,7 +84,9 @@ std::uint64_t ViperHost::send(const core::SourceRoute& route,
   // Flow accounting on: stamp the whole-route identity at the origin (the
   // only place that still sees the full source route); it rides the
   // packet's measurement side-band, constant along the path.
-  if (stamp_route_digest_) packet->route_digest = route_digest(route);
+  if (stamp_route_digest_) {
+    packet->route_digest = route_digest(route, digest_scratch_);
+  }
   // Telemetry mark: the sampler, when wired, advances on every send — a
   // forced mark must not phase-shift later samples — so it is drawn
   // before the forced flag is ORed in.
@@ -103,20 +105,30 @@ std::uint64_t ViperHost::send(const core::SourceRoute& route,
   return id;
 }
 
-std::uint64_t ViperHost::reply(const Delivery& delivery,
-                               std::span<const std::uint8_t> data,
-                               core::TypeOfService tos) {
-  core::SourceRoute route = delivery.return_route;
+SRP_HOT_PATH std::uint64_t ViperHost::reply(
+    const ReplyPath& via, std::span<const std::uint8_t> data,
+    core::TypeOfService tos, std::optional<std::uint64_t> endpoint) {
+  // Assigned over the previous reply's route: the segments and their byte
+  // fields keep their capacity, so a warm reply copies without allocating.
+  core::SourceRoute& route = reply_route_;
+  route = via.return_route;
   for (auto& seg : route.segments) {
     seg.tos.priority = tos.priority;
     seg.tos.drop_if_blocked = tos.drop_if_blocked;
     seg.flags.dib = tos.drop_if_blocked;
   }
+  if (endpoint.has_value() && !route.segments.empty()) {
+    // Sirpent's local port-0 segment doubles as intra-host addressing
+    // (§2.2): the id is written over the local segment's portInfo.
+    core::HeaderSegment& last = route.segments.back();
+    encode_endpoint_id(*endpoint, last.port_info);
+    last.flags.vnt = false;
+  }
   SendOptions options;
   options.tos = tos;
-  options.flow = delivery.flow;
-  options.out_port = delivery.in_port;
-  options.link = delivery.reply_link;
+  options.flow = via.flow;
+  options.out_port = via.in_port;
+  options.link = via.reply_link;
   return send(route, data, options);
 }
 

@@ -4,8 +4,9 @@
 // A host is a whole-packet node: its ports deliver each packet at last-bit
 // time, and the host parses and delivers it inside that arrival event.
 // Per packet it allocates nothing once warm: a send encodes into a
-// recycled slab of the network's PacketFactory arena, and a delivery
-// refills one Delivery the host keeps (DESIGN.md §11).
+// recycled slab of the network's PacketFactory arena, a delivery refills
+// one Delivery the host keeps, and a reply refills one return route the
+// host keeps (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,17 @@
 
 namespace srp::viper {
 
+/// Where a reply to a received packet goes: its return route, the link
+/// header for the first return hop, the port it arrived on and its flow.
+/// It is the part of a Delivery that ViperHost::reply reads, so a layer
+/// that answers later (VMTP's selective NACKs) keeps only this.
+struct ReplyPath {
+  core::SourceRoute return_route;  ///< trailer reversed + local segment
+  std::optional<net::EthernetHeader> reply_link;  ///< swapped arrival header
+  int in_port = 0;
+  std::uint64_t flow = 0;
+};
+
 /// A packet delivered to an end host, with everything the higher layers
 /// need: the data, the network-independently reversed return route, the
 /// link header for the first return hop, and truncation status.
@@ -34,18 +46,14 @@ namespace srp::viper {
 /// that `data`, `return_route.segments` and `path` keep their capacity: the
 /// reference is valid only for the handler call.  A handler that keeps a
 /// delivery copies it.
-struct Delivery {
+struct Delivery : ReplyPath {
   wire::Bytes data;
-  core::SourceRoute return_route;  ///< trailer reversed + local segment
-  std::optional<net::EthernetHeader> reply_link;  ///< swapped arrival header
   bool truncated = false;   ///< TRM mark seen or transmission aborted
   std::uint64_t endpoint = 0;  ///< local endpoint id addressed (0 = none)
   std::uint64_t packet_id = 0;
-  std::uint64_t flow = 0;
   std::uint32_t hops = 0;        ///< routers the packet traversed
   sim::Time sent_at = 0;
   sim::Time delivered_at = 0;
-  int in_port = 0;
   /// In-band telemetry records carried by a telemetry-marked packet, in
   /// ascending hop order (empty when the packet was not marked or path
   /// telemetry is off).
@@ -108,10 +116,15 @@ class ViperHost : public ViperNode {
                      std::span<const std::uint8_t> data,
                      const SendOptions& options = {});
 
-  /// Sends @p data back along a received packet's return route.
-  std::uint64_t reply(const Delivery& delivery,
-                      std::span<const std::uint8_t> data,
-                      core::TypeOfService tos = {});
+  /// Sends @p data back along a received packet's return route (a
+  /// Delivery is a ReplyPath).  With @p endpoint, the route's final local
+  /// segment carries that endpoint id, addressing the peer's transport
+  /// entity (§2.2); without, the reply reaches the peer's default handler.
+  /// The route is refilled into one the host keeps, so a warm reply
+  /// allocates nothing.
+  std::uint64_t reply(const ReplyPath& via, std::span<const std::uint8_t> data,
+                      core::TypeOfService tos = {},
+                      std::optional<std::uint64_t> endpoint = std::nullopt);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -147,6 +160,8 @@ class ViperHost : public ViperNode {
   ControlHandler control_handler_;
   Stats stats_;
   Delivery delivery_;  ///< refilled for every delivered packet
+  core::SourceRoute reply_route_;  ///< refilled for every reply
+  wire::Bytes digest_scratch_;     ///< route_digest's serialization buffer
 
   // Observability handles, resolved once by set_observer(); null = off.
   stats::Histogram* obs_e2e_latency_ = nullptr;

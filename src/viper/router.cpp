@@ -36,10 +36,17 @@ SRP_HOT_PATH std::uint8_t peek_next_port(std::span<const std::uint8_t> bytes,
   return next && next->is_legal() ? next->port : 0;
 }
 
+void encode_endpoint_id(std::uint64_t id, wire::Bytes& out) {
+  out.resize(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(id >> (56 - 8 * i));
+  }
+}
+
 wire::Bytes encode_endpoint_id(std::uint64_t id) {
-  wire::Writer w(8);
-  w.u64(id);
-  return std::move(w).take();
+  wire::Bytes out;
+  encode_endpoint_id(id, out);
+  return out;
 }
 
 std::optional<std::uint64_t> decode_endpoint_id(
@@ -60,7 +67,11 @@ void ViperNode::set_port_kind(int port_index, PortKind kind) {
 
 ViperRouter::ViperRouter(sim::Simulator& sim, std::string name,
                          RouterConfig config)
-    : ViperNode(sim, std::move(name)), config_(config) {}
+    : ViperNode(sim, std::move(name)), config_(config) {
+  core::HeaderSegment& control = control_route_.segments.emplace_back();
+  control.port = core::kLocalPort;
+  control.port_info = encode_endpoint_id(kControlEndpoint);
+}
 
 void ViperRouter::define_logical_port(std::uint8_t id, LogicalPort lp) {
   logical_ports_[id] = std::move(lp);
@@ -710,21 +721,21 @@ void ViperRouter::emit_to_port(int out_port, net::PacketPtr packet,
   port(out_port).enqueue(std::move(packet), meta, earliest_start);
 }
 
-void ViperRouter::send_control(int port_index,
-                               std::span<const std::uint8_t> payload,
-                               std::uint8_t priority) {
-  core::SourceRoute route;
-  core::HeaderSegment seg;
-  seg.port = core::kLocalPort;
-  seg.tos.priority = priority;
-  seg.port_info = encode_endpoint_id(kControlEndpoint);
-  route.segments.push_back(std::move(seg));
-
-  auto packet = std::make_shared<net::Packet>();
-  packet->bytes = encode_packet(route, payload);
+SRP_HOT_PATH void ViperRouter::send_control(
+    int port_index, std::span<const std::uint8_t> payload,
+    std::uint8_t priority) {
+  // The one-segment control route is built once; its image is encoded
+  // straight into a recycled arena slab.
+  core::TypeOfService& tos = control_route_.segments.front().tos;
+  tos.priority = priority;
+  net::PacketPtr packet = arena_.acquire();
+  SRP_ALLOC_OK(wire::Writer w(
+      std::move(packet->bytes),
+      packet_wire_size(control_route_, payload.size())));
+  encode_packet(w, control_route_, payload);
+  packet->bytes = std::move(w).take();
   packet->created = sim_.now();
-  port(port_index).enqueue(std::move(packet), meta_for(route.segments[0].tos),
-                           0);
+  port(port_index).enqueue(std::move(packet), meta_for(tos), 0);
 }
 
 }  // namespace srp::viper

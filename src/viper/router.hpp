@@ -218,7 +218,8 @@ class ViperRouter : public ViperNode {
 
   /// Sends a control payload to the neighbour behind @p port_index,
   /// addressed to its local control endpoint.  Used by the congestion
-  /// layer to push rate reports upstream.
+  /// layer to push rate reports upstream.  The packet is encoded into a
+  /// recycled arena slab, so a warm call allocates nothing.
   void send_control(int port_index, std::span<const std::uint8_t> payload,
                     std::uint8_t priority = 5);
 
@@ -368,6 +369,9 @@ class ViperRouter : public ViperNode {
   net::PacketArena arena_;
 
   ControlHandler control_handler_;
+  /// send_control()'s route: one local segment addressed to the
+  /// neighbour's control endpoint (its priority set per call).
+  core::SourceRoute control_route_;
   Shaper shaper_;
   Stats stats_;
   /// Token-cache outcomes by obs::TokenOutcome (kNone is never counted);
@@ -383,6 +387,8 @@ class ViperRouter : public ViperNode {
 
 /// 8-byte local endpoint id carried in a port-0 segment's portInfo.
 wire::Bytes encode_endpoint_id(std::uint64_t id);
+/// The same id written over @p out, whose capacity is kept.
+void encode_endpoint_id(std::uint64_t id, wire::Bytes& out);
 std::optional<std::uint64_t> decode_endpoint_id(
     std::span<const std::uint8_t> info);
 

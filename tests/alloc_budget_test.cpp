@@ -10,18 +10,23 @@
 // accounting — the budget assertion moves and the regression is
 // attributable to the change that made it, not discovered in a profile
 // much later.  The end-to-end cost of a warm 2-router line, a warm router
-// hop, a warm idle output port and a warm scheduler schedule + pop are
-// each pinned at exactly zero.
+// hop, a warm idle output port, a warm router control report and a warm
+// scheduler schedule + pop are each pinned at exactly zero, and a warm
+// VMTP transaction at the one response it hands its caller.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
+#include "congestion/controller.hpp"
 #include "directory/fabric.hpp"
+#include "flow/plane.hpp"
 #include "sim/event_queue.hpp"
 #include "test_util.hpp"
+#include "transport/vmtp.hpp"
 #include "viper/codec.hpp"
 #include "viper/router.hpp"
 #include "wire/buffer.hpp"
@@ -219,6 +224,123 @@ TEST(AllocBudget, EventScheduleAndPopIsAllocationFreeOnceWarm) {
   EXPECT_EQ(allocation_count() - before, 0u)
       << "EventQueue schedule+pop of a 56 B capture allocated once warm";
   EXPECT_EQ(delivered_bytes, (11'000u + 2 * kDepth) * arrival.packet->size());
+}
+
+/// Closed-loop VMTP echoes across a 2-router line with tokens enforced and
+/// the flow plane on (so every send stamps a route digest), each callback
+/// invoking the next transaction.  Once warm — past the 4,096 served
+/// responses an endpoint remembers, so eviction recycles too — a
+/// transaction allocates exactly once: the Result::response handed to the
+/// caller.  The echo handler's own response buffer is the application's
+/// and is counted apart.
+TEST(AllocBudget, VmtpEchoIsAllocationFreeOnceWarm) {
+  for (const std::size_t request_bytes : {100u, 3000u}) {
+    SCOPED_TRACE("request bytes " + std::to_string(request_bytes));
+    sim::Simulator sim;
+    dir::Fabric fabric{sim};
+    test::Line line = test::build_line(fabric, 2, "client.vmtp", "server.vmtp");
+    fabric.enable_tokens(0xA110C, /*enforce=*/true);
+    flow::FlowPlane plane;
+    fabric.enable_observability({nullptr, nullptr, &plane});
+
+    constexpr std::uint64_t kServerId = 0x5E;
+    vmtp::VmtpEndpoint client(sim, *line.src, 0xC1);
+    vmtp::VmtpEndpoint server(sim, *line.dst, kServerId);
+    std::uint64_t handler_allocations = 0;
+    server.serve([&](std::span<const std::uint8_t> request,
+                     const viper::Delivery&) {
+      const std::uint64_t before = allocation_count();
+      wire::Bytes response(request.begin(), request.end());
+      handler_allocations += allocation_count() - before;
+      return response;
+    });
+    dir::QueryOptions options;
+    options.dest_endpoint = kServerId;
+    const auto routes = fabric.directory().query(fabric.id_of(*line.src),
+                                                 "server.vmtp", options);
+    ASSERT_FALSE(routes.empty());
+    const dir::IssuedRoute route = routes.front();
+    const wire::Bytes request = pattern_bytes(request_bytes);
+
+    // The closed loop; its callback captures one pointer, which
+    // std::function stores without allocating.
+    struct Loop {
+      vmtp::VmtpEndpoint& client;
+      const dir::IssuedRoute& route;
+      const wire::Bytes& request;
+      std::uint64_t completed = 0;
+      std::uint64_t wrong = 0;
+      std::uint64_t target = 0;
+
+      void issue() {
+        client.invoke(route, kServerId, request,
+                      [this](vmtp::Result result) { done(result); });
+      }
+      void done(const vmtp::Result& result) {
+        if (!result.ok || result.response != request) ++wrong;
+        if (++completed < target) issue();
+      }
+    } loop{client, route, request};
+    auto run = [&](std::uint64_t transactions) {
+      loop.target = loop.completed + transactions;
+      loop.issue();
+      sim.run();
+      ASSERT_EQ(loop.completed, loop.target);
+    };
+    // Warm with eight windows of the measured size: past the
+    // served-response cap, and until every arena slab has grown to the
+    // largest image it carries.
+    constexpr std::uint64_t kTransactions = 1'000;
+    for (int i = 0; i < 8; ++i) run(kTransactions);
+
+    const std::uint64_t before = allocation_count();
+    const std::uint64_t handler_before = handler_allocations;
+    run(kTransactions);
+    const std::uint64_t transport = allocation_count() - before -
+                                    (handler_allocations - handler_before);
+    std::printf("VMTP %zu B echo: allocations/transaction: %.2f\n",
+                request_bytes, static_cast<double>(transport) / kTransactions);
+    EXPECT_EQ(loop.wrong, 0u);
+    EXPECT_EQ(client.stats().retransmitted_packets, 0u);
+    EXPECT_EQ(transport, kTransactions)
+        << "a warm VMTP transaction should allocate only the response it "
+           "hands its caller (DESIGN.md §11)";
+  }
+}
+
+/// Congestion reports leave a router allocation-free once warm: each
+/// interval the controller gathers the congested queue's feeders into a
+/// reused sorted vector, encodes one report into a reused buffer, and
+/// `send_control` encodes each copy into a recycled slab of the router's
+/// arena.
+TEST(AllocBudget, RouterControlReportIsAllocationFreeOnceWarm) {
+  sim::Simulator sim;
+  viper::ViperRouter router(sim, "r.control", {});
+  router.add_port(net::LinkConfig{});  // feeder side
+  router.add_port(net::LinkConfig{});  // feeder side
+  router.add_port(net::LinkConfig{1e3, sim::kMicrosecond, 1500});  // congested
+  cc::ControllerConfig config;
+  config.queue_watermark_bytes = 1'000;
+  cc::CongestionController controller(sim, router, config);
+  controller.monitor_port(3);
+  // A standing backlog from both feeders: 100 B takes 0.8 s at 1 kb/s.
+  net::PacketFactory packets;
+  for (int i = 0; i < 40; ++i) {
+    net::PacketPtr packet = packets.make(pattern_bytes(100), 0);
+    packet->last_in_port = 2 - i % 2;
+    router.port(3).enqueue(std::move(packet), net::TxMeta{}, 0);
+  }
+  sim.run_until(20 * sim::kMillisecond);  // warm: 20 intervals
+  const std::uint64_t warm_reports = controller.stats().reports_sent;
+  ASSERT_GT(warm_reports, 0u);
+
+  const std::uint64_t before = allocation_count();
+  sim.run_until(120 * sim::kMillisecond);
+  EXPECT_EQ(allocation_count() - before, 0u)
+      << "a warm congestion report allocated";
+  EXPECT_EQ(controller.stats().reports_sent - warm_reports, 200u)
+      << "one report per feeder per interval";
+  EXPECT_EQ(router.port(1).stats().sent, router.port(2).stats().sent);
 }
 
 TEST(AllocBudget, CutThroughPeekDoesNotAllocate) {

@@ -411,7 +411,9 @@ TEST(FlowEndToEnd, RoutersAccountFlowsByRouteAndAccount) {
   sim.run();
   ASSERT_EQ(delivered, kPackets);
 
-  const std::uint64_t digest = viper::route_digest(routes.front().route);
+  wire::Bytes scratch;
+  const std::uint64_t digest =
+      viper::route_digest(routes.front().route, scratch);
   for (const auto* router : {line.routers[0], line.routers[1]}) {
     const auto* observer = plane.observer(std::string(router->name()));
     ASSERT_NE(observer, nullptr) << router->name();

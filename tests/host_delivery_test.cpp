@@ -7,7 +7,7 @@
 // change: the event count, truncation after a preempted transmission, the
 // independence of a handler's copy, the wait of a direct call made before
 // the tail, the bytes of a packet someone still holds, and the release of
-// a finished image's upstream chain.
+// a finished or waiting image's upstream chain once it has settled.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -260,6 +260,59 @@ TEST(PacketPool, FinishedTransmissionReleasesItsParent) {
   EXPECT_EQ(tap.held->parent, nullptr);
   EXPECT_FALSE(tap.held->truncated);
   EXPECT_EQ(upstream.use_count(), 1) << "only this test holds it";
+}
+
+/// An image whose chain has settled by the time it is queued drops the
+/// chain at enqueue: while it waits behind another transmission it does not
+/// keep its upstream image, and that image's arena slab, alive.
+TEST(PacketPool, QueuedSettledImageReleasesItsParent) {
+  sim::Simulator sim;
+  net::PacketFactory packets;
+  net::TxPort port(sim, "p.queued", kLink);
+  Tap tap;
+  port.connect(&tap, 1);
+  port.enqueue(packets.make(pattern_bytes(1000), 0), net::TxMeta{}, 0);
+  const net::PacketPtr upstream = packets.make(pattern_bytes(100), 0);
+  upstream->truncated = true;  // folded into the image
+  net::PacketPtr image = upstream->derive(pattern_bytes(100, 1));
+  ASSERT_LE(image->settled, sim.now());
+  port.enqueue(std::move(image), net::TxMeta{}, 0);
+
+  ASSERT_TRUE(port.busy());
+  ASSERT_EQ(port.queue().size(), 1u);
+  const net::Packet& queued = *port.queue().front().packet;
+  EXPECT_EQ(queued.parent, nullptr);
+  EXPECT_EQ(upstream.use_count(), 1) << "only this test holds it";
+  EXPECT_TRUE(queued.truncated);
+
+  sim.run();
+  EXPECT_EQ(tap.seen.size(), 1u);
+}
+
+/// An image queued before its chain settles drops the chain at the first
+/// transmission start after it settles, while it still waits.
+TEST(PacketPool, WaitingImageReleasesItsParentOnceSettled) {
+  sim::Simulator sim;
+  net::PacketFactory packets;
+  net::TxPort port(sim, "p.waiting", kLink);
+  Tap tap;
+  port.connect(&tap, 1);
+  // 1,000 B at 1 Gb/s: 8 µs on the wire, then the 100 B filler for 0.8 µs.
+  port.enqueue(packets.make(pattern_bytes(1000), 0), net::TxMeta{}, 0);
+  port.enqueue(packets.make(pattern_bytes(100), 0), net::TxMeta{}, 0);
+  const net::PacketPtr upstream = packets.make(pattern_bytes(100), 0);
+  net::PacketPtr image = upstream->derive(pattern_bytes(100, 2));
+  image->settled = 4 * sim::kMicrosecond;
+  port.enqueue(std::move(image), net::TxMeta{}, 0);
+  ASSERT_EQ(port.queue().size(), 2u);
+  EXPECT_EQ(port.queue().back().packet->parent, upstream) << "not settled";
+
+  sim.run_until(8 * sim::kMicrosecond + 1);  // the filler is on the wire
+  ASSERT_EQ(port.queue().size(), 1u);
+  EXPECT_EQ(port.queue().front().packet->parent, nullptr);
+  EXPECT_EQ(upstream.use_count(), 1) << "only this test holds it";
+  sim.run();
+  EXPECT_EQ(tap.seen.size(), 2u);
 }
 
 /// An image whose transmission ends before its upstream image's last bit

@@ -4,7 +4,11 @@
 // checksums.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "directory/fabric.hpp"
 #include "test_util.hpp"
@@ -328,6 +332,228 @@ TEST_F(VmtpFixture, RttFeedsRouteCacheHook) {
   sim.run();
   EXPECT_EQ(rtts.size(), 3u);
   EXPECT_GT(client->smoothed_rtt(), 0);
+}
+
+// --- recycled transaction state -------------------------------------------
+//
+// An endpoint recycles the map nodes of finished transactions, completed
+// groups and evicted served responses, keeps one buffer per message, and
+// answers a completing packet through its live Delivery.  These cases pin
+// that nothing of an earlier transaction leaks into a later one.
+
+using VmtpRecycle = VmtpFixture;
+
+wire::Bytes xor_5a(std::span<const std::uint8_t> bytes) {
+  wire::Bytes out(bytes.begin(), bytes.end());
+  for (auto& byte : out) byte ^= 0x5A;
+  return out;
+}
+
+/// A 3-part transaction leaves its state to a 1-part one on the same
+/// endpoints: the server hands up only the new request and the client only
+/// the new response.
+TEST_F(VmtpRecycle, ThreePartThenOnePartDeliversOnlyTheNewPayload) {
+  build();
+  std::vector<wire::Bytes> requests_seen;
+  server->serve([&](std::span<const std::uint8_t> request,
+                    const viper::Delivery&) {
+    requests_seen.emplace_back(request.begin(), request.end());
+    return xor_5a(request);
+  });
+  const wire::Bytes large = pattern_bytes(3000, 1);
+  const wire::Bytes small = pattern_bytes(10, 2);
+  std::vector<Result> results;
+  for (const wire::Bytes* request : {&large, &small}) {
+    client->invoke(route, kServerId, *request,
+                   [&](Result r) { results.push_back(std::move(r)); });
+    sim.run();
+  }
+  ASSERT_EQ(requests_seen.size(), 2u);
+  EXPECT_EQ(requests_seen[0], large);
+  EXPECT_EQ(requests_seen[1], small);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok);
+  EXPECT_EQ(results[0].response, xor_5a(large));
+  EXPECT_TRUE(results[1].ok);
+  EXPECT_EQ(results[1].response, xor_5a(small));
+}
+
+/// A group that reuses a completed group's state NACKs on its own return
+/// route: the second client, not the first, is asked for its lost part.
+TEST_F(VmtpRecycle, GapNackOnRecycledStateRepliesOnCurrentReturnRoute) {
+  VmtpConfig config;
+  config.gap_timeout = 200 * sim::kMicrosecond;
+  build(config, config);
+  viper::ViperHost& other_host = fabric.add_host("other.test");
+  fabric.connect(other_host, *r1);
+  constexpr std::uint64_t kOtherId = 0x07E4;
+  VmtpEndpoint other(sim, other_host, kOtherId, config);
+  dir::QueryOptions options;
+  options.dest_endpoint = kServerId;
+  const auto other_routes = fabric.directory().query(
+      fabric.id_of(other_host), "server.test", options);
+  ASSERT_FALSE(other_routes.empty());
+
+  // The first client's 3-part request completes; its group state, reply
+  // path included, goes to the spare.
+  std::optional<Result> first;
+  client->invoke(route, kServerId, pattern_bytes(3000, 1),
+                 [&](Result r) { first = std::move(r); });
+  sim.run();
+  ASSERT_TRUE(first.has_value() && first->ok);
+
+  // The second client's middle part is lost on its first pass r1 -> r2.
+  int seen = 0;
+  r1->port(2).fault_hook =
+      net::drop_when([&](const net::Packet&) { return ++seen == 2; });
+  std::optional<Result> second;
+  const wire::Bytes request = pattern_bytes(3000, 2);
+  other.invoke(other_routes.front(), kServerId, request,
+               [&](Result r) { second = std::move(r); });
+  sim.run();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->ok);
+  EXPECT_EQ(second->response.size(), request.size() + 1);
+  EXPECT_EQ(server->stats().nacks_sent, 1u);
+  EXPECT_EQ(other.stats().nacks_received, 1u);
+  EXPECT_EQ(other.stats().timeouts, 0u) << "repaired by the NACK, not the RTO";
+  EXPECT_EQ(client->stats().nacks_received, 0u);
+}
+
+/// The server remembers 4,096 responses.  A duplicate with 4,095 newer
+/// transactions behind it is answered from that memory, byte for byte; one
+/// with 4,096 behind it is not — its handler runs again.
+TEST_F(VmtpRecycle, DuplicateBeyondServedCapIsNotAnsweredFromMemory) {
+  build();
+  std::uint16_t calls = 0;
+  server->serve([&](std::span<const std::uint8_t> request,
+                    const viper::Delivery&) {
+    // The call number makes a re-run's response differ from the first.
+    wire::Bytes response(request.begin(), request.end());
+    response.push_back(static_cast<std::uint8_t>(calls >> 8));
+    response.push_back(static_cast<std::uint8_t>(calls));
+    ++calls;
+    return response;
+  });
+  // Raw requests from an entity the client host has not bound: responses
+  // reach its default handler, which keeps the latest per transaction.
+  constexpr std::uint64_t kRawId = 0xD00D;
+  std::map<std::uint32_t, wire::Bytes> responses;
+  client_host->set_default_handler([&](const viper::Delivery& d) {
+    const auto packet = decode_transport_packet(d.data);
+    ASSERT_TRUE(packet.has_value());
+    ASSERT_EQ(packet->header.dst_entity, kRawId);
+    responses[packet->header.transaction].assign(packet->payload.begin(),
+                                                  packet->payload.end());
+  });
+  auto request = [&](std::uint32_t transaction) {
+    Header h;
+    h.src_entity = kRawId;
+    h.dst_entity = kServerId;
+    h.transaction = transaction;
+    h.timestamp = kInvalidTimestamp;  // exempt from the lifetime check
+    wire::Bytes payload(4);
+    for (int i = 0; i < 4; ++i) {
+      payload[i] = static_cast<std::uint8_t>(transaction >> (24 - 8 * i));
+    }
+    viper::SendOptions send;
+    send.out_port = route.host_out_port;
+    client_host->send(route.route, encode_transport_packet(h, payload), send);
+  };
+  auto resend = [&](std::uint32_t transaction) {
+    responses.erase(transaction);
+    request(transaction);
+    sim.run();
+    return responses.at(transaction);
+  };
+
+  constexpr std::uint32_t kCap = 4096;
+  for (std::uint32_t t = 1; t <= kCap; ++t) request(t);
+  sim.run();
+  ASSERT_EQ(responses.size(), kCap);
+  const wire::Bytes first_1 = responses.at(1);
+  const wire::Bytes first_2 = responses.at(2);
+  const wire::Bytes first_3 = responses.at(3);
+
+  EXPECT_EQ(resend(1), first_1) << "4,095 newer: still remembered";
+  EXPECT_EQ(server->stats().duplicate_requests, 1u);
+
+  request(kCap + 1);  // evicts 1
+  request(kCap + 2);  // evicts 2
+  sim.run();
+  EXPECT_EQ(resend(3), first_3) << "4,095 newer: still remembered";
+  EXPECT_EQ(server->stats().duplicate_requests, 2u);
+  EXPECT_EQ(server->stats().requests_served, kCap + 2);
+
+  EXPECT_NE(resend(2), first_2) << "4,096 newer: forgotten, served afresh";
+  EXPECT_EQ(server->stats().duplicate_requests, 2u);
+  EXPECT_EQ(server->stats().requests_served, kCap + 3);
+}
+
+/// A response callback that invokes again gets the finished transaction's
+/// recycled state while it still runs; the chain completes and every
+/// callback's own captures survive the nested invoke.
+TEST_F(VmtpRecycle, CallbackInvokingReentrantlyWorks) {
+  build();
+  const std::vector<wire::Bytes> requests = {
+      pattern_bytes(3000, 1), pattern_bytes(10, 2), pattern_bytes(2500, 3),
+      pattern_bytes(1, 4), pattern_bytes(0, 5)};
+  std::vector<Result> results;
+  std::vector<std::string> labels;
+  std::function<void()> next = [&] {
+    const std::size_t i = results.size();
+    // A capture too large for std::function's inline buffer: it lives on
+    // the heap with the callback, and is read after the nested invoke.
+    const std::string label = "transaction " + std::to_string(i) +
+                              " of a chain long enough to need the heap";
+    client->invoke(route, kServerId, requests[i], [&, label](Result r) {
+      results.push_back(std::move(r));
+      if (results.size() < requests.size()) next();
+      labels.push_back(label);
+    });
+  };
+  next();
+  sim.run();
+  ASSERT_EQ(results.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("transaction " + std::to_string(i));
+    EXPECT_TRUE(results[i].ok);
+    ASSERT_EQ(results[i].response.size(), requests[i].size() + 1);
+    EXPECT_TRUE(std::equal(requests[i].begin(), requests[i].end(),
+                           results[i].response.begin() + 1));
+  }
+  ASSERT_EQ(labels.size(), requests.size());
+  // Each callback pushes its label after its nested invoke has returned.
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], "transaction " + std::to_string(i) +
+                             " of a chain long enough to need the heap");
+  }
+}
+
+/// The handler's `from` is the completing packet's own delivery: its data
+/// is the last part's transport packet.
+TEST_F(VmtpRecycle, HandlerFromDataIsLastPacketData) {
+  build();
+  std::vector<wire::Bytes> from_data;
+  server->serve([&](std::span<const std::uint8_t> request,
+                    const viper::Delivery& from) {
+    from_data.push_back(from.data);
+    return wire::Bytes(request.begin(), request.end());
+  });
+  const wire::Bytes request = pattern_bytes(2500, 7);  // parts 0..2
+  for (int round = 0; round < 2; ++round) {
+    client->invoke(route, kServerId, request, [](Result) {});
+    sim.run();
+  }
+  ASSERT_EQ(from_data.size(), 2u);
+  for (std::uint32_t round = 0; round < 2; ++round) {
+    const auto packet = decode_transport_packet(from_data[round]);
+    ASSERT_TRUE(packet.has_value());
+    EXPECT_EQ(packet->header.transaction, round + 1);
+    EXPECT_EQ(packet->header.index, 2);
+    EXPECT_TRUE(std::equal(request.begin() + 2048, request.end(),
+                           packet->payload.begin(), packet->payload.end()));
+  }
 }
 
 }  // namespace
