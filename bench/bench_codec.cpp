@@ -6,7 +6,6 @@
 // (IP checksum update over the header, full token decryption).
 #include <benchmark/benchmark.h>
 
-#include "core/trailer.hpp"
 #include "net/ethernet.hpp"
 #include "tokens/cache.hpp"
 #include "ip/header.hpp"
@@ -46,9 +45,8 @@ void BM_DecodeSegmentEthernetToken(benchmark::State& state) {
   viper::encode_segment(w, make_segment(true, tokens::kTokenWireSize));
   const wire::Bytes bytes = w.view();
   for (auto _ : state) {
-    wire::Reader r(bytes);
-    auto seg = viper::decode_segment(r);
-    benchmark::DoNotOptimize(seg.port);
+    const auto seg = viper::parse_segment(bytes, 0);
+    benchmark::DoNotOptimize(seg->port);
   }
 }
 BENCHMARK(BM_DecodeSegmentEthernetToken);
@@ -69,11 +67,15 @@ void BM_EncodePacket8Hops(benchmark::State& state) {
 BENCHMARK(BM_EncodePacket8Hops);
 
 void BM_ReturnRouteReversal(benchmark::State& state) {
-  std::vector<core::HeaderSegment> entries;
-  for (int i = 0; i < 8; ++i) entries.push_back(make_segment(true, 0));
+  // The host's trailer after an 8-hop LAN route: one return entry per hop.
+  wire::Writer w;
+  for (int i = 0; i < 8; ++i) {
+    viper::encode_segment(w, make_segment(true, 0));
+  }
+  wire::Bytes trailer = std::move(w).take();
   for (auto _ : state) {
-    auto route = core::build_return_route(entries);
-    benchmark::DoNotOptimize(route.segments.data());
+    benchmark::DoNotOptimize(viper::reverse_trailer_in_place(trailer));
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ReturnRouteReversal);

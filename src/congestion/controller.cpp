@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "check/analysis.hpp"
+
 namespace srp::cc {
 
 CongestionController::CongestionController(sim::Simulator& sim,
@@ -15,8 +17,8 @@ CongestionController::CongestionController(sim::Simulator& sim,
     return shape(out_port, next_port, std::move(packet), meta, earliest);
   });
   router_.set_control_handler(
-      [this](const core::HeaderSegment& seg, wire::Bytes payload,
-             int in_port) { on_control(seg, std::move(payload), in_port); });
+      [this](const viper::SegmentView&, std::span<const std::uint8_t> payload,
+             int) { on_control(payload); });
   sim_.after(config_.interval, [this] { tick(); });
 }
 
@@ -171,12 +173,13 @@ void CongestionController::flush(FlowState& flow) {
   flow.held_bytes = 0;
 }
 
-void CongestionController::on_control(const core::HeaderSegment&,
-                                      wire::Bytes payload, int) {
+SRP_HOT_PATH void CongestionController::on_control(
+    std::span<const std::uint8_t> payload) {
   const auto report = decode_rate_report(payload);
   if (!report.has_value()) return;
   ++stats_.reports_received;
   const FlowKey key{report->router_id, report->port};
+  // A flow's first report inserts its entry; later ones update it in place.
   auto [it, inserted] = flows_.try_emplace(key);
   FlowState& flow = it->second;
   if (inserted) {

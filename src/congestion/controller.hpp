@@ -122,8 +122,7 @@ class CongestionController {
   void tick();
   bool shape(int out_port, std::uint8_t next_port, net::PacketPtr packet,
              net::TxMeta meta, sim::Time earliest);
-  void on_control(const core::HeaderSegment& segment, wire::Bytes payload,
-                  int in_port);
+  void on_control(std::span<const std::uint8_t> payload);
   void refill(FlowState& flow);
   void schedule_release(const FlowKey& key);
   void release_ready(const FlowKey& key);

@@ -6,9 +6,7 @@ namespace srp::cc {
 
 SourceThrottle::SourceThrottle(sim::Simulator& sim, viper::ViperHost& host,
                                ThrottleConfig config)
-    : sim_(sim), config_(config),
-      core_config_{config.flow_ttl, config.ramp_factor, config.ramp_interval,
-                   config.rate_ceiling_bps} {
+    : sim_(sim), config_(config) {
   host.set_control_handler(
       [this](std::span<const std::uint8_t> payload, int) {
         on_control(payload);
@@ -29,7 +27,7 @@ void SourceThrottle::apply_report(const RateReport& report) {
   event.type = ThrottleEvent::Type::kReport;
   event.rate_bps = report.rate_bps;
   ThrottleActions actions;
-  s = step_(core_config_, s, event, sim_.now(), &actions);
+  s = step_(config_, s, event, sim_.now(), &actions);
 }
 
 double SourceThrottle::rate(const FlowKey& key) const {
@@ -45,7 +43,7 @@ sim::Time SourceThrottle::acquire(const FlowKey& key, std::size_t bytes) {
   event.type = ThrottleEvent::Type::kAcquire;
   event.bytes = bytes;
   ThrottleActions actions;
-  it->second = step_(core_config_, it->second, event, sim_.now(), &actions);
+  it->second = step_(config_, it->second, event, sim_.now(), &actions);
   if (actions.delayed) ++stats_.sends_delayed;
   return actions.send_at;
 }
@@ -55,7 +53,7 @@ void SourceThrottle::tick() {
   event.type = ThrottleEvent::Type::kTick;
   for (auto it = states_.begin(); it != states_.end();) {
     ThrottleActions actions;
-    it->second = step_(core_config_, it->second, event, sim_.now(), &actions);
+    it->second = step_(config_, it->second, event, sim_.now(), &actions);
     it = actions.erase ? states_.erase(it) : std::next(it);
   }
   sim_.after(config_.ramp_interval, [this] { tick(); });

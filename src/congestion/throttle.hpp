@@ -25,14 +25,6 @@
 
 namespace srp::cc {
 
-struct ThrottleConfig {
-  sim::Time flow_ttl = 50 * sim::kMillisecond;
-  double ramp_factor = 1.4;
-  sim::Time ramp_interval = 2 * sim::kMillisecond;
-  /// Rates at or above this are treated as "unlimited" and dropped.
-  double rate_ceiling_bps = 1e12;
-};
-
 class SourceThrottle {
  public:
   struct Stats {
@@ -70,7 +62,6 @@ class SourceThrottle {
 
   sim::Simulator& sim_;
   ThrottleConfig config_;
-  ThrottleCoreConfig core_config_;
   ThrottleStepFn step_ = &throttle_step;
   std::map<FlowKey, ThrottleState> states_;
   Stats stats_;

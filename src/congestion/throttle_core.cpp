@@ -4,7 +4,7 @@
 
 namespace srp::cc {
 
-ThrottleState throttle_step(const ThrottleCoreConfig& config,
+ThrottleState throttle_step(const ThrottleConfig& config,
                             ThrottleState state, const ThrottleEvent& event,
                             sim::Time now, ThrottleActions* actions) {
   *actions = ThrottleActions{};

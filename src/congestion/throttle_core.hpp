@@ -26,11 +26,13 @@
 
 namespace srp::cc {
 
-/// The subset of ThrottleConfig the transition core depends on.
-struct ThrottleCoreConfig {
+/// Source-throttle settings: the transition core's parameters, and the
+/// runtime driver's tick period (ramp_interval).
+struct ThrottleConfig {
   sim::Time flow_ttl = 50 * sim::kMillisecond;
   double ramp_factor = 1.4;
   sim::Time ramp_interval = 2 * sim::kMillisecond;
+  /// Rates at or above this are treated as "unlimited" and dropped.
   double rate_ceiling_bps = 1e12;
 };
 
@@ -65,13 +67,13 @@ struct ThrottleActions {
 
 /// Applies @p event to @p state at time @p now.  Pure: equal inputs give
 /// equal outputs.  @p actions is always fully overwritten.
-ThrottleState throttle_step(const ThrottleCoreConfig& config,
+ThrottleState throttle_step(const ThrottleConfig& config,
                             ThrottleState state, const ThrottleEvent& event,
                             sim::Time now, ThrottleActions* actions);
 
 /// Signature shared by the real core and the deliberately broken variants
 /// in mc::mutants (model-checker self-test).
-using ThrottleStepFn = ThrottleState (*)(const ThrottleCoreConfig&,
+using ThrottleStepFn = ThrottleState (*)(const ThrottleConfig&,
                                          ThrottleState,
                                          const ThrottleEvent&, sim::Time,
                                          ThrottleActions*);

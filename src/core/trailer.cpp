@@ -6,43 +6,6 @@
 
 namespace srp::core {
 
-SourceRoute build_return_route(const std::vector<HeaderSegment>& entries,
-                               const wire::Bytes& origin_endpoint) {
-  // Truncation marks must have been filtered out (classify_trailer): a
-  // route built from an illegal segment would be dropped at the first hop.
-  SIRPENT_EXPECTS(std::all_of(entries.begin(), entries.end(),
-                              [](const HeaderSegment& s) {
-                                return s.is_legal();
-                              }));
-  SourceRoute route;
-  route.segments.reserve(entries.size() + 1);
-  // Last router's entry becomes the first return hop.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    route.segments.push_back(*it);
-  }
-  HeaderSegment local;
-  local.port = kLocalPort;
-  local.port_info = origin_endpoint;
-  local.flags.vnt = origin_endpoint.empty();
-  route.segments.push_back(local);
-  route.set_rpf();
-  // Reversal round-trip: hop i of the return route is trailer entry n-1-i
-  // with RPF set and everything else (port, token, port_info) verbatim —
-  // the paper's "entirely network-independent" reversal.
-  SIRPENT_ENSURES(route.segments.size() == entries.size() + 1);
-  SIRPENT_ENSURES([&] {
-    const std::size_t n = entries.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      HeaderSegment expect = entries[n - 1 - i];
-      expect.flags.rpf = true;
-      if (route.segments[i] != expect) return false;
-    }
-    return route.segments[n].port == kLocalPort &&
-           route.segments[n].flags.rpf;
-  }());
-  return route;
-}
-
 void reverse_records_in_place(std::span<std::uint8_t> buf,
                               std::span<const std::size_t> sizes) {
   std::size_t total = 0;
@@ -60,26 +23,6 @@ void reverse_records_in_place(std::span<std::uint8_t> buf,
     offset += sizes[i];
   }
   SIRPENT_ENSURES(offset == buf.size());
-}
-
-TrailerInfo classify_trailer(std::vector<HeaderSegment> raw_entries) {
-  TrailerInfo info;
-  for (auto& seg : raw_entries) {
-    if (seg.is_telemetry_record()) {
-      // A telemetry record shares the TRM bit (it must never be routable)
-      // but does NOT mean the packet was truncated.
-      info.telemetry.push_back(std::move(seg));
-    } else if (seg.flags.trm) {
-      info.truncated = true;
-    } else {
-      info.entries.push_back(std::move(seg));
-    }
-  }
-  SIRPENT_ENSURES(std::all_of(info.entries.begin(), info.entries.end(),
-                              [](const HeaderSegment& s) {
-                                return s.is_legal();
-                              }));
-  return info;
 }
 
 }  // namespace srp::core

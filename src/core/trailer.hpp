@@ -1,59 +1,13 @@
-// Return-route construction from the Sirpent trailer (paper §2).
-//
-// "To generate the return route, the receiver locates the beginning of the
-// trailer of (former) header segments and copies each segment into a
-// separate return address area in reverse order ... Because the
-// network-specific portions of the header segments have been modified as
-// required by the routers along the original route, the reversal process is
-// entirely network-independent."
-//
-// Each router appended an entry whose `port` is the return port through
-// that router and whose `port_info` is the (already reversed) link header
-// of the network the packet arrived on.  Reversing the entry order
-// therefore yields, verbatim, the segments of a route from the receiver
-// back to the origin; a final local-delivery segment is appended so the
-// origin host's Sirpent module accepts the packet.
+// Trailer reversal primitive (paper §2): viper::reverse_trailer_in_place
+// walks a VIPER trailer's segment sizes and hands them to
+// reverse_records_in_place.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <vector>
-
-#include "core/segment.hpp"
 
 namespace srp::core {
-
-/// Trailer inspection results.
-struct TrailerInfo {
-  std::vector<HeaderSegment> entries;  ///< in append (forward-path) order
-  bool truncated = false;              ///< a truncation marker was present
-  /// In-band telemetry records (HeaderSegment::is_telemetry_record), in
-  /// the order they appeared.  Each record's port_info is one router's
-  /// obs::HopTelemetry payload; the hop number inside the payload — not
-  /// the position here — orders the path, so this list is valid whether
-  /// the trailer was decoded forward or reversed in place.
-  std::vector<HeaderSegment> telemetry;
-};
-
-/// Builds the return route from the trailer entries of a delivered packet.
-///
-/// @param entries      trailer entries in the order routers appended them
-///                     (first router first); truncation markers must have
-///                     been filtered out (see TrailerInfo).
-/// @param origin_endpoint  optional 8-byte endpoint id for local delivery
-///                     at the origin (e.g. learned from the transport
-///                     header); empty means "origin host's dispatcher".
-///
-/// The result has RPF set on every segment: the paper's "the packet is
-/// being returned using the route and tokens supplied in a packet received
-/// by the currently sending host".
-SourceRoute build_return_route(const std::vector<HeaderSegment>& entries,
-                               const wire::Bytes& origin_endpoint = {});
-
-/// Splits decoded trailer segments into routable entries and the truncated
-/// flag (truncation markers are recognized and removed).
-TrailerInfo classify_trailer(std::vector<HeaderSegment> raw_entries);
 
 /// Reverses the *order* of variable-length records inside @p buf without
 /// changing any record's bytes, in O(1) extra space: record i (of size

@@ -6,7 +6,7 @@ namespace srp::mc {
 namespace {
 
 using cc::ThrottleActions;
-using cc::ThrottleCoreConfig;
+using cc::ThrottleConfig;
 using cc::ThrottleEvent;
 using cc::ThrottlePhase;
 using cc::ThrottleState;
@@ -120,7 +120,7 @@ TokenCoreState double_settle(TokenCoreState state, const TokenEvent& event,
 // --- throttle mutants ---
 
 /// The sweep never expires or ramps anything: flows are policed forever.
-ThrottleState no_decay(const ThrottleCoreConfig& config, ThrottleState state,
+ThrottleState no_decay(const ThrottleConfig& config, ThrottleState state,
                        const ThrottleEvent& event, sim::Time now,
                        ThrottleActions* actions) {
   if (event.type == ThrottleEvent::Type::kTick) {
@@ -132,7 +132,7 @@ ThrottleState no_decay(const ThrottleCoreConfig& config, ThrottleState state,
 
 /// Ramps the rate without the ceiling release: the entry stays active at
 /// ever-growing rates instead of being dropped.
-ThrottleState eternal_ramp(const ThrottleCoreConfig& config,
+ThrottleState eternal_ramp(const ThrottleConfig& config,
                            ThrottleState state, const ThrottleEvent& event,
                            sim::Time now, ThrottleActions* actions) {
   ThrottleState post = cc::throttle_step(config, state, event, now, actions);

@@ -48,22 +48,11 @@ void encode_field(wire::Writer& w, const wire::Bytes& field) {
   w.bytes(field);
 }
 
-wire::Bytes decode_field(wire::Reader& r, std::uint8_t length_byte) {
-  std::size_t len = length_byte;
-  if (length_byte == kLengthEscape) {
-    len = r.u32();
-    if (len <= 254) {
-      throw wire::CodecError("VIPER: escaped length not > 254");
-    }
-  }
-  return r.bytes(len);
-}
-
-/// decode_field without the copy or the throw: same framing rules
-/// (big-endian u32 length escape), returns a view over @p base, or nullopt
-/// where decode_field throws.  Raw-pointer twin of the Reader-based
-/// decode_field so the per-hop parse pays one bounds check per field
-/// instead of one per byte.
+/// Frames one variable-length field behind @p length_byte (a byte of 255
+/// escapes to a big-endian u32 length, which must exceed 254): returns a
+/// view over @p base, or nullopt if the escape or the field runs past
+/// @p avail or an escaped length is at most 254.  Raw pointers, so the
+/// per-hop parse pays one bounds check per field instead of one per byte.
 std::optional<std::span<const std::uint8_t>> frame_field(
     const std::uint8_t* base, std::size_t avail, std::size_t& pos,
     std::uint8_t length_byte) noexcept {
@@ -120,30 +109,6 @@ SRP_HOT_PATH void encode_segment(wire::Writer& w,
   SIRPENT_ENSURES(w.size() - before == segment_wire_size(segment));
 }
 
-SRP_HOT_PATH core::HeaderSegment decode_segment(wire::Reader& r) {
-  [[maybe_unused]] const std::size_t start = r.position();
-  const std::uint8_t info_len = r.u8();
-  const std::uint8_t token_len = r.u8();
-  core::HeaderSegment seg;
-  seg.port = r.u8();
-  const std::uint8_t fp = r.u8();
-  seg.flags = decode_flags(static_cast<std::uint8_t>(fp >> 4));
-  seg.tos.priority = fp & 0x0F;
-  seg.tos.drop_if_blocked = seg.flags.dib;
-  seg.token = decode_field(r, token_len);
-  seg.port_info = decode_field(r, info_len);
-  // Decode must consume exactly what the encoder would produce — the
-  // router's cut-through offset arithmetic depends on it.  (VNT clearing of
-  // port_info below happens after the bytes were consumed.)
-  SIRPENT_ENSURES(r.position() - start == segment_wire_size(seg));
-  if (seg.flags.vnt && !seg.flags.trm) {
-    // "the portInfo field is void ... may still be non-zero if the PortInfo
-    // field is used for padding" — padding is discarded on decode.
-    seg.port_info.clear();
-  }
-  return seg;
-}
-
 SRP_HOT_PATH std::optional<SegmentView> parse_segment(
     std::span<const std::uint8_t> bytes, std::size_t offset) noexcept {
   // Raw-pointer parse: the fixed prefix is validated with one bounds
@@ -168,12 +133,14 @@ SRP_HOT_PATH std::optional<SegmentView> parse_segment(
   v.token = *token;
   v.port_info = *port_info;
   v.wire_size = pos;
-  // Same consumption arithmetic as decode_segment — computed before the
-  // VNT padding discard below, which empties the view but not the wire.
+  // Same consumption arithmetic as the encoder's segment_wire_size —
+  // computed before the VNT padding discard below, which empties the view
+  // but not the wire.
   SIRPENT_ENSURES(v.wire_size == 4 + field_wire_size(v.token.size()) +
                                      field_wire_size(v.port_info.size()));
   if (v.flags.vnt && !v.flags.trm) {
-    // Padding is discarded on decode, exactly as decode_segment does.
+    // "the portInfo field is void ... may still be non-zero if the PortInfo
+    // field is used for padding" — padding is discarded on decode.
     v.port_info = {};
   }
   return v;
@@ -184,6 +151,12 @@ SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
   const std::optional<SegmentView> v = parse_segment(bytes, offset);
   if (!v) throw wire::CodecError("VIPER: malformed segment");
   return *v;
+}
+
+core::HeaderSegment decode_segment(wire::Reader& r) {
+  const SegmentView v = decode_segment_view(r.rest(), 0);
+  r.skip(v.wire_size);
+  return to_segment(v);
 }
 
 core::HeaderSegment to_segment(const SegmentView& view) {
@@ -342,33 +315,12 @@ SRP_HOT_PATH std::optional<BodyView> parse_body(
 }
 
 DeliveredBody decode_delivered_body(wire::Reader& r) {
-  DeliveredBody body;
-  const std::uint16_t data_len = r.u16();
-  if (r.remaining() >= data_len) {
-    body.data = r.bytes(data_len);
-    body.trailer = decode_segments(r);
-    SIRPENT_ENSURES(body.data.size() == data_len);
-    SIRPENT_ENSURES(r.done());
-    return body;
-  }
-  // Truncated in flight: the data was cut short.  A truncating router
-  // appends a 4-byte TRM segment after the cut; recover it if present so
-  // the receiver sees an explicit truncation mark.
-  wire::Bytes rest = r.bytes(r.remaining());
-  if (rest.size() >= 4) {
-    wire::Reader tail{std::span{rest}.subspan(rest.size() - 4)};
-    try {
-      core::HeaderSegment mark = decode_segment(tail);
-      if (mark.flags.trm) {
-        body.trailer.push_back(mark);
-        rest.resize(rest.size() - 4);
-      }
-    } catch (const wire::CodecError&) {
-      // Tail does not parse as a mark: leave the bytes as data.
-    }
-  }
-  body.data = std::move(rest);
-  return body;
+  const std::optional<BodyView> view = parse_body(r.rest());
+  if (!view) throw wire::CodecError("VIPER: malformed body");
+  r.skip(r.remaining());
+  wire::Reader trailer(view->trailer);
+  return {wire::Bytes(view->data.begin(), view->data.end()),
+          decode_segments(trailer)};
 }
 
 namespace {

@@ -51,15 +51,11 @@ std::size_t segment_wire_size(const core::HeaderSegment& segment);
 /// Appends one encoded segment.
 void encode_segment(wire::Writer& w, const core::HeaderSegment& segment);
 
-/// Decodes one segment, advancing the reader.  Throws wire::CodecError on
-/// malformed input.
-core::HeaderSegment decode_segment(wire::Reader& r);
-
-/// A decoded segment whose variable fields are *views* into the packet
-/// buffer instead of copies — the router's header representation.  Field
-/// semantics match decode_segment exactly (including the VNT padding
-/// discard, which leaves `port_info` empty); the spans stay valid only
-/// while the underlying buffer does.
+/// A parsed segment whose variable fields are *views* into the packet
+/// buffer instead of copies — the router's and the host's header
+/// representation.  A VNT segment's padding is discarded (`port_info` is
+/// empty; `wire_size` still counts it); the spans stay valid only while
+/// the underlying buffer does.
 struct SegmentView {
   std::uint8_t port = 0;
   core::TypeOfService tos;
@@ -81,16 +77,24 @@ core::HeaderSegment to_segment(const SegmentView& view);
 void assign_segment(core::HeaderSegment& out, const SegmentView& view);
 
 /// Parses the segment starting at @p offset of @p bytes without copying
-/// its fields: nullopt where decode_segment would throw, otherwise the same
-/// fields and wire size.  Allocation-free and throw-free — the one parser
-/// of the router and host per-packet paths.
+/// its fields.  nullopt if the 4-byte prefix or a field runs past the end,
+/// or a length byte of 255 escapes to a 32-bit length of at most 254.
+/// Allocation-free and throw-free — the one VIPER segment parser: the
+/// router and host per-packet paths and every decoder below go through it.
 std::optional<SegmentView> parse_segment(std::span<const std::uint8_t> bytes,
                                          std::size_t offset) noexcept;
 
 /// parse_segment for callers that want an exception: throws
-/// wire::CodecError on malformed input.
+/// wire::CodecError on malformed input.  Kept for perfbench's replay;
+/// delete in the benchmark change (ROADMAP item 5).
 SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
                                 std::size_t offset);
+
+/// parse_segment + to_segment at the reader's position, advancing it by
+/// the segment's wire size; throws wire::CodecError (reader unmoved) where
+/// parse_segment returns nullopt.  Kept for perfbench's replay; delete in
+/// the benchmark change (ROADMAP item 5).
+core::HeaderSegment decode_segment(wire::Reader& r);
 
 /// Appends the encoding of one segment to @p out by raw byte appends —
 /// byte-identical to encode_segment of the equivalent HeaderSegment, but
@@ -103,6 +107,17 @@ void append_segment_raw(wire::Bytes& out, std::uint8_t port,
                         std::span<const std::uint8_t> token,
                         std::span<const std::uint8_t> port_info);
 
+/// The paper's return-route construction (§2): "To generate the return
+/// route, the receiver locates the beginning of the trailer of (former)
+/// header segments and copies each segment into a separate return address
+/// area in reverse order ... Because the network-specific portions of the
+/// header segments have been modified as required by the routers along the
+/// original route, the reversal process is entirely network-independent."
+/// Each router appended an entry whose `port` is the return port through
+/// it and whose `port_info` is the (already reversed) link header of the
+/// network the packet arrived on, so the reversed entries are, verbatim,
+/// the hops of a route back to the origin.
+///
 /// Reverses the order of the trailer segments inside @p trailer *in place*
 /// (segment reversal is length-preserving, so no copy is needed): walks
 /// the segment sizes with parse_segment, then rotates the records
@@ -116,8 +131,10 @@ bool reverse_trailer_in_place(std::span<std::uint8_t> trailer,
 /// Encodes a full route (all segments, in order).
 wire::Bytes encode_route(const core::SourceRoute& route);
 
-/// Decodes segments until the reader is exhausted (for route blobs and
-/// trailers).
+/// decode_segment until the reader is exhausted, for the directory's route
+/// blobs.  Throws wire::CodecError on a malformed segment.  When the
+/// benchmark change (ROADMAP item 5) deletes decode_segment, loop over
+/// parse_segment + to_segment here instead.
 std::vector<core::HeaderSegment> decode_segments(wire::Reader& r);
 
 /// Encoded size of the packet body encode_packet builds: every route
@@ -143,11 +160,13 @@ struct BodyView {
   std::size_t trailer_segments = 0;
 };
 
-/// Parses the bytes remaining after the local segment without copying:
-/// nullopt exactly where decode_delivered_body throws, otherwise the same
-/// data and the same trailer segments (a trailer that parses segment by
-/// segment with parse_segment; on a truncated image the recovered TRM
-/// mark, if any).  Throw-free.
+/// Parses [DataLen][Data][Trailer...] — the bytes remaining after the
+/// local segment — without copying.  nullopt if DataLen is cut short or the
+/// trailer does not parse segment by segment with parse_segment.  If the
+/// packet was truncated in flight (fewer bytes than DataLen claims), the
+/// data is what arrived, except that a trailing 4-byte segment with the TRM
+/// flag is the truncating router's mark and becomes the one-segment
+/// trailer.  Throw-free.
 std::optional<BodyView> parse_body(std::span<const std::uint8_t> body) noexcept;
 
 /// What an end host sees after consuming the final (local) segment.
@@ -156,11 +175,10 @@ struct DeliveredBody {
   std::vector<core::HeaderSegment> trailer;  ///< raw, may include TRM marks
 };
 
-/// Parses [DataLen][Data][Trailer...] — the bytes remaining after the local
-/// segment has been decoded.  If the packet was truncated in flight the
-/// data may be short; `data` then contains what arrived and the TRM mark
-/// (if it survived) is in `trailer`.  The copying reference parse_body is
-/// held to; the data path does not call it.
+/// parse_body with the data and trailer segments copied out, consuming the
+/// rest of the reader; throws wire::CodecError (reader unmoved) where
+/// parse_body returns nullopt.  Kept for perfbench's replay; delete in the
+/// benchmark change (ROADMAP item 5).
 DeliveredBody decode_delivered_body(wire::Reader& r);
 
 /// Stable 64-bit digest of a source route's *path* — per-segment port,

@@ -304,9 +304,9 @@ void ViperRouter::branch_tree(const net::Arrival& arrival, const Front& front,
   }
 }
 
-void ViperRouter::deliver_control(const net::Arrival& arrival,
-                                  const Front& front,
-                                  std::span<const std::uint8_t> bytes) {
+SRP_HOT_PATH void ViperRouter::deliver_control(
+    const net::Arrival& arrival, const Front& front,
+    std::span<const std::uint8_t> bytes) {
   if (!control_handler_) {
     ++stats_.dropped_no_port;
     return;
@@ -318,9 +318,7 @@ void ViperRouter::deliver_control(const net::Arrival& arrival,
     return;
   }
   ++stats_.delivered_control;
-  control_handler_(to_segment(front.segment),
-                   wire::Bytes(body->data.begin(), body->data.end()),
-                   arrival.in_port);
+  control_handler_(front.segment, body->data, arrival.in_port);
 }
 
 SRP_HOT_PATH void ViperRouter::append_rewrite(

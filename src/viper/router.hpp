@@ -131,9 +131,12 @@ class ViperRouter : public ViperNode {
   };
 
   /// Handler for locally addressed (port 0) packets — congestion reports
-  /// and other router control traffic.
-  using ControlHandler = std::function<void(
-      const core::HeaderSegment& segment, wire::Bytes payload, int in_port)>;
+  /// and other router control traffic.  The segment and the payload are
+  /// views into the arriving image, valid only during the call: a handler
+  /// copies what it keeps.
+  using ControlHandler =
+      std::function<void(const SegmentView& segment,
+                          std::span<const std::uint8_t> payload, int in_port)>;
 
   /// Congestion-layer intercept: called before a forwarded packet is handed
   /// to its output port.  Returning true means the shaper has taken custody

@@ -73,6 +73,10 @@ class Reader {
   void skip(std::size_t count);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  /// The bytes not yet read, without advancing.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const {
+    return data_.subspan(pos_);
+  }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }
 

@@ -10,9 +10,10 @@
 // accounting — the budget assertion moves and the regression is
 // attributable to the change that made it, not discovered in a profile
 // much later.  The end-to-end cost of a warm 2-router line, a warm router
-// hop, a warm idle output port, a warm router control report and a warm
-// scheduler schedule + pop are each pinned at exactly zero, and a warm
-// VMTP transaction at the one response it hands its caller.
+// hop, a warm idle output port, a warm router control report (sent and
+// received) and a warm scheduler schedule + pop are each pinned at exactly
+// zero, and a warm VMTP transaction at the one response it hands its
+// caller.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -341,6 +342,48 @@ TEST(AllocBudget, RouterControlReportIsAllocationFreeOnceWarm) {
   EXPECT_EQ(controller.stats().reports_sent - warm_reports, 200u)
       << "one report per feeder per interval";
   EXPECT_EQ(router.port(1).stats().sent, router.port(2).stats().sent);
+}
+
+/// Congestion reports reach a neighbour's controller allocation-free once
+/// warm: the router hands its control handler views of the segment and
+/// payload, and the controller updates the reporting flow in place.
+TEST(AllocBudget, RouterControlReceiveIsAllocationFreeOnceWarm) {
+  sim::Simulator sim;
+  viper::ViperRouter router(sim, "r.control", {});
+  viper::ViperRouter neighbour(sim, "r.neighbour", {});
+  router.add_port(net::LinkConfig{});  // feeder side: the neighbour
+  router.add_port(net::LinkConfig{});  // feeder side
+  router.add_port(net::LinkConfig{1e3, sim::kMicrosecond, 1500});  // congested
+  neighbour.add_port(net::LinkConfig{});
+  router.port(1).connect(&neighbour, 1);
+  neighbour.port(1).connect(&router, 1);
+  cc::ControllerConfig config;
+  config.queue_watermark_bytes = 1'000;
+  cc::CongestionController controller(sim, router, config);
+  cc::CongestionController receiver(sim, neighbour, config);
+  controller.monitor_port(3);
+  // A standing backlog from both feeders: 100 B takes 0.8 s at 1 kb/s.
+  net::PacketFactory packets;
+  for (int i = 0; i < 40; ++i) {
+    net::PacketPtr packet = packets.make(pattern_bytes(100), 0);
+    packet->last_in_port = 2 - i % 2;
+    router.port(3).enqueue(std::move(packet), net::TxMeta{}, 0);
+  }
+  sim.run_until(20 * sim::kMillisecond);  // warm: 20 intervals
+  const std::uint64_t warm_received = receiver.stats().reports_received;
+  ASSERT_GT(warm_received, 0u);
+
+  const std::uint64_t before = allocation_count();
+  sim.run_until(120 * sim::kMillisecond);
+  const std::uint64_t allocations = allocation_count() - before;
+  const std::uint64_t received =
+      receiver.stats().reports_received - warm_received;
+  EXPECT_EQ(received, 100u) << "one report per interval to this feeder";
+  EXPECT_EQ(allocations, 0u)
+      << "a warm congestion report allocated on receive ("
+      << static_cast<double>(allocations) / static_cast<double>(received)
+      << " per report)";
+  EXPECT_EQ(receiver.stats().flows_created, 1u);
 }
 
 TEST(AllocBudget, CutThroughPeekDoesNotAllocate) {

@@ -5,7 +5,7 @@
 #include "core/multicast.hpp"
 #include "core/segment.hpp"
 #include "core/tos.hpp"
-#include "core/trailer.hpp"
+#include "reference_codec.hpp"
 
 namespace srp::core {
 namespace {
@@ -58,7 +58,7 @@ TEST(Trailer, ReturnRouteReversesEntries) {
     e.flags.vnt = true;
     entries.push_back(e);
   }
-  const SourceRoute back = build_return_route(entries);
+  const SourceRoute back = test::build_return_route(entries);
   // Last router's return hop comes first, then backwards, then local.
   ASSERT_EQ(back.segments.size(), 4u);
   EXPECT_EQ(back.segments[0].port, 2);
@@ -72,13 +72,13 @@ TEST(Trailer, ReturnRouteCarriesPortInfoVerbatim) {
   HeaderSegment e;
   e.port = 5;
   e.port_info = {1, 2, 3, 4};
-  const SourceRoute back = build_return_route({e});
+  const SourceRoute back = test::build_return_route({e});
   EXPECT_EQ(back.segments[0].port_info, (wire::Bytes{1, 2, 3, 4}));
 }
 
 TEST(Trailer, OriginEndpointInFinalSegment) {
   const wire::Bytes endpoint{9, 9, 9, 9, 9, 9, 9, 9};
-  const SourceRoute back = build_return_route({}, endpoint);
+  const SourceRoute back = test::build_return_route({}, endpoint);
   ASSERT_EQ(back.segments.size(), 1u);
   EXPECT_EQ(back.segments[0].port, kLocalPort);
   EXPECT_EQ(back.segments[0].port_info, endpoint);
@@ -91,14 +91,14 @@ TEST(Trailer, ClassifyDetectsTruncationMark) {
   normal.port = 1;
   raw.push_back(normal);
   raw.push_back(HeaderSegment::truncation_marker());
-  const TrailerInfo info = classify_trailer(raw);
+  const test::TrailerInfo info = test::classify_trailer(raw);
   EXPECT_TRUE(info.truncated);
   ASSERT_EQ(info.entries.size(), 1u);
   EXPECT_EQ(info.entries[0].port, 1);
 }
 
 TEST(Trailer, EmptyTrailerMakesLocalOnlyRoute) {
-  const SourceRoute back = build_return_route({});
+  const SourceRoute back = test::build_return_route({});
   ASSERT_EQ(back.segments.size(), 1u);
   EXPECT_EQ(back.segments[0].port, kLocalPort);
 }

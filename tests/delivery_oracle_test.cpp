@@ -1,8 +1,9 @@
 // Delivery oracles: the host's delivery and the router's control delivery,
 // both built on the throw-free view parser (viper::parse_segment /
 // viper::parse_body), held to the copying reference decode
-// (decode_segment, decode_delivered_body, core::classify_trailer,
-// core::build_return_route) on mutated, truncated and byte-soup bodies.
+// (reference_codec.hpp: decode_segment, decode_delivered_body,
+// classify_trailer, build_return_route) on mutated, truncated and
+// byte-soup bodies.
 //
 // The reference below is what a host computed before the data path
 // stopped throwing: any input the copying decode rejects is a malformed
@@ -16,8 +17,8 @@
 #include <optional>
 
 #include "core/multicast.hpp"
-#include "core/trailer.hpp"
 #include "obs/telemetry.hpp"
+#include "reference_codec.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "viper/codec.hpp"
@@ -210,14 +211,14 @@ HostOutcome reference_host(const wire::Bytes& image, bool cut_in_flight) {
   HostOutcome out;
   wire::Reader r(image);
   core::HeaderSegment local;
-  DeliveredBody body;
+  test::DeliveredBody body;
   try {
-    local = decode_segment(r);
+    local = test::decode_segment(r);
     if (local.port != core::kLocalPort || !local.is_legal()) {
       out.misrouted = 1;
       return out;
     }
-    body = decode_delivered_body(r);
+    body = test::decode_delivered_body(r);
   } catch (const wire::CodecError&) {
     out.dropped_malformed = 1;
     return out;
@@ -229,10 +230,10 @@ HostOutcome reference_host(const wire::Bytes& image, bool cut_in_flight) {
     out.control_payload = body.data;
     return out;
   }
-  core::TrailerInfo info = core::classify_trailer(std::move(body.trailer));
+  test::TrailerInfo info = test::classify_trailer(std::move(body.trailer));
   Delivery d;
   d.data = body.data;
-  d.return_route = core::build_return_route(info.entries);
+  d.return_route = test::build_return_route(info.entries);
   for (const core::HeaderSegment& rec : info.telemetry) {
     const auto hop = obs::decode_hop_telemetry(rec.port_info);
     if (hop.has_value()) {
@@ -365,6 +366,32 @@ TEST(HostDeliveryOracle, LongTrailersMatchReference) {
   }
 }
 
+TEST(HostDeliveryOracle, EscapedLengthsMatchReference) {
+  // A length byte of 255 escapes to a 32-bit length, which must exceed
+  // 254: in the local segment and in a trailer entry, short and long.
+  const auto escaped = [](std::uint32_t len, std::uint8_t fill) {
+    wire::Bytes field{static_cast<std::uint8_t>(len >> 24),
+                      static_cast<std::uint8_t>(len >> 16),
+                      static_cast<std::uint8_t>(len >> 8),
+                      static_cast<std::uint8_t>(len)};
+    field.resize(field.size() + len, fill);
+    return field;
+  };
+  for (const std::uint32_t len : {8u, 254u, 255u, 300u}) {
+    SCOPED_TRACE(len);
+    // The local segment's portInfo behind the escape.
+    wire::Bytes local{255, 0, core::kLocalPort, 0x00};
+    append(local, escaped(len, 0x11));
+    append(local, wire::Bytes{0, 2, 'h', 'i'});
+    expect_host_matches_reference(local, false);
+    // A trailer entry's token behind the escape (VNT, no portInfo).
+    wire::Bytes image{0, 0, core::kLocalPort, 0x80, 0, 2, 'h', 'i',
+                      0, 255, 3, 0x80};
+    append(image, escaped(len, 0x22));
+    expect_host_matches_reference(image, false);
+  }
+}
+
 TEST(HostDeliveryOracle, SoupBodiesMatchReference) {
   sim::Rng rng(0xDE14);
   for (int iter = 0; iter < 1500; ++iter) {
@@ -390,11 +417,11 @@ RouterOutcome run_router(const wire::Bytes& image) {
   sim::Simulator sim;
   ViperRouter router(sim, "r", RouterConfig{});
   RouterOutcome out;
-  router.set_control_handler(
-      [&](const core::HeaderSegment& seg, wire::Bytes payload, int) {
-        out.segments.push_back(seg);
-        out.payloads.push_back(std::move(payload));
-      });
+  router.set_control_handler([&](const SegmentView& seg,
+                                 std::span<const std::uint8_t> payload, int) {
+    out.segments.push_back(to_segment(seg));
+    out.payloads.emplace_back(payload.begin(), payload.end());
+  });
   net::Arrival arrival;
   arrival.packet = std::make_shared<net::Packet>();
   arrival.packet->bytes = image;
@@ -429,11 +456,11 @@ TEST(RouterControlOracle, MutatedControlBodiesMatchReference) {
 
     wire::Reader r(image);
     std::optional<core::HeaderSegment> local;
-    std::optional<DeliveredBody> body;
+    std::optional<test::DeliveredBody> body;
     try {
-      local = decode_segment(r);
+      local = test::decode_segment(r);
       if (local->port == core::kLocalPort && local->is_legal()) {
-        body = decode_delivered_body(r);
+        body = test::decode_delivered_body(r);
       }
     } catch (const wire::CodecError&) {
     }

@@ -19,8 +19,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 
-#include "core/trailer.hpp"
+#include "reference_codec.hpp"
 #include "sim/random.hpp"
 #include "viper/codec.hpp"
 #include "viper/router.hpp"
@@ -77,13 +78,13 @@ void drive_receive_pipeline(const wire::Bytes& bytes) {
   // Peel at most a route's worth of segments, as routers would hop by hop.
   for (std::size_t hop = 0; hop <= core::kMaxSegments && !r.done(); ++hop) {
     const std::size_t before = r.position();
-    core::HeaderSegment seg = decode_segment(r);
+    core::HeaderSegment seg = test::decode_segment(r);
     ASSERT_GT(r.position(), before);
     if (seg.port == core::kLocalPort) {
-      DeliveredBody body = decode_delivered_body(r);
-      core::TrailerInfo info = core::classify_trailer(std::move(body.trailer));
+      test::DeliveredBody body = test::decode_delivered_body(r);
+      test::TrailerInfo info = test::classify_trailer(std::move(body.trailer));
       if (!info.entries.empty() || !info.truncated) {
-        (void)core::build_return_route(info.entries);
+        (void)test::build_return_route(info.entries);
       }
       return;
     }
@@ -110,7 +111,7 @@ TEST(FuzzCodec, StructuredRoundTrip) {
     wire::Reader r(packet);
     wire::Writer reenc;
     for (const auto& expect : route.segments) {
-      core::HeaderSegment got = decode_segment(r);
+      core::HeaderSegment got = test::decode_segment(r);
       // VNT padding is discarded on decode; the encoder never emits it, so
       // for encoder-produced bytes the round trip is exact.
       ASSERT_EQ(got, expect);
@@ -119,7 +120,7 @@ TEST(FuzzCodec, StructuredRoundTrip) {
     ASSERT_TRUE(std::equal(reenc.view().begin(), reenc.view().end(),
                            packet.begin()));
 
-    DeliveredBody body = decode_delivered_body(r);
+    test::DeliveredBody body = test::decode_delivered_body(r);
     ASSERT_EQ(body.data, data);
     ASSERT_TRUE(body.trailer.empty());
   }
@@ -222,9 +223,9 @@ TEST(FuzzCodec, TrailerSoupNeverMisbehaves) {
     const wire::Bytes junk = random_bytes(rng, rng.uniform_int(0, 128));
     wire::Reader r(junk);
     try {
-      std::vector<core::HeaderSegment> segs = decode_segments(r);
-      core::TrailerInfo info = core::classify_trailer(std::move(segs));
-      (void)core::build_return_route(info.entries);
+      std::vector<core::HeaderSegment> segs = test::decode_segments(r);
+      test::TrailerInfo info = test::classify_trailer(std::move(segs));
+      (void)test::build_return_route(info.entries);
     } catch (const wire::CodecError&) {
       // clean rejection
     }
@@ -242,7 +243,7 @@ TEST(FuzzCodec, ReencodeIsCanonical) {
     wire::Reader r(junk);
     core::HeaderSegment seg;
     try {
-      seg = decode_segment(r);
+      seg = test::decode_segment(r);
     } catch (const wire::CodecError&) {
       continue;
     }
@@ -250,7 +251,7 @@ TEST(FuzzCodec, ReencodeIsCanonical) {
     wire::Writer w1;
     encode_segment(w1, seg);
     wire::Reader r2(w1.view());
-    const core::HeaderSegment again = decode_segment(r2);
+    const core::HeaderSegment again = test::decode_segment(r2);
     ASSERT_EQ(again, seg);
     wire::Writer w2;
     encode_segment(w2, again);
@@ -261,9 +262,10 @@ TEST(FuzzCodec, ReencodeIsCanonical) {
 
 // ---------------------------------------------------------------------------
 // Differential campaigns: the throw-free view parser (parse_segment,
-// parse_body, peek_next_port) against the copying reference (decode_segment,
-// decode_delivered_body) on structured, mutated and byte-soup inputs, at
-// every offset of every input.
+// parse_body, peek_next_port) and the throwing adapters over it
+// (decode_segment, decode_segments, decode_delivered_body) against the
+// copying reference (reference_codec.hpp) on structured, mutated and
+// byte-soup inputs, at every offset of every input.
 // ---------------------------------------------------------------------------
 
 /// A few trailer entries of every kind a router appends: return entries,
@@ -337,27 +339,73 @@ wire::Bytes structured_packet(sim::Rng& rng) {
   return packet;
 }
 
+/// Runs @p decode over a fresh reader on @p bytes: what it returned (nullopt
+/// if it threw wire::CodecError) and where it left the reader.
+template <typename Decode>
+auto run_decoder(std::span<const std::uint8_t> bytes, Decode decode) {
+  wire::Reader r(bytes);
+  std::optional<decltype(decode(r))> value;
+  try {
+    value = decode(r);
+  } catch (const wire::CodecError&) {
+  }
+  return std::pair{std::move(value), r.position()};
+}
+
+/// decode_segment and decode_delivered_body at the start of @p bytes agree
+/// with what the reference decoded there (@p ref, @p ref_size bytes, and
+/// @p ref_body): equal values with equal consumption, or both reject and
+/// the adapter leaves its reader where it was.
+void expect_adapters_match_reference(
+    std::span<const std::uint8_t> bytes,
+    const std::optional<core::HeaderSegment>& ref, std::size_t ref_size,
+    const std::optional<test::DeliveredBody>& ref_body) {
+  const auto [seg, seg_end] = run_decoder(bytes, decode_segment);
+  EXPECT_EQ(seg, ref);
+  EXPECT_EQ(seg_end, ref ? ref_size : 0);
+
+  const auto [body, body_end] = run_decoder(bytes, decode_delivered_body);
+  ASSERT_EQ(body.has_value(), ref_body.has_value());
+  EXPECT_EQ(body_end, body ? bytes.size() : 0);
+  if (body) {
+    EXPECT_EQ(body->data, ref_body->data);
+    EXPECT_EQ(body->trailer, ref_body->trailer);
+  }
+}
+
 /// parse_segment, peek_next_port and parse_body at every offset of
-/// @p bytes (and one past the end) agree with the copying decoders.
+/// @p bytes (and one past the end), decode_segment and
+/// decode_delivered_body at every offset, and decode_segments over the
+/// whole input (as on a route blob) agree with the copying decoders.
 void expect_views_match_reference(const wire::Bytes& bytes) {
   const std::span<const std::uint8_t> all = bytes;
+  {
+    const auto [segs, segs_end] = run_decoder(all, decode_segments);
+    const auto [want, want_end] = run_decoder(all, test::decode_segments);
+    EXPECT_EQ(segs, want);
+    if (segs) {
+      EXPECT_EQ(segs_end, want_end);
+    }
+  }
   for (std::size_t offset = 0; offset <= bytes.size() + 1; ++offset) {
     SCOPED_TRACE(offset);
     std::optional<core::HeaderSegment> ref;
     std::size_t ref_size = 0;
-    std::optional<DeliveredBody> ref_body;
+    std::optional<test::DeliveredBody> ref_body;
     if (offset <= bytes.size()) {
       wire::Reader r(all.subspan(offset));
       try {
-        ref = decode_segment(r);
+        ref = test::decode_segment(r);
         ref_size = r.position();
       } catch (const wire::CodecError&) {
       }
       wire::Reader rb(all.subspan(offset));
       try {
-        ref_body = decode_delivered_body(rb);
+        ref_body = test::decode_delivered_body(rb);
       } catch (const wire::CodecError&) {
       }
+      expect_adapters_match_reference(all.subspan(offset), ref, ref_size,
+                                      ref_body);
     }
 
     const std::optional<SegmentView> view = parse_segment(bytes, offset);

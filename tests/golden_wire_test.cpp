@@ -16,6 +16,7 @@
 
 #include "core/multicast.hpp"
 #include "core/segment.hpp"
+#include "reference_codec.hpp"
 #include "test_util.hpp"
 #include "transport/header.hpp"
 #include "viper/codec.hpp"
@@ -161,10 +162,10 @@ TEST(GoldenWire, SingleSegment) {
   expect_golden("single_segment.bin", image);
 
   wire::Reader r{std::span{image}};
-  const core::HeaderSegment seg = decode_segment(r);
+  const core::HeaderSegment seg = test::decode_segment(r);
   EXPECT_EQ(seg.port, core::kLocalPort);
   EXPECT_TRUE(seg.flags.vnt);
-  const DeliveredBody body = decode_delivered_body(r);
+  const test::DeliveredBody body = test::decode_delivered_body(r);
   EXPECT_EQ(body.data, pattern_bytes(32, 0x10));
   EXPECT_TRUE(body.trailer.empty());
 }
@@ -174,25 +175,25 @@ TEST(GoldenWire, MultiHopWithTokenLanInfoAndPriorities) {
   expect_golden("multi_hop.bin", image);
 
   wire::Reader r{std::span{image}};
-  const core::HeaderSegment hop = decode_segment(r);
+  const core::HeaderSegment hop = test::decode_segment(r);
   EXPECT_EQ(hop.port, 2);
   EXPECT_EQ(hop.tos.priority, 5);
   EXPECT_EQ(hop.token, pattern_bytes(16, 0xA0));
   EXPECT_TRUE(hop.port_info.empty());  // VNT: portInfo is void
 
-  const core::HeaderSegment lan = decode_segment(r);
+  const core::HeaderSegment lan = test::decode_segment(r);
   EXPECT_EQ(lan.port, 7);
   EXPECT_EQ(lan.tos.priority, 3);
   EXPECT_TRUE(lan.tos.drop_if_blocked);
   EXPECT_EQ(lan.port_info,
             (wire::Bytes{0x02, 0x11, 0x22, 0x33, 0x44, 0x55}));
 
-  const core::HeaderSegment local = decode_segment(r);
+  const core::HeaderSegment local = test::decode_segment(r);
   EXPECT_EQ(local.port, core::kLocalPort);
   EXPECT_EQ(decode_endpoint_id(local.port_info),
             0x1234'5678'9ABC'DEF0ull);
 
-  const DeliveredBody body = decode_delivered_body(r);
+  const test::DeliveredBody body = test::decode_delivered_body(r);
   EXPECT_EQ(body.data, pattern_bytes(64, 0x20));
 }
 
@@ -201,8 +202,8 @@ TEST(GoldenWire, TruncatedWithMark) {
   expect_golden("truncated_mark.bin", image);
 
   wire::Reader r{std::span{image}};
-  (void)decode_segment(r);  // the consumed local segment
-  const DeliveredBody body = decode_delivered_body(r);
+  (void)test::decode_segment(r);  // the consumed local segment
+  const test::DeliveredBody body = test::decode_delivered_body(r);
   // The cut left 100 of 600 data bytes, and the explicit mark survived.
   EXPECT_EQ(body.data, pattern_bytes(100, 0x30));
   ASSERT_EQ(body.trailer.size(), 1u);
@@ -214,8 +215,8 @@ TEST(GoldenWire, FullTrailerRebuildsReturnRoute) {
   expect_golden("full_trailer.bin", image);
 
   wire::Reader r{std::span{image}};
-  (void)decode_segment(r);
-  const DeliveredBody body = decode_delivered_body(r);
+  (void)test::decode_segment(r);
+  const test::DeliveredBody body = test::decode_delivered_body(r);
   EXPECT_EQ(body.data, pattern_bytes(48, 0x40));
   // Two reversed entries, in hop order; reversing them yields the return
   // route back through ports 3 then 1.
@@ -253,7 +254,7 @@ TEST(GoldenWire, TreeInTreeAmplifier) {
 
   wire::Reader r{std::span{image}};
   for (int level = 0; level < 2; ++level) {
-    const core::HeaderSegment tree = decode_segment(r);
+    const core::HeaderSegment tree = test::decode_segment(r);
     const auto branches = core::TreeView::parse(tree.port_info);
     ASSERT_TRUE(branches.has_value());
     std::size_t count = 0;
@@ -263,9 +264,9 @@ TEST(GoldenWire, TreeInTreeAmplifier) {
     }
     EXPECT_EQ(count, 255u);
   }
-  EXPECT_EQ(decode_segment(r).port, 2);
-  EXPECT_EQ(decode_segment(r).port, core::kLocalPort);
-  const DeliveredBody body = decode_delivered_body(r);
+  EXPECT_EQ(test::decode_segment(r).port, 2);
+  EXPECT_EQ(test::decode_segment(r).port, core::kLocalPort);
+  const test::DeliveredBody body = test::decode_delivered_body(r);
   EXPECT_TRUE(body.data.empty());
   EXPECT_TRUE(body.trailer.empty());
 }

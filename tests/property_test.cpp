@@ -17,10 +17,10 @@
 #include <map>
 #include <optional>
 
-#include "core/trailer.hpp"
 #include "directory/fabric.hpp"
 #include "fault/engine.hpp"
 #include "obs/telemetry.hpp"
+#include "reference_codec.hpp"
 #include "sim/random.hpp"
 #include "test_util.hpp"
 #include "transport/header.hpp"
@@ -288,7 +288,7 @@ TEST_P(TrailerReversalProperty, InPlaceReversalMatchesCopyReference) {
 
     // The decoded segment list is the exact reverse of the original's.
     wire::Reader r(in_place);
-    const auto decoded = viper::decode_segments(r);
+    const auto decoded = test::decode_segments(r);
     ASSERT_EQ(decoded.size(), segments.size());
     for (std::size_t i = 0; i < decoded.size(); ++i) {
       EXPECT_EQ(decoded[i], segments[segments.size() - 1 - i])
@@ -390,8 +390,8 @@ TEST_P(TelemetryReversalProperty, ReversalPreservesRecordsAndHopOrder) {
     // the host does (classify, then decode each payload, then hop-sort).
     const auto extract = [](const wire::Bytes& bytes) {
       wire::Reader r(bytes);
-      core::TrailerInfo info =
-          core::classify_trailer(viper::decode_segments(r));
+      test::TrailerInfo info =
+          test::classify_trailer(test::decode_segments(r));
       std::vector<obs::HopTelemetry> path;
       for (const core::HeaderSegment& rec : info.telemetry) {
         const auto hop = obs::decode_hop_telemetry(rec.port_info);

@@ -1,15 +1,14 @@
 // Copy-decode reference for one VIPER router hop, kept as a test oracle.
 //
 // This is the rewrite the router performed before its zero-copy data
-// path: decode_segment copies the first segment's fields out of the
-// image, the return entry is built as an owning core::HeaderSegment,
-// encode_segment writes it through a wire::Writer behind a copy of the
-// remainder, and the new image becomes a packet via Packet::derive().
-// It shares no code with ViperRouter's rewrite (views, raw appends into
-// an arena slab), which is what makes it a meaningful oracle: the
-// differential test (forward_oracle_test.cpp) holds the router's output
-// bytes and side-band against it, and the E-BD engine bench
-// (bench/bench_scalability.cpp) prices it as the copying baseline.
+// path: the reference decoder (reference_codec.hpp) copies the first
+// segment's fields out of the image, the return entry is built as an
+// owning core::HeaderSegment, encode_segment writes it through a
+// wire::Writer behind a copy of the remainder, and the new image becomes a
+// packet via Packet::derive().  It shares no code with ViperRouter's
+// rewrite (views, raw appends into an arena slab), which is what makes it
+// a meaningful oracle: the differential test (forward_oracle_test.cpp)
+// holds the router's output bytes and side-band against it.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +21,7 @@
 #include "net/ethernet.hpp"
 #include "net/packet.hpp"
 #include "obs/telemetry.hpp"
+#include "reference_codec.hpp"
 #include "viper/codec.hpp"
 #include "wire/buffer.hpp"
 
@@ -55,7 +55,7 @@ inline ReferenceFront reference_front(const wire::Bytes& bytes,
   ReferenceFront front;
   wire::Reader r(bytes);
   if (link_in) front.link = net::EthernetHeader::decode(r);
-  front.segment = viper::decode_segment(r);
+  front.segment = test::decode_segment(r);
   front.consumed = r.position();
   return front;
 }
