@@ -4,7 +4,7 @@
 //      significantly less than a microsecond"; how much does Sirpent's
 //      advantage depend on that?
 //  A2: feed-forward load information (paper §2.2's exploratory idea) on a
-//      two-tier backpressure scenario.
+//      two-tier backpressure scenario (run_a2() in paper_results.cpp).
 //  A3: VMTP's rate-based pacing inside a packet group vs blasting, into a
 //      small downstream buffer (paper §4.3 "rate-based flow control is
 //      used between packets within a packet group to avoid overruns").
@@ -15,6 +15,7 @@
 #include <optional>
 
 #include "bench_util.hpp"
+#include "paper_results.hpp"
 
 namespace srp::bench {
 namespace {
@@ -31,85 +32,6 @@ sim::Time a1_delivery(int hops, sim::Time decision_delay) {
   chain.src->send(chain.route, wire::Bytes(1024, 0));
   chain.sim->run();
   return delivered;
-}
-
-// ---------- A2: feed-forward ----------
-struct A2Result {
-  double util = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t renewals = 0;  ///< total reports (incl. feed-forward ones)
-};
-
-A2Result a2_run(bool feed_forward) {
-  sim::Simulator sim;
-  dir::Fabric fabric(sim);
-  // Two-tier: 3 sources -> r0 -> r1 -> bottleneck -> sink.  r0 shapes the
-  // flow after r1's reports; with feed-forward on, r0's shaped packets
-  // carry their backlog and r1 keeps the grant alive.
-  auto& r0 = fabric.add_router("r0");
-  auto& r1 = fabric.add_router("r1");
-  auto& sink = fabric.add_host("sink.a2");
-  std::vector<viper::ViperHost*> sources;
-  dir::LinkParams edge;
-  edge.rate_bps = 1e9;
-  edge.prop_delay = 5 * sim::kMicrosecond;
-  dir::LinkParams mid;
-  mid.rate_bps = 1e9;
-  mid.prop_delay = 200 * sim::kMicrosecond;  // long feedback loop
-  dir::LinkParams slow;
-  slow.rate_bps = 1e8;
-  slow.prop_delay = 10 * sim::kMicrosecond;
-  for (int i = 0; i < 3; ++i) {
-    auto& h = fabric.add_host("s" + std::to_string(i) + ".a2");
-    fabric.connect(h, r0, edge);
-  // r0 ports 1..3
-    sources.push_back(&h);
-  }
-  fabric.connect(r0, r1, mid);    // r0 port 4
-  fabric.connect(r1, sink, slow);  // r1 port 2: the bottleneck
-  r1.port(2).set_buffer_limit(10 * 1024);  // tight: overshoot = loss
-
-  cc::ControllerConfig config;
-  config.interval = sim::kMillisecond;
-  config.queue_watermark_bytes = 4'000;
-  config.ramp_factor = 2.0;          // aggressive slow-start: big overshoot
-  config.flow_ttl = 4 * sim::kMillisecond;  // grants die fast when quiet
-  config.feed_forward = feed_forward;
-  fabric.enable_congestion_control(config);
-
-  core::SourceRoute route;
-  core::HeaderSegment h1;
-  h1.port = 4;
-  h1.flags.vnt = true;
-  core::HeaderSegment h2;
-  h2.port = 2;
-  h2.flags.vnt = true;
-  core::HeaderSegment local;
-  local.port = core::kLocalPort;
-  local.flags.vnt = true;
-  route.segments = {h1, h2, local};
-
-  std::vector<std::unique_ptr<wl::CbrSource>> pumps;
-  for (auto* src : sources) {
-    pumps.push_back(std::make_unique<wl::CbrSource>(
-        sim, 90 * sim::kMicrosecond, [src, route] {
-          src->send(route, wire::Bytes(1000, 0x11));
-        }));
-    pumps.back()->start();
-  }
-  const sim::Time duration = 300 * sim::kMillisecond;
-  sim.run_until(duration);
-
-  A2Result result;
-  result.util = static_cast<double>(r1.port(2).stats().busy_time) /
-                static_cast<double>(duration);
-  result.drops = r1.port(2).stats().dropped_full;
-  for (auto* r : fabric.routers()) {
-    if (auto* c = fabric.controller_of(*r)) {
-      result.renewals += c->stats().reports_sent;
-    }
-  }
-  return result;
 }
 
 // ---------- A3: packet-group pacing ----------
@@ -217,23 +139,8 @@ int main() {
     std::puts("");
   }
 
-  {
-    stats::Table table("A2: feed-forward load information (two-tier "
-                       "backpressure, 200 us loop)");
-    table.columns({"variant", "bottleneck util", "drops", "reports sent"});
-    for (bool ff : {false, true}) {
-      const auto r = a2_run(ff);
-      table.row({ff ? "feed-forward on" : "feed-forward off",
-                 stats::Table::num(r.util, 3), std::to_string(r.drops),
-                 std::to_string(r.renewals)});
-    }
-    table.note("paper §2.2: \"packets include information on the number "
-               "of packets queued behind them at their previous router\" — "
-               "grants stay alive while backlog persists, damping the "
-               "ramp/overflow oscillation.");
-    table.print();
-    std::puts("");
-  }
+  std::fputs(render_a2(run_a2()).c_str(), stdout);
+  std::puts("");
 
   {
     stats::Table table("A3: 12 KB packet group into a 3 KB bottleneck "

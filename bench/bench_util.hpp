@@ -110,16 +110,14 @@ struct CvcChain {
   std::vector<cvc::CvcSwitch*> switches;
   std::vector<std::uint8_t> setup_route;  ///< port 2 at every switch
 
-  static CvcChain make(int hops, const net::LinkConfig& link,
-                       cvc::SwitchConfig switch_config = {}) {
+  static CvcChain make(int hops, const net::LinkConfig& link) {
     CvcChain chain;
     chain.sim = std::make_unique<sim::Simulator>();
     chain.net = std::make_unique<net::Network>(*chain.sim);
     chain.src = &chain.net->add<cvc::CvcHost>("src", chain.net->packets());
     net::PortedNode* prev = chain.src;
     for (int i = 0; i < hops; ++i) {
-      auto& s = chain.net->add<cvc::CvcSwitch>("s" + std::to_string(i),
-                                               switch_config);
+      auto& s = chain.net->add<cvc::CvcSwitch>("s" + std::to_string(i));
       chain.net->duplex(*prev, s, link);
       chain.switches.push_back(&s);
       chain.setup_route.push_back(2);

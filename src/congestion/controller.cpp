@@ -7,6 +7,11 @@
 
 namespace srp::cc {
 
+/// Fraction of link capacity shared out to feeders when congested.
+constexpr double kTargetUtilization = 0.9;
+/// Shaping backlog that triggers recursive upstream reports.
+constexpr std::size_t kBacklogWatermarkBytes = 24'000;
+
 CongestionController::CongestionController(sim::Simulator& sim,
                                            viper::ViperRouter& router,
                                            ControllerConfig config)
@@ -60,8 +65,8 @@ CongestionController::flow_snapshots() const {
   std::vector<FlowSnapshot> out;
   out.reserve(flows_.size());
   for (const auto& [key, flow] : flows_) {
-    out.push_back(FlowSnapshot{key, flow.rate_bps, flow.held.size(),
-                               flow.held_bytes, flow.expires});
+    out.push_back(FlowSnapshot{key, flow.grant.rate_bps, flow.held.size(),
+                               flow.held_bytes, flow.grant.expires});
   }
   return out;  // flows_ is a std::map: already FlowKey-ordered
 }
@@ -75,8 +80,8 @@ std::size_t CongestionController::held_packets() const {
 void CongestionController::refill(FlowState& flow) {
   const sim::Time now = sim_.now();
   if (now > flow.last_refill) {
-    flow.bucket_bits += flow.rate_bps * sim::to_seconds(now -
-                                                        flow.last_refill);
+    flow.bucket_bits +=
+        flow.grant.rate_bps * sim::to_seconds(now - flow.last_refill);
     flow.bucket_bits = std::min(flow.bucket_bits, flow.bucket_cap_bits);
     flow.last_refill = now;
   }
@@ -117,7 +122,7 @@ bool CongestionController::shape(int out_port, std::uint8_t next_port,
   flow.held.push_back(Held{std::move(packet), meta, out_port, earliest});
   flow.out_port = out_port;
   schedule_release(key);
-  if (flow.held_bytes > config_.backlog_watermark_bytes) {
+  if (flow.held_bytes > kBacklogWatermarkBytes) {
     report_backlog(flow);
   }
   return true;
@@ -130,8 +135,9 @@ void CongestionController::schedule_release(const FlowKey& key) {
   const double need = static_cast<double>(flow.held.front().packet->size()) *
                       8.0;
   sim::Time when = sim_.now();
-  if (flow.bucket_bits < need && flow.rate_bps > 0.0) {
-    when += sim::from_seconds((need - flow.bucket_bits) / flow.rate_bps);
+  if (flow.bucket_bits < need && flow.grant.rate_bps > 0.0) {
+    when +=
+        sim::from_seconds((need - flow.bucket_bits) / flow.grant.rate_bps);
   }
   flow.release_scheduled = true;
   sim_.at(std::max(when, sim_.now() + 1),
@@ -189,13 +195,28 @@ SRP_HOT_PATH void CongestionController::on_control(
   } else {
     refill(flow);
   }
-  flow.rate_bps = report->rate_bps;
+  step(flow, {.type = ThrottleEvent::Type::kReport,
+              .rate_bps = report->rate_bps});
+  flow.bucket_bits = std::min(flow.bucket_bits, flow.bucket_cap_bits);
+}
+
+ThrottleActions CongestionController::step(FlowState& flow,
+                                           const ThrottleEvent& event) {
+  ThrottleConfig config;
+  config.flow_ttl = config_.flow_ttl;
+  config.ramp_factor = config_.ramp_factor;
+  config.ramp_interval = 2 * config_.interval;
+  // A flow that has shaped nothing yet has no port, so no rate to ramp
+  // out at.
+  config.rate_ceiling_bps =
+      flow.out_port > 0 ? router_.port(flow.out_port).config().rate_bps
+                        : std::numeric_limits<double>::infinity();
+  ThrottleActions actions;
+  flow.grant = step_(config, flow.grant, event, sim_.now(), &actions);
   // Allow ~2 report intervals of burst so shaping does not starve the link.
   flow.bucket_cap_bits =
-      report->rate_bps * 2.0 * sim::to_seconds(config_.interval);
-  flow.bucket_bits = std::min(flow.bucket_bits, flow.bucket_cap_bits);
-  flow.expires = sim_.now() + config_.flow_ttl;
-  flow.last_report = sim_.now();
+      flow.grant.rate_bps * 2.0 * sim::to_seconds(config_.interval);
+  return actions;
 }
 
 void CongestionController::report_port_congestion(int port_index) {
@@ -225,7 +246,7 @@ void CongestionController::report_port_congestion(int port_index) {
   }
   if (feeders_.empty()) return;
 
-  const double share = out.config().rate_bps * config_.target_utilization /
+  const double share = out.config().rate_bps * kTargetUtilization /
                        static_cast<double>(feeders_.size());
   monitor.last_share_bps = share;
   send_rate_report(port_index, share, feeders_);
@@ -239,7 +260,7 @@ void CongestionController::report_backlog(FlowState& flow) {
   for (const auto& held : flow.held) add_feeder(held.packet->last_in_port);
   if (feeders_.empty()) return;
   send_rate_report(flow.out_port,
-                   flow.rate_bps / static_cast<double>(feeders_.size()),
+                   flow.grant.rate_bps / static_cast<double>(feeders_.size()),
                    feeders_);
 }
 
@@ -265,33 +286,20 @@ void CongestionController::tick() {
     report_port_congestion(port_index);
   }
 
-  // Soft-state maintenance: expire dead limits, ramp quiet ones back up.
+  // Soft-state maintenance: the core expires dead limits and ramps quiet
+  // ones back up, releasing them at the port rate.
   for (auto it = flows_.begin(); it != flows_.end();) {
     FlowState& flow = it->second;
-    const double capacity =
-        flow.out_port > 0 ? router_.port(flow.out_port).config().rate_bps
-                          : std::numeric_limits<double>::infinity();
-    bool erase = false;
-    if (sim_.now() >= flow.expires) {
-      ++stats_.flows_expired;
-      erase = true;
-    } else if (sim_.now() - flow.last_report >= 2 * config_.interval) {
-      // No fresh report: push the authorized rate up (network slow-start).
-      flow.rate_bps *= config_.ramp_factor;
-      flow.bucket_cap_bits =
-          flow.rate_bps * 2.0 * sim::to_seconds(config_.interval);
-      if (flow.rate_bps >= capacity) {
-        ++stats_.flows_ramped_out;
-        erase = true;
-      }
-    }
-    if (erase) {
-      flush(flow);
-      it = flows_.erase(it);
-      update_flows_gauge();
-    } else {
+    const ThrottleActions actions =
+        step(flow, {.type = ThrottleEvent::Type::kTick});
+    if (!actions.erase) {
       ++it;
+      continue;
     }
+    ++(actions.ramped_out ? stats_.flows_ramped_out : stats_.flows_expired);
+    flush(flow);
+    it = flows_.erase(it);
+    update_flows_gauge();
   }
 
   sim_.after(config_.interval, [this] { tick(); });

@@ -13,11 +13,13 @@
 //    packets heading for a congested downstream queue (identified by
 //    peeking the packet's next segment — "because the upstream routers
 //    have access to the source route on each packet, they can determine
-//    the packets destined for this queue").  Limits are token buckets held
-//    as *soft state*: they expire, and quiet flows ramp their rate back up
-//    ("similar to Jacobson's slow start ... applied at the network layer").
-//    If its own shaping backlog grows it recursively reports further
-//    upstream.
+//    the packets destined for this queue").  Each limit's grant is *soft
+//    state*: it expires, and quiet flows ramp their rate back up ("similar
+//    to Jacobson's slow start ... applied at the network layer").  Those
+//    rules are cc::throttle_step (congestion/throttle_core.hpp), the core
+//    the source hosts and the model checker run too; this class is its
+//    driver and adds the token bucket that paces the held packets.  If its
+//    own shaping backlog grows it recursively reports further upstream.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "congestion/messages.hpp"
+#include "congestion/throttle_core.hpp"
 #include "sim/simulator.hpp"
 #include "viper/router.hpp"
 
@@ -37,14 +40,11 @@ struct ControllerConfig {
   sim::Time interval = sim::kMillisecond;
   /// Output queue depth that declares congestion.
   std::size_t queue_watermark_bytes = 24'000;
-  /// Fraction of link capacity shared out to feeders when congested.
-  double target_utilization = 0.9;
   /// Soft-state lifetime of a rate limit with no fresh reports.
   sim::Time flow_ttl = 50 * sim::kMillisecond;
-  /// Multiplicative rate increase per quiet interval (network slow-start).
+  /// Multiplicative rate increase per quiet stretch of two intervals
+  /// (network slow-start).
   double ramp_factor = 1.4;
-  /// Shaping backlog that triggers recursive upstream reports.
-  std::size_t backlog_watermark_bytes = 24'000;
   /// Paper §2.2 ("we are also exploring providing feed forward load
   /// information on packets transiting rate-controlled links"): shaped
   /// packets carry their queue backlog downstream, and a congested router
@@ -98,6 +98,11 @@ class CongestionController {
   /// Every active rate limit in deterministic (FlowKey) order.
   [[nodiscard]] std::vector<FlowSnapshot> flow_snapshots() const;
 
+  /// Model-checker regression hook (tests/mc_regress): replaces the
+  /// transition core with a deliberately broken variant from mc::mutants,
+  /// as SourceThrottle::set_step_for_test does at hosts.
+  void set_step_for_test(ThrottleStepFn step) { step_ = step; }
+
  private:
   struct Held {
     net::PacketPtr packet;
@@ -106,13 +111,14 @@ class CongestionController {
     sim::Time earliest = 0;
   };
 
+  /// The grant (rate, expiry, last report) is the core's ThrottleState;
+  /// reports and ticks move it.  The router never steps kAcquire: its
+  /// pacing is the token bucket below, not the core's next_free cursor.
   struct FlowState {
-    double rate_bps = 0.0;
+    ThrottleState grant;
     double bucket_bits = 0.0;
     double bucket_cap_bits = 0.0;
     sim::Time last_refill = 0;
-    sim::Time expires = 0;
-    sim::Time last_report = 0;
     std::deque<Held> held;
     std::size_t held_bytes = 0;
     bool release_scheduled = false;
@@ -123,6 +129,9 @@ class CongestionController {
   bool shape(int out_port, std::uint8_t next_port, net::PacketPtr packet,
              net::TxMeta meta, sim::Time earliest);
   void on_control(std::span<const std::uint8_t> payload);
+  /// Runs @p event through the core on @p flow's grant and resizes the
+  /// bucket to the (possibly moved) rate.
+  ThrottleActions step(FlowState& flow, const ThrottleEvent& event);
   void refill(FlowState& flow);
   void schedule_release(const FlowKey& key);
   void release_ready(const FlowKey& key);
@@ -146,6 +155,7 @@ class CongestionController {
   sim::Simulator& sim_;
   viper::ViperRouter& router_;
   ControllerConfig config_;
+  ThrottleStepFn step_ = &throttle_step;
   std::vector<int> monitored_ports_;
   std::map<int, PortMonitor> monitors_;     // monitored port state
   std::map<int, std::uint32_t> neighbors_;  // out port -> router id

@@ -32,6 +32,7 @@ ThrottleState throttle_step(const ThrottleConfig& config,
         if (state.rate_bps >= config.rate_ceiling_bps) {
           state.phase = ThrottlePhase::kExpired;
           actions->erase = true;
+          actions->ramped_out = true;
         }
       }
       return state;

@@ -1,10 +1,12 @@
-// Pure transition core for one source-throttle flow entry.
+// Pure transition core for one rate-limit flow entry.
 //
-// The runtime driver (congestion/throttle.hpp) and the bounded model
-// checker (src/mc) share this step function, so the state machine the
-// checker verifies is — by construction — the one the shipping code runs
-// (DESIGN.md §10).  The core is side-effect free: it never touches the
-// simulator, allocates, or reads ambient state; time is a parameter.
+// Both runtime drivers — the source host's SourceThrottle
+// (congestion/throttle.hpp) and the router's CongestionController
+// (congestion/controller.hpp) — and the bounded model checker (src/mc)
+// share this step function, so the state machine the checker verifies is
+// — by construction — the one the shipping code runs (DESIGN.md §10).
+// The core is side-effect free: it never touches the simulator,
+// allocates, or reads ambient state; time is a parameter.
 //
 // Lifecycle of one (router, port) entry:
 //
@@ -26,8 +28,10 @@
 
 namespace srp::cc {
 
-/// Source-throttle settings: the transition core's parameters, and the
-/// runtime driver's tick period (ramp_interval).
+/// Rate-limit settings: the transition core's parameters, and the source
+/// driver's tick period (ramp_interval).  The router's CongestionController
+/// builds one per flow from its ControllerConfig (the ceiling is the flow's
+/// out-port rate).
 struct ThrottleConfig {
   sim::Time flow_ttl = 50 * sim::kMillisecond;
   double ramp_factor = 1.4;
@@ -61,6 +65,7 @@ struct ThrottleEvent {
 
 struct ThrottleActions {
   bool erase = false;     ///< entry leaves the table (reached kExpired)
+  bool ramped_out = false;  ///< erase came from the ceiling, not the TTL
   bool delayed = false;   ///< kAcquire: the send was pushed past now
   sim::Time send_at = 0;  ///< kAcquire: granted transmission time
 };

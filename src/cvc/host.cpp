@@ -4,11 +4,13 @@
 
 namespace srp::cvc {
 
+/// A SETUP not answered within this window fails the open().
+constexpr sim::Time kSetupTimeout = 200 * sim::kMillisecond;
+
 CvcHost::CvcHost(sim::Simulator& sim, std::string name,
-                 net::PacketFactory& packets, CvcHostConfig config)
+                 net::PacketFactory& packets)
     : net::PortedNode(sim, std::move(name), /*whole_packet=*/true),
-      packets_(packets),
-      config_(config) {}
+      packets_(packets) {}
 
 void CvcHost::transmit(const Frame& frame) {
   net::PacketPtr packet = packets_.make(encode_frame(frame), sim_.now());
@@ -23,7 +25,7 @@ void CvcHost::open(const std::vector<std::uint8_t>& switch_ports,
 
   Circuit circuit;
   circuit.callback = std::move(callback);
-  circuit.timer = sim_.after(config_.setup_timeout, [this, vci] {
+  circuit.timer = sim_.after(kSetupTimeout, [this, vci] {
     const auto it = circuits_.find(vci);
     if (it == circuits_.end() || it->second.state != CircuitState::kPending) {
       return;

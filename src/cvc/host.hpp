@@ -12,10 +12,6 @@
 
 namespace srp::cvc {
 
-struct CvcHostConfig {
-  sim::Time setup_timeout = 200 * sim::kMillisecond;
-};
-
 class CvcHost : public net::PortedNode {
  public:
   struct Stats {
@@ -35,8 +31,7 @@ class CvcHost : public net::PortedNode {
       std::function<void(std::uint16_t circuit, wire::Bytes data)>;
   using AcceptHandler = std::function<void(std::uint16_t circuit)>;
 
-  CvcHost(sim::Simulator& sim, std::string name, net::PacketFactory& packets,
-          CvcHostConfig config = {});
+  CvcHost(sim::Simulator& sim, std::string name, net::PacketFactory& packets);
 
   /// Opens a circuit through the given switch output ports (first entry is
   /// the first switch's port).  The paper's criticism is made measurable:
@@ -69,7 +64,6 @@ class CvcHost : public net::PortedNode {
   void transmit(const Frame& frame);
 
   net::PacketFactory& packets_;
-  CvcHostConfig config_;
   std::map<std::uint16_t, Circuit> circuits_;  ///< by VCI on our uplink
   std::uint16_t next_vci_ = 0;
   std::uint64_t next_call_ = 1;

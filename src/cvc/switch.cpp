@@ -4,9 +4,13 @@
 
 namespace srp::cvc {
 
-CvcSwitch::CvcSwitch(sim::Simulator& sim, std::string name,
-                     SwitchConfig config)
-    : net::PortedNode(sim, std::move(name)), config_(config) {}
+/// Call processing per SETUP/CONNECT/RELEASE (circuit bookkeeping).
+constexpr sim::Time kSetupProc = 500 * sim::kMicrosecond;
+/// Per-packet label swap + store-and-forward processing.
+constexpr sim::Time kDataProc = 5 * sim::kMicrosecond;
+
+CvcSwitch::CvcSwitch(sim::Simulator& sim, std::string name)
+    : net::PortedNode(sim, std::move(name)) {}
 
 std::uint16_t CvcSwitch::allocate_vci(int port_index) {
   std::uint16_t& next = next_vci_[port_index];
@@ -21,9 +25,8 @@ void CvcSwitch::on_arrival(const net::Arrival& arrival) {
     ++stats_.dropped_malformed;
     return;
   }
-  const sim::Time proc = frame->type == FrameType::kData
-                             ? config_.data_proc
-                             : config_.setup_proc;
+  const sim::Time proc =
+      frame->type == FrameType::kData ? kDataProc : kSetupProc;
   // Store-and-forward: act once the whole frame is in, plus processing.
   sim_.at(arrival.tail + proc, [this, arrival] { process(arrival); });
 }

@@ -15,14 +15,8 @@
 
 namespace srp::cvc {
 
-struct SwitchConfig {
-  /// Call processing per SETUP/CONNECT/RELEASE (circuit bookkeeping).
-  sim::Time setup_proc = 500 * sim::kMicrosecond;
-  /// Per-packet label swap + store-and-forward processing.
-  sim::Time data_proc = 5 * sim::kMicrosecond;
-  /// Memory cost per circuit-table entry, for the state accounting.
-  std::size_t bytes_per_entry = 32;
-};
+/// Memory cost per circuit-table entry, for the state accounting.
+inline constexpr std::size_t kBytesPerEntry = 32;
 
 class CvcSwitch : public net::PortedNode {
  public:
@@ -36,14 +30,14 @@ class CvcSwitch : public net::PortedNode {
     std::size_t circuits_peak = 0;
   };
 
-  CvcSwitch(sim::Simulator& sim, std::string name, SwitchConfig config);
+  CvcSwitch(sim::Simulator& sim, std::string name);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t state_bytes() const {
-    return table_.size() * config_.bytes_per_entry;
+    return table_.size() * kBytesPerEntry;
   }
   [[nodiscard]] std::size_t peak_state_bytes() const {
-    return 2 * stats_.circuits_peak * config_.bytes_per_entry;
+    return 2 * stats_.circuits_peak * kBytesPerEntry;
   }
 
   void on_arrival(const net::Arrival& arrival) override;
@@ -55,7 +49,6 @@ class CvcSwitch : public net::PortedNode {
   void forward(int out_port, const Frame& frame, const net::Packet& origin);
   std::uint16_t allocate_vci(int port_index);
 
-  SwitchConfig config_;
   std::map<Leg, Leg> table_;  ///< both directions present
   std::map<int, std::uint16_t> next_vci_;
   Stats stats_;

@@ -27,9 +27,6 @@ viper::ViperRouter& Fabric::add_router(const std::string& name,
   auto& router = net_.add<viper::ViperRouter>(name, config);
   ids_[&router] = id;
   routers_.push_back(&router);
-  if (authority_.has_value() && config.require_tokens) {
-    router.set_token_authority(&*authority_, &ledger_);
-  }
   return router;
 }
 

@@ -8,6 +8,11 @@
 
 namespace srp::fault {
 
+/// Longest reorder hold, longest jitter and shortest flap down window.
+constexpr sim::Time kReorderHoldMax = 50 * sim::kMicrosecond;
+constexpr sim::Time kJitterMax = 30 * sim::kMicrosecond;
+constexpr sim::Time kFlapDownMin = 100 * sim::kMicrosecond;
+
 net::PacketPtr clone_packet(const net::Packet& packet) {
   auto copy = std::make_shared<net::Packet>();
   copy->bytes = packet.bytes;
@@ -150,7 +155,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
     // the unfiltered path (a held packet is not perturbed twice).
     const sim::Time hold =
         1 + static_cast<sim::Time>(rng.uniform_int(
-                0, static_cast<std::uint64_t>(lane.reorder_hold_max)));
+                0, static_cast<std::uint64_t>(kReorderHoldMax)));
     ++*state.reordered;
     sim_.after(hold, [port = state.port, held = std::move(packet), meta,
                       earliest_start]() mutable {
@@ -161,8 +166,7 @@ net::FaultVerdict FaultEngine::on_enqueue(PortState& state,
 
   if (lane.jitter_rate > 0 && rng.chance(lane.jitter_rate)) {
     const sim::Time jitter = static_cast<sim::Time>(
-        rng.uniform_int(1, static_cast<std::uint64_t>(
-                               std::max<sim::Time>(lane.jitter_max, 1))));
+        rng.uniform_int(1, static_cast<std::uint64_t>(kJitterMax)));
     ++*state.jittered;
     earliest_start = std::max(earliest_start, sim_.now()) + jitter;
   }
@@ -176,18 +180,9 @@ void FaultEngine::corrupt_bytes(PortState& state, wire::Bytes& bytes) {
   const std::uint64_t total_bits = bytes.size() * 8;
   const std::uint64_t flips = rng.uniform_int(
       1, static_cast<std::uint64_t>(std::max(state.lane.corrupt_max_bits, 1)));
-  if (state.lane.corrupt_burst) {
-    // A contiguous run of flipped bits starting anywhere in the image.
-    const std::uint64_t start = rng.uniform_int(0, total_bits - 1);
-    for (std::uint64_t i = 0; i < flips; ++i) {
-      const std::uint64_t bit = (start + i) % total_bits;
-      bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    }
-  } else {
-    for (std::uint64_t i = 0; i < flips; ++i) {
-      const std::uint64_t bit = rng.uniform_int(0, total_bits - 1);
-      bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    }
+  for (std::uint64_t i = 0; i < flips; ++i) {
+    const std::uint64_t bit = rng.uniform_int(0, total_bits - 1);
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   }
 }
 
@@ -196,9 +191,9 @@ void FaultEngine::schedule_next_flap(PortState& state) {
   const sim::Time gap = state.rng.exp_interval(
       static_cast<sim::Time>(mean_gap_seconds * sim::kSecond));
   const sim::Time down_for = static_cast<sim::Time>(state.rng.uniform_int(
-      static_cast<std::uint64_t>(state.lane.flap_down_min),
+      static_cast<std::uint64_t>(kFlapDownMin),
       static_cast<std::uint64_t>(
-          std::max(state.lane.flap_down_max, state.lane.flap_down_min))));
+          std::max(state.lane.flap_down_max, kFlapDownMin))));
   sim_.after(gap, [this, &state, down_for] {
     ++*state.flapped;
     state.port->set_up(false);

@@ -45,27 +45,25 @@ struct LaneConfig {
 
   // --- corruption lane: bits flip in the wire image ---
   double corrupt_rate = 0.0;
-  /// Bits flipped per corruption event (1..corrupt_max_bits, uniform).
+  /// Bits flipped per corruption event (1..corrupt_max_bits, uniform),
+  /// each at an independently drawn position.
   int corrupt_max_bits = 8;
-  /// Flip a contiguous bit run (cable hit) instead of scattered bits.
-  bool corrupt_burst = false;
 
   // --- duplication lane: a clone follows the original ---
   double duplicate_rate = 0.0;
   sim::Time duplicate_lag_max = 20 * sim::kMicrosecond;
 
-  // --- reorder lane: the packet is held so later ones overtake it ---
+  // --- reorder lane: the packet is held (up to 50 us) so later ones
+  //     overtake it ---
   double reorder_rate = 0.0;
-  sim::Time reorder_hold_max = 50 * sim::kMicrosecond;
 
-  // --- delay lane: extra earliest-start jitter ---
+  // --- delay lane: extra earliest-start jitter (up to 30 us) ---
   double jitter_rate = 0.0;
-  sim::Time jitter_max = 30 * sim::kMicrosecond;
 
   // --- link flap lane: the port goes down for a window, then recovers ---
   /// Mean flaps per simulated second (exponential gaps); 0 disables.
   double flaps_per_second = 0.0;
-  sim::Time flap_down_min = 100 * sim::kMicrosecond;
+  /// Longest down window; the shortest is 100 us.
   sim::Time flap_down_max = 2 * sim::kMillisecond;
 
   // --- scripted lane: deterministic faults by packet index ---

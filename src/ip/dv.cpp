@@ -38,42 +38,37 @@ DvRouting::DvRouting(sim::Simulator& sim, IpRouter& router, DvConfig config,
   sim_.after(config_.period + phase, [this] { tick(); });
 }
 
-bool DvRouting::has_route(Addr dst) const {
-  return router_.lookup(dst).has_value();
-}
-
 void DvRouting::tick() {
   auto& table = router_.table();
 
-  if (config_.detect_local_link_failure) {
-    for (auto& [addr, entry] : table) {
-      const bool up = router_.port(entry.out_port).is_up();
-      if (entry.connected) {
-        const std::uint8_t want = up ? 1 : config_.infinity;
-        if (entry.metric != want) {
-          entry.metric = want;
-          changed_ = true;
-          if (!up) ++stats_.routes_poisoned_locally;
-        }
-      } else if (!up && entry.metric < config_.infinity) {
-        entry.metric = config_.infinity;
+  // Poll the local interfaces: a down one poisons the routes using it.
+  for (auto& [addr, entry] : table) {
+    const bool up = router_.port(entry.out_port).is_up();
+    if (entry.connected) {
+      const std::uint8_t want = up ? 1 : kInfinityMetric;
+      if (entry.metric != want) {
+        entry.metric = want;
         changed_ = true;
-        ++stats_.routes_poisoned_locally;
+        if (!up) ++stats_.routes_poisoned_locally;
       }
+    } else if (!up && entry.metric < kInfinityMetric) {
+      entry.metric = kInfinityMetric;
+      changed_ = true;
+      ++stats_.routes_poisoned_locally;
     }
   }
 
   // Expire learned routes that have gone stale.
   for (auto it = table.begin(); it != table.end();) {
     RouteEntry& entry = it->second;
-    if (!entry.connected && entry.metric < config_.infinity &&
+    if (!entry.connected && entry.metric < kInfinityMetric &&
         sim_.now() - entry.refreshed > config_.timeout) {
-      entry.metric = config_.infinity;
+      entry.metric = kInfinityMetric;
       changed_ = true;
       ++stats_.routes_timed_out;
     }
     // Garbage-collect long-dead learned routes.
-    if (!entry.connected && entry.metric >= config_.infinity &&
+    if (!entry.connected && entry.metric >= kInfinityMetric &&
         sim_.now() - entry.refreshed > 2 * config_.timeout) {
       it = table.erase(it);
     } else {
@@ -95,7 +90,7 @@ void DvRouting::send_full_update() {
     for (const auto& [addr, entry] : table) {
       // Split horizon with poisoned reverse.
       const std::uint8_t metric = entry.out_port == p && !entry.connected
-                                      ? config_.infinity
+                                      ? kInfinityMetric
                                       : entry.metric;
       entries.emplace_back(addr, metric);
     }
@@ -111,7 +106,7 @@ void DvRouting::send_full_update() {
 }
 
 void DvRouting::maybe_trigger() {
-  if (!config_.triggered_updates || trigger_pending_) return;
+  if (trigger_pending_) return;
   trigger_pending_ = true;
   // Small fixed delay coalesces bursts of changes into one update.
   sim_.after(5 * sim::kMillisecond, [this] {
@@ -130,10 +125,10 @@ void DvRouting::on_rip(const IpPacketView& packet, int in_port) {
   auto& table = router_.table();
   for (const auto& [addr, advertised] : entries) {
     const std::uint8_t metric = static_cast<std::uint8_t>(
-        std::min<int>(advertised + 1, config_.infinity));
+        std::min<int>(advertised + 1, kInfinityMetric));
     auto it = table.find(addr);
     if (it == table.end()) {
-      if (metric < config_.infinity) {
+      if (metric < kInfinityMetric) {
         table[addr] = RouteEntry{in_port, metric, false, sim_.now()};
         changed_ = true;
       }

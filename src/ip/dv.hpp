@@ -3,7 +3,10 @@
 // Provides the "conventional distributed routing" whose reconvergence time
 // Sirpent's client-driven route switching is compared against (paper §6.3):
 // periodic full updates, split horizon with poisoned reverse, triggered
-// updates, route timeout at three periods, metric 16 = infinity.
+// updates, route timeout at three periods, metric 16 = infinity
+// (kInfinityMetric).  Local interfaces are polled each period; a down
+// interface poisons the routes using it (serial-line style local failure
+// detection).
 #pragma once
 
 #include <cstdint>
@@ -15,13 +18,8 @@ namespace srp::ip {
 
 struct DvConfig {
   sim::Time period = 100 * sim::kMillisecond;
-  std::uint8_t infinity = 16;
   /// A learned route not refreshed within this window is poisoned.
   sim::Time timeout = 300 * sim::kMillisecond;
-  bool triggered_updates = true;
-  /// Local interfaces are polled each period; a down interface poisons the
-  /// routes using it (serial-line style local failure detection).
-  bool detect_local_link_failure = true;
 };
 
 /// RIP-ish update payload: [count u16] then (addr u32, metric u8) entries.
@@ -44,10 +42,6 @@ class DvRouting {
   /// independent timers would be in a real deployment.
   DvRouting(sim::Simulator& sim, IpRouter& router, DvConfig config,
             sim::Time phase = 0);
-
-  /// True when the router currently holds a live route to @p dst —
-  /// the convergence probe used by bench_failover.
-  [[nodiscard]] bool has_route(Addr dst) const;
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -4,6 +4,11 @@
 
 namespace srp::ip {
 
+/// Per-packet processing: lookup + TTL + checksum update.  The paper's
+/// complaint: "each packet suffers a reception, storage and processing
+/// delay at each router."
+constexpr sim::Time kProcDelay = 20 * sim::kMicrosecond;
+
 IpRouter::IpRouter(sim::Simulator& sim, std::string name,
                    net::PacketFactory& packets, IpRouterConfig config)
     : net::PortedNode(sim, std::move(name)), packets_(packets),
@@ -15,7 +20,7 @@ void IpRouter::add_connected(Addr host, int out_port) {
 
 std::optional<int> IpRouter::lookup(Addr dst) const {
   const auto it = table_.find(dst);
-  if (it == table_.end() || it->second.metric >= config_.infinity_metric) {
+  if (it == table_.end() || it->second.metric >= kInfinityMetric) {
     return std::nullopt;
   }
   return it->second.out_port;
@@ -30,7 +35,7 @@ void IpRouter::on_arrival(const net::Arrival& arrival) {
   ++stats_.received;
   // Store-and-forward: nothing can happen before the last bit is in, and
   // then the packet pays the processing delay.
-  sim_.at(arrival.tail + config_.proc_delay,
+  sim_.at(arrival.tail + kProcDelay,
           [this, arrival] { process(arrival); });
 }
 

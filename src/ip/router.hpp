@@ -19,19 +19,17 @@
 
 namespace srp::ip {
 
+/// The RIP metric that means unreachable.
+inline constexpr std::uint8_t kInfinityMetric = 16;
+
 struct IpRouterConfig {
   Addr address = 0;  ///< the router's own address (routing updates)
-  /// Per-packet processing: lookup + TTL + checksum update.  The paper's
-  /// complaint: "each packet suffers a reception, storage and processing
-  /// delay at each router."
-  sim::Time proc_delay = 20 * sim::kMicrosecond;
-  std::uint8_t infinity_metric = 16;
 };
 
 /// One /32 routing table entry.
 struct RouteEntry {
   int out_port = 0;
-  std::uint8_t metric = 16;
+  std::uint8_t metric = kInfinityMetric;
   bool connected = false;   ///< directly attached; never expires
   sim::Time refreshed = 0;  ///< last confirmation from the protocol
 };

@@ -12,6 +12,10 @@
 namespace srp::obs {
 namespace {
 
+/// Distinct realized paths given their own `int.p<digest>.*` series;
+/// beyond this, packets still aggregate but count paths_overflow.
+constexpr std::size_t kMaxPaths = 32;
+
 void put_u16(std::uint8_t* p, std::uint16_t v) {
   p[0] = static_cast<std::uint8_t>(v >> 8);
   p[1] = static_cast<std::uint8_t>(v);
@@ -149,31 +153,28 @@ sim::Time PathRecord::stamped_latency() const {
 PathCollector::PathCollector(stats::Registry* registry,
                              FlightRecorder* recorder,
                              PathCollectorConfig config)
-    : config_(std::move(config)), registry_(registry), recorder_(recorder) {
+    : config_(config), registry_(registry), recorder_(recorder) {
   if (config_.max_records == 0) config_.max_records = 1;
   if (registry_ == nullptr) return;
-  const std::string inst = stats::metric_component(config_.instance);
-  registry_->counter("int." + inst + ".packets", totals_.packets);
-  registry_->counter("int." + inst + ".hops_stamped", totals_.hops_stamped);
-  registry_->counter("int." + inst + ".truncated", totals_.truncated);
-  registry_->counter("int." + inst + ".decode_errors", totals_.decode_errors);
-  registry_->counter("int." + inst + ".drops_localized",
-                     totals_.drops_localized);
-  registry_->counter("int." + inst + ".paths_overflow",
-                     totals_.paths_overflow);
-  m_paths_ = &registry_->gauge("int." + inst + ".paths");
-  m_hop_latency_ = &registry_->histogram("int." + inst + ".hop_latency_ps");
-  m_queue_depth_ = &registry_->histogram("int." + inst + ".queue_depth");
-  m_queue_wait_ = &registry_->histogram("int." + inst + ".queue_wait_ps");
-  m_e2e_ = &registry_->histogram("int." + inst + ".e2e_ps");
-  m_residual_ = &registry_->histogram("int." + inst + ".residual_ps");
-  m_drop_last_hop_ = &registry_->histogram("int." + inst + ".drop_last_hop");
+  registry_->counter("int.path.packets", totals_.packets);
+  registry_->counter("int.path.hops_stamped", totals_.hops_stamped);
+  registry_->counter("int.path.truncated", totals_.truncated);
+  registry_->counter("int.path.decode_errors", totals_.decode_errors);
+  registry_->counter("int.path.drops_localized", totals_.drops_localized);
+  registry_->counter("int.path.paths_overflow", totals_.paths_overflow);
+  m_paths_ = &registry_->gauge("int.path.paths");
+  m_hop_latency_ = &registry_->histogram("int.path.hop_latency_ps");
+  m_queue_depth_ = &registry_->histogram("int.path.queue_depth");
+  m_queue_wait_ = &registry_->histogram("int.path.queue_wait_ps");
+  m_e2e_ = &registry_->histogram("int.path.e2e_ps");
+  m_residual_ = &registry_->histogram("int.path.residual_ps");
+  m_drop_last_hop_ = &registry_->histogram("int.path.drop_last_hop");
 }
 
 PathCollector::PathSeries& PathCollector::series_for(std::uint64_t digest) {
   const auto it = series_.find(digest);
   if (it != series_.end()) return it->second;
-  const bool named = series_.size() < config_.max_paths;
+  const bool named = series_.size() < kMaxPaths;
   if (!named) totals_.paths_overflow += 1;
   totals_.paths = series_.size() + 1;
   if (m_paths_ != nullptr) {

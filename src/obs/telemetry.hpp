@@ -102,11 +102,6 @@ struct HopTelemetry {
     std::span<const HopTelemetry> hops);
 
 struct PathCollectorConfig {
-  /// Metric instance: everything lands under `int.<instance>.*`.
-  std::string instance = "path";
-  /// Distinct realized paths given their own `int.p<digest>.*` series;
-  /// beyond this, packets still aggregate but count paths_overflow.
-  std::size_t max_paths = 32;
   /// Reconstructed PathRecords retained for inspection (ring; oldest out).
   std::size_t max_records = 1024;
 };
@@ -154,7 +149,7 @@ class PathCollector {
     std::uint64_t drops_localized = 0;  ///< postcards recovered from
                                         ///  malformed/truncated arrivals
     std::uint64_t paths = 0;            ///< distinct realized paths
-    std::uint64_t paths_overflow = 0;   ///< beyond config.max_paths
+    std::uint64_t paths_overflow = 0;   ///< beyond the first 32 paths
   };
 
   PathCollector(stats::Registry* registry, FlightRecorder* recorder,
@@ -205,7 +200,7 @@ class PathCollector {
   std::map<std::uint32_t, std::uint64_t> drops_after_router_;
 
   // Aggregate handles, resolved at construction; null = metrics off.  The
-  // `int.<instance>.*` counters are bound to totals_.
+  // `int.path.*` counters are bound to totals_.
   stats::Gauge* m_paths_ = nullptr;
   stats::Histogram* m_hop_latency_ = nullptr;
   stats::Histogram* m_queue_depth_ = nullptr;

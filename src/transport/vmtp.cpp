@@ -102,10 +102,10 @@ std::size_t VmtpEndpoint::part_count(std::size_t bytes) const {
 
 std::uint8_t VmtpEndpoint::group_size_for(std::size_t bytes) const {
   const std::size_t parts = part_count(bytes);
-  if (parts > config_.max_group) {
+  if (parts > kMaxGroup) {
     throw std::invalid_argument(
         "VMTP: message exceeds one packet group (" + std::to_string(parts) +
-        " > " + std::to_string(config_.max_group) + " packets)");
+        " > " + std::to_string(kMaxGroup) + " packets)");
   }
   return static_cast<std::uint8_t>(parts);
 }

@@ -40,11 +40,12 @@
 
 namespace srp::vmtp {
 
+/// Packets per packet group: one message is at most this many packets.
+inline constexpr std::size_t kMaxGroup = 16;
+
 struct VmtpConfig {
   /// Data bytes per packet ("roughly 1 kilobyte transport packet", §5).
   std::size_t max_data_per_packet = 1024;
-  /// Packets per packet group.
-  std::size_t max_group = 16;
   /// Pacing rate between packets of a group; 0 = unpaced.
   double send_rate_bps = 0.0;
   /// Initial / minimum retransmission timeout.

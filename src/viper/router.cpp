@@ -24,6 +24,9 @@ net::TxMeta meta_for(const core::TypeOfService& tos) {
 /// escapes and one telemetry record.
 constexpr std::size_t kRewriteSlack = 8 + 4 + obs::kHopTelemetryWire;
 
+/// Per-packet processing when operating store-and-forward.
+constexpr sim::Time kStoreForwardProc = 2 * sim::kMicrosecond;
+
 }  // namespace
 
 /// Port field of the packet's next segment, or 0 when the remainder does
@@ -338,7 +341,7 @@ SRP_HOT_PATH void ViperRouter::append_rewrite(
 
 SRP_HOT_PATH std::optional<ViperRouter::TokenDecision>
 ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
-  if (!config_.require_tokens || authority_ == nullptr) {
+  if (!require_tokens_ || authority_ == nullptr) {
     // Enforcement disabled: echo any supplied token into the trailer so
     // the receiver can reuse it on the return route.
     return TokenDecision{0, !seg.token.empty()};
@@ -405,8 +408,8 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
         wire::Bytes token_copy(seg.token.begin(), seg.token.end()));
     const std::uint64_t first_packet_bytes = packet_bytes;
     // SRP_ALLOC_OK(verification completion event, once per token value)
-    sim_.after(config_.verify_delay, [this, token_copy = std::move(token_copy),
-                                      first_packet_bytes, key] {
+    sim_.after(verify_delay_, [this, token_copy = std::move(token_copy),
+                               first_packet_bytes, key] {
       pending_verifies_.erase(key);
       const std::optional<tokens::TokenBody> body =
           authority_->open(config_.router_id, token_copy);
@@ -414,7 +417,7 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
       // packet that flew before verification landed is charged exactly
       // once (tokens/token_core.hpp owns the transition).
       const std::uint64_t settle_bytes =
-          config_.uncached_policy == tokens::UncachedPolicy::kOptimistic
+          uncached_policy_ == tokens::UncachedPolicy::kOptimistic
               ? first_packet_bytes
               : 0;
       const auto outcome = token_cache_.store_and_settle(
@@ -425,7 +428,7 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
     });
   }
 
-  switch (config_.uncached_policy) {
+  switch (uncached_policy_) {
     case tokens::UncachedPolicy::kOptimistic:
       // "one or a small number of unauthorized packets can be allowed
       // through without significant problems."  The token is also echoed
@@ -437,7 +440,7 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
       // "the initial packet can be handled as a blocked packet ... the
       // blocking action allows some time for the token to be processed."
       count_token_outcome(obs::TokenOutcome::kMissBlocking);
-      return TokenDecision{config_.verify_delay, false,
+      return TokenDecision{verify_delay_, false,
                            obs::TokenOutcome::kMissBlocking};
     case tokens::UncachedPolicy::kDrop:
       ++stats_.dropped_uncached;
@@ -510,7 +513,7 @@ SRP_HOT_PATH ViperRouter::ForwardTiming ViperRouter::forward_timing(
   } else {
     // "Cut-through routing is only applicable when the input link and the
     // output link are the same data rates" — otherwise store-and-forward.
-    timing.decision = arrival.tail + config_.store_forward_proc;
+    timing.decision = arrival.tail + kStoreForwardProc;
   }
   timing.earliest = timing.decision + config_.decision_delay;
   SIRPENT_ENSURES(timing.earliest >= arrival.head);
@@ -531,7 +534,7 @@ SRP_HOT_PATH void ViperRouter::forward_to_port(
   const auto decision = admit_token(seg, bytes.size());
   if (!decision.has_value()) return;
   if (decision->extra_delay > 0 &&
-      config_.uncached_policy == tokens::UncachedPolicy::kBlocking) {
+      uncached_policy_ == tokens::UncachedPolicy::kBlocking) {
     defer_blocked(arrival, physical_port, bytes, ingress,
                   decision->extra_delay);
     return;

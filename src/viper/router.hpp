@@ -61,15 +61,6 @@ struct RouterConfig {
   /// Switch decision + setup time ("significantly less than a
   /// microsecond", §2.1/§6.1).
   sim::Time decision_delay = 500 * sim::kNanosecond;
-
-  /// Per-packet processing when operating store-and-forward.
-  sim::Time store_forward_proc = 2 * sim::kMicrosecond;
-
-  // --- token handling (§2.2) ---
-  bool require_tokens = false;
-  tokens::UncachedPolicy uncached_policy = tokens::UncachedPolicy::kOptimistic;
-  /// Full decrypt+check time for an uncached token.
-  sim::Time verify_delay = 50 * sim::kMicrosecond;
 };
 
 /// A port id that maps to several physical ports (paper §2.2 "logical hops
@@ -183,13 +174,14 @@ class ViperRouter : public ViperNode {
   void set_token_authority(const tokens::TokenAuthority* authority,
                            tokens::Ledger* ledger);
 
-  /// Adjusts token enforcement after construction (experiment harness
-  /// convenience).
+  /// Sets token enforcement (§2.2): whether packets must carry a valid
+  /// token, what an uncached one meets, and the full decrypt+check time
+  /// of an uncached token.  Off until called (Fabric::enable_tokens).
   void set_token_requirement(bool require, tokens::UncachedPolicy policy,
                              sim::Time verify_delay) {
-    config_.require_tokens = require;
-    config_.uncached_policy = policy;
-    config_.verify_delay = verify_delay;
+    require_tokens_ = require;
+    uncached_policy_ = policy;
+    verify_delay_ = verify_delay;
   }
 
   /// Wires the router (and its token cache) to an observability sink:
@@ -364,6 +356,9 @@ class ViperRouter : public ViperNode {
 
   const tokens::TokenAuthority* authority_ = nullptr;
   tokens::Ledger* ledger_ = nullptr;
+  bool require_tokens_ = false;
+  tokens::UncachedPolicy uncached_policy_ = tokens::UncachedPolicy::kOptimistic;
+  sim::Time verify_delay_ = 50 * sim::kMicrosecond;
   tokens::TokenCache token_cache_;
   std::unordered_set<std::uint64_t> pending_verifies_;
 

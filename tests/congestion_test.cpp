@@ -223,6 +223,65 @@ TEST(FeedForward, StampTravelsOneHopAndRenewsGrants) {
   EXPECT_GT(dst.stats().delivered, 1000u);
 }
 
+/// A router-side rate limit's whole life: src -> r0 -> r1 -> (100 Mb/s)
+/// -> dst.  The source offers 2.4x the bottleneck for 30 ms and stops; r1
+/// grants r0 a rate toward its congested port, r0 shapes toward it, and
+/// once r1's reports stop the core decides how r0's limit leaves.
+CongestionController::Stats router_flow_after_quiet(double ramp_factor) {
+  sim::Simulator sim;
+  dir::Fabric fabric(sim);
+  auto& src = fabric.add_host("src.rf");
+  auto& r0 = fabric.add_router("r0");
+  auto& r1 = fabric.add_router("r1");
+  auto& dst = fabric.add_host("dst.rf");
+  dir::LinkParams fast;
+  fast.rate_bps = 1e9;
+  dir::LinkParams slow;
+  slow.rate_bps = 1e8;
+  fabric.connect(src, r0, fast);
+  fabric.connect(r0, r1, fast);
+  fabric.connect(r1, dst, slow);
+  ControllerConfig config;
+  config.interval = sim::kMillisecond;
+  config.queue_watermark_bytes = 4'000;
+  config.ramp_factor = ramp_factor;
+  fabric.enable_congestion_control(config);
+
+  core::SourceRoute route;
+  route.segments = {p2p_segment(2), p2p_segment(2), local_segment()};
+  for (int i = 0; i < 900; ++i) {
+    sim.at(1 + i * 33 * sim::kMicrosecond, [&] {
+      src.send(route, pattern_bytes(1000));
+    });
+  }
+  sim.run_until(200 * sim::kMillisecond);
+  CongestionController* c0 = fabric.controller_of(r0);
+  EXPECT_NE(c0, nullptr);
+  if (c0 == nullptr) return {};
+  EXPECT_TRUE(c0->flow_snapshots().empty());
+  EXPECT_EQ(c0->held_packets(), 0u);
+  return c0->stats();
+}
+
+TEST(RouterRateLimit, RampsOutAtThePortRateWhenReportsStop) {
+  // 1.4x per quiet 2 ms lifts r1's 90 Mb/s grant past r0's 1 Gb/s port
+  // in 16 ms, well inside the 50 ms TTL.
+  const auto stats = router_flow_after_quiet(1.4);
+  EXPECT_GT(stats.packets_shaped, 0u);
+  EXPECT_EQ(stats.flows_created, 1u);
+  EXPECT_EQ(stats.flows_ramped_out, 1u);
+  EXPECT_EQ(stats.flows_expired, 0u);
+}
+
+TEST(RouterRateLimit, ExpiresAfterTheTtlWhenTheRampIsSlow) {
+  // 1.01x per quiet 2 ms stays far below the port rate for the whole TTL.
+  const auto stats = router_flow_after_quiet(1.01);
+  EXPECT_GT(stats.packets_shaped, 0u);
+  EXPECT_EQ(stats.flows_created, 1u);
+  EXPECT_EQ(stats.flows_expired, 1u);
+  EXPECT_EQ(stats.flows_ramped_out, 0u);
+}
+
 TEST(ThrottleUnit, RampRemovesLimitWhenReportsStop) {
   sim::Simulator sim;
   net::PacketFactory packets;

@@ -53,8 +53,8 @@ struct CvcLineTest : ::testing::Test {
 
   void build() {
     a = &net.add<CvcHost>("a", net.packets());
-    s1 = &net.add<CvcSwitch>("s1", SwitchConfig{});
-    s2 = &net.add<CvcSwitch>("s2", SwitchConfig{});
+    s1 = &net.add<CvcSwitch>("s1");
+    s2 = &net.add<CvcSwitch>("s2");
     b = &net.add<CvcHost>("b", net.packets());
     const net::LinkConfig cfg{1e9, 10 * sim::kMicrosecond, 1500};
     net.duplex(*a, *s1, cfg);   // s1 port 1 toward a

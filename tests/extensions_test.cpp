@@ -117,7 +117,7 @@ TEST(CvcReject, UnroutableSetupRejectedImmediately) {
   sim::Simulator sim;
   net::Network net(sim);
   auto& a = net.add<cvc::CvcHost>("a", net.packets());
-  auto& s = net.add<cvc::CvcSwitch>("s", cvc::SwitchConfig{});
+  auto& s = net.add<cvc::CvcSwitch>("s");
   auto& b = net.add<cvc::CvcHost>("b", net.packets());
   const net::LinkConfig cfg{1e9, 10 * sim::kMicrosecond, 1500};
   net.duplex(a, s, cfg);

@@ -77,8 +77,7 @@ struct IpLineTest : ::testing::Test {
     fabric.connect(*a, *r1, edge);
     fabric.connect(*r1, *r2, middle);
     fabric.connect(*r2, *b, edge);
-    fabric.enable_dv(DvConfig{20 * sim::kMillisecond, 16,
-                              60 * sim::kMillisecond, true, true});
+    fabric.enable_dv(DvConfig{20 * sim::kMillisecond, 60 * sim::kMillisecond});
     // Let DV converge.
     sim.run_until(200 * sim::kMillisecond);
   }
@@ -182,8 +181,7 @@ TEST(IpDvConvergence, ReroutesAroundFailure) {
   fabric.connect(r1, r2, cfg);  // r1 port 3 (detour)
   fabric.connect(r2, r3, cfg);
   fabric.connect(r3, b, cfg);
-  fabric.enable_dv(DvConfig{20 * sim::kMillisecond, 16,
-                            60 * sim::kMillisecond, true, true});
+  fabric.enable_dv(DvConfig{20 * sim::kMillisecond, 60 * sim::kMillisecond});
   sim.run_until(200 * sim::kMillisecond);
   ASSERT_TRUE(r1.lookup(kB).has_value());
   EXPECT_EQ(*r1.lookup(kB), 2);  // direct

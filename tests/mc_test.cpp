@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "congestion/controller.hpp"
 #include "congestion/throttle.hpp"
 #include "directory/fabric.hpp"
 #include "fault/engine.hpp"
@@ -563,11 +564,32 @@ TEST(Regress, ThrottleNoDecayNeverExpiresOnlyOnMutant) {
     throttle.apply_report(report);
     EXPECT_EQ(throttle.active_flows(), 1u);
 
+    // The same trace against a router's rate limit: a neighbour router
+    // grants it once, then only the controller's ticks run.  The model's
+    // 1 ms tick is the controller's ramp interval, two report intervals.
+    auto& feeder = fabric.add_router("r.feeder");
+    auto& granter = fabric.add_router("r.granter");
+    fabric.connect(feeder, granter);
+    cc::ControllerConfig router_config;
+    router_config.interval = sim::kMillisecond / 2;
+    router_config.flow_ttl = config.flow_ttl;
+    router_config.ramp_factor = config.ramp_factor;
+    cc::CongestionController controller(sim, feeder, router_config);
+    if (use_mutant) {
+      controller.set_step_for_test(mutant(cx.mutant).throttle);
+    }
+    granter.send_control(1, cc::encode_rate_report(report));
+
     sim.run_until(10 * sim::kMillisecond);  // trace drives 6 ticks; ample
+    EXPECT_EQ(controller.stats().flows_created, 1u);
     if (use_mutant) {
       EXPECT_EQ(throttle.active_flows(), 1u);  // soft state never expires
+      EXPECT_EQ(controller.flow_snapshots().size(), 1u);
+      EXPECT_EQ(controller.stats().flows_expired, 0u);
     } else {
       EXPECT_EQ(throttle.active_flows(), 0u);
+      EXPECT_TRUE(controller.flow_snapshots().empty());
+      EXPECT_EQ(controller.stats().flows_expired, 1u);
     }
   }
 }
