@@ -163,7 +163,7 @@ std::pair<sim::Time, sim::Time> run_sirpent_cold(int hops) {
   net::PortedNode* prev = &client_host;
   viper::ViperRouter* first_router = nullptr;
   for (int i = 0; i < hops; ++i) {
-    auto& r = fabric.add_router("r" + std::to_string(i));
+    auto& r = fabric.add_router(numbered("r", i));
     fabric.connect(*prev, r, params);
     if (i == 0) first_router = &r;
     prev = &r;

@@ -42,7 +42,7 @@ struct Net {
       fabric->connect(*core, edge);  // core ports 2..5, edge port 1 up
       edges.push_back(&edge);
       for (int m = 0; m < kMembersPerEdge; ++m) {
-        auto& h = fabric->add_host("m" + std::to_string(e) + "_" +
+        auto& h = fabric->add_host(numbered("m", e) + "_" +
                                    std::to_string(m) + ".bench");
         fabric->connect(edge, h);  // edge ports 2..5
         members.push_back(&h);

@@ -34,13 +34,13 @@ std::size_t ip_table_entries(int routers, int hosts_per_router) {
   const net::LinkConfig cfg{1e9, 5 * sim::kMicrosecond, 1500};
   ip::Addr next_addr = 1;
   for (int i = 0; i < routers; ++i) {
-    auto& r = fabric.add_router("r" + std::to_string(i),
+    auto& r = fabric.add_router(numbered("r", i),
                                 0x0A000000 + static_cast<ip::Addr>(i));
     if (i > 0) fabric.connect(*line.back(), r, cfg);
     line.push_back(&r);
     for (int h = 0; h < hosts_per_router; ++h) {
       auto& host = fabric.add_host(
-          "h" + std::to_string(i) + "_" + std::to_string(h), next_addr++);
+          numbered("h", i) + "_" + std::to_string(h), next_addr++);
       fabric.connect(host, r, cfg);
     }
   }
@@ -66,11 +66,11 @@ SirpentState sirpent_state(int routers, int hosts_per_router, int flows) {
   std::vector<viper::ViperRouter*> line;
   std::vector<viper::ViperHost*> hosts;
   for (int i = 0; i < routers; ++i) {
-    auto& r = fabric.add_router("r" + std::to_string(i));
+    auto& r = fabric.add_router(numbered("r", i));
     if (i > 0) fabric.connect(*line.back(), r);
     line.push_back(&r);
     for (int h = 0; h < hosts_per_router; ++h) {
-      auto& host = fabric.add_host("h" + std::to_string(i) + "_" +
+      auto& host = fabric.add_host(numbered("h", i) + "_" +
                                    std::to_string(h) + ".sc");
       fabric.connect(host, r);
       hosts.push_back(&host);

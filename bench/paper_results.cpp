@@ -153,7 +153,7 @@ A2Case a2_case(bool feed_forward) {
   slow.rate_bps = 1e8;
   slow.prop_delay = 10 * sim::kMicrosecond;
   for (int i = 0; i < 3; ++i) {
-    auto& h = fabric.add_host("s" + std::to_string(i) + ".a2");
+    auto& h = fabric.add_host(numbered("s", i) + ".a2");
     fabric.connect(h, r0, edge);  // r0 ports 1..3
     sources.push_back(&h);
   }

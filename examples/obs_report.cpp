@@ -34,7 +34,9 @@ int main() {
   std::vector<viper::ViperRouter*> routers;
   net::PortedNode* prev = &client;
   for (int i = 1; i <= 4; ++i) {
-    auto& r = fabric.add_router("r" + std::to_string(i));
+    std::string name = "r";  // appended: GCC 12 -O3 false -Wrestrict
+    name += std::to_string(i);
+    auto& r = fabric.add_router(name);
     fabric.connect(*prev, r);
     routers.push_back(&r);
     prev = &r;

@@ -1,5 +1,6 @@
 #include "crypto/xtea.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace srp::crypto {
@@ -49,9 +50,10 @@ void xtea_decrypt_block(const XteaKey& key, std::uint32_t v[2]) {
 
 std::vector<std::uint8_t> xtea_cbc_encrypt(const XteaKey& key,
                                            std::span<const std::uint8_t> in) {
-  std::vector<std::uint8_t> buf(in.begin(), in.end());
-  buf.resize((buf.size() + 7) / 8 * 8, 0);
-  if (buf.empty()) buf.resize(8, 0);
+  // Zero-padded to whole blocks, at least one.
+  std::vector<std::uint8_t> buf(
+      std::max<std::size_t>(8, (in.size() + 7) / 8 * 8));
+  std::copy(in.begin(), in.end(), buf.begin());
 
   std::uint32_t prev[2] = {0, 0};  // zero IV (see header for rationale)
   for (std::size_t off = 0; off < buf.size(); off += 8) {

@@ -120,10 +120,6 @@ class RemoteDirectoryClient {
     return referrals_followed_;
   }
 
-  [[nodiscard]] const vmtp::VmtpEndpoint::Stats& transport_stats() const {
-    return endpoint_.stats();
-  }
-
  private:
   void query_at(const IssuedRoute& server_route,
                 std::uint64_t server_entity, const std::string& name,

@@ -103,12 +103,9 @@ bool AlertEngine::observe(std::size_t rule, sim::Time now,
   return false;
 }
 
-std::vector<const Alert*> AlertEngine::firing() const {
-  std::vector<const Alert*> out;
-  for (const auto& cell : cells_) {
-    if (cell.state == AlertState::kFiring) out.push_back(&cell);
-  }
-  return out;
+std::size_t AlertEngine::firing_count() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      cells_, [](const Alert& c) { return c.state == AlertState::kFiring; }));
 }
 
 std::vector<const Alert*> AlertEngine::fired() const {

@@ -87,8 +87,8 @@ class AlertEngine {
   [[nodiscard]] std::size_t rules() const { return cells_.size(); }
   [[nodiscard]] const Alert& alert(std::size_t rule) const;
 
-  /// Alerts currently in kFiring.
-  [[nodiscard]] std::vector<const Alert*> firing() const;
+  /// How many alerts are in kFiring now.
+  [[nodiscard]] std::size_t firing_count() const;
   /// Alerts that fired at least once (firing or resolved), episode order.
   [[nodiscard]] std::vector<const Alert*> fired() const;
   /// All rule cells (inactive ones included).

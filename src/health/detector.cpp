@@ -31,8 +31,8 @@ Verdict ThresholdDetector::evaluate(double value) {
 }
 
 EwmaDetector::EwmaDetector(EwmaConfig config) : config_(config) {
-  SIRPENT_EXPECTS(config_.alpha > 0.0 && config_.alpha <= 1.0);
-  SIRPENT_EXPECTS(config_.clear_sigmas <= config_.sigmas);
+  static_assert(kAlpha > 0.0 && kAlpha <= 1.0);
+  static_assert(kClearSigmas <= kSigmas);
   SIRPENT_EXPECTS(config_.min_sigma > 0.0);
 }
 
@@ -41,15 +41,14 @@ double EwmaDetector::sigma() const {
 }
 
 Verdict EwmaDetector::evaluate(double value) {
-  if (seen_ < config_.warmup) {
+  if (seen_ < kWarmup) {
     // Cold start: seed the baseline without scoring.  The first sample
     // initialises the mean outright so warmup does not drag it up from 0.
     if (seen_ == 0) {
       mean_ = value;
     } else {
-      mean_ += config_.alpha * (value - mean_);
-      variance_ += config_.alpha * ((value - mean_) * (value - mean_) -
-                                    variance_);
+      mean_ += kAlpha * (value - mean_);
+      variance_ += kAlpha * ((value - mean_) * (value - mean_) - variance_);
     }
     ++seen_;
     return {false, value, 0.0};
@@ -57,24 +56,22 @@ Verdict EwmaDetector::evaluate(double value) {
 
   const double deviation = value - mean_;
   const double z = deviation / sigma();
-  const double magnitude = config_.one_sided ? z : std::abs(z);
 
   if (breached_) {
-    if (magnitude <= config_.clear_sigmas) breached_ = false;
+    if (z <= kClearSigmas) breached_ = false;
   } else {
-    breached_ = magnitude >= config_.sigmas &&
-                std::abs(deviation) >= config_.min_deviation;
+    breached_ = z >= kSigmas && std::abs(deviation) >= config_.min_deviation;
   }
 
   // Fold the sample into the baseline only while healthy: a sustained
   // fault must stay anomalous instead of becoming the new normal.
   if (!breached_) {
     const double err = value - mean_;
-    mean_ += config_.alpha * err;
-    variance_ += config_.alpha * (err * err - variance_);
+    mean_ += kAlpha * err;
+    variance_ += kAlpha * (err * err - variance_);
     ++seen_;
   }
-  return {breached_, value, magnitude};
+  return {breached_, value, z};
 }
 
 double fraction_above(const stats::HistogramSnapshot& window,
@@ -101,21 +98,21 @@ double fraction_above(const stats::HistogramSnapshot& window,
 }
 
 BurnRateDetector::BurnRateDetector(BurnRateConfig config) : config_(config) {
+  static_assert(kErrorBudget > 0.0);
+  static_assert(kClearBurn <= kBurnLimit);
   SIRPENT_EXPECTS(config_.objective > 0);
-  SIRPENT_EXPECTS(config_.error_budget > 0.0);
-  SIRPENT_EXPECTS(config_.clear_burn <= config_.burn_limit);
 }
 
 Verdict BurnRateDetector::evaluate(const stats::HistogramSnapshot& window) {
-  if (window.count < config_.min_samples) {
+  if (window.count < kMinSamples) {
     return {breached_, 0.0, 0.0};
   }
   const double over = fraction_above(window, config_.objective);
-  const double burn = over / config_.error_budget;
+  const double burn = over / kErrorBudget;
   if (breached_) {
-    if (burn <= config_.clear_burn) breached_ = false;
+    if (burn <= kClearBurn) breached_ = false;
   } else {
-    if (burn >= config_.burn_limit) breached_ = true;
+    if (burn >= kBurnLimit) breached_ = true;
   }
   return {breached_, over, burn};
 }

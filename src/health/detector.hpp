@@ -41,7 +41,7 @@ enum class DetectorKind : std::uint8_t {
 [[nodiscard]] std::string_view to_string(DetectorKind kind);
 
 /// One window's evaluation.  score is detector-specific: threshold -> the
-/// value itself, EWMA -> |z|, burn rate -> the burn multiple.
+/// value itself, EWMA -> z, burn rate -> the burn multiple.
 struct Verdict {
   bool breach = false;
   double value = 0.0;  ///< the windowed reading that was evaluated
@@ -64,17 +64,19 @@ class ThresholdDetector {
 };
 
 struct EwmaConfig {
-  double alpha = 0.3;          ///< smoothing weight for mean and variance
-  double sigmas = 4.0;         ///< breach when |z| >= sigmas
-  double clear_sigmas = 2.0;   ///< clear when |z| <= clear_sigmas
   double min_deviation = 1.0;  ///< absolute deviation floor to breach
   double min_sigma = 0.5;      ///< variance floor used in the z-score
-  std::size_t warmup = 3;      ///< windows absorbed before scoring
-  bool one_sided = true;       ///< only deviations above baseline breach
 };
 
+/// Only deviations above the baseline breach: every EWMA input (a p99
+/// latency, an event rate) is bad only when high.
 class EwmaDetector {
  public:
+  static constexpr double kAlpha = 0.3;        ///< mean/variance weight
+  static constexpr double kSigmas = 4.0;       ///< breach when z >= this
+  static constexpr double kClearSigmas = 2.0;  ///< clear when z <= this
+  static constexpr std::size_t kWarmup = 3;    ///< windows before scoring
+
   explicit EwmaDetector(EwmaConfig config);
   Verdict evaluate(double value);
 
@@ -90,11 +92,7 @@ class EwmaDetector {
 };
 
 struct BurnRateConfig {
-  std::uint64_t objective = 0;   ///< latency objective (histogram units)
-  double error_budget = 0.001;   ///< allowed fraction of samples over it
-  double burn_limit = 10.0;      ///< breach when burn >= limit
-  double clear_burn = 1.0;       ///< clear when burn <= clear_burn
-  std::uint64_t min_samples = 8; ///< windows with fewer samples are skipped
+  std::uint64_t objective = 0;  ///< latency objective (histogram units)
 };
 
 /// Fraction of @p window's samples whose value exceeds @p threshold,
@@ -106,10 +104,15 @@ struct BurnRateConfig {
 
 class BurnRateDetector {
  public:
+  static constexpr double kErrorBudget = 0.01;  ///< allowed fraction over
+  static constexpr double kBurnLimit = 10.0;    ///< breach when burn >= this
+  static constexpr double kClearBurn = 1.0;     ///< clear when burn <= this
+  static constexpr std::uint64_t kMinSamples = 8;  ///< fewer are skipped
+
   explicit BurnRateDetector(BurnRateConfig config);
 
   /// Evaluates one window of the objective histogram.  Windows with fewer
-  /// than min_samples samples keep the previous breach state (a quiet
+  /// than kMinSamples samples keep the previous breach state (a quiet
   /// window is not evidence of recovery or of burn).
   Verdict evaluate(const stats::HistogramSnapshot& window);
 

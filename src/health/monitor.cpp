@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -15,8 +16,9 @@ namespace srp::health {
 namespace {
 
 using stats::append_fmt;
+using enum DetectorKind;
 
-// The rule templates' settings.
+// The rule templates and their settings.
 
 /// Threshold rules (wire loss, link-down drops, link down, token rejects)
 /// breach on one event per window and clear on a window with none.
@@ -24,32 +26,41 @@ constexpr ThresholdConfig kAnyEvent{.limit = 1.0, .clear_limit = 0.0};
 
 /// Baseline deviation of windowed p99s (queue wait, RTT); the
 /// min_deviation floor is in histogram units (picoseconds).
-constexpr EwmaConfig kLatencyEwma{.alpha = 0.3,
-                                  .sigmas = 4.0,
-                                  .clear_sigmas = 2.0,
-                                  .min_deviation = 50.0 * sim::kMicrosecond,
-                                  .min_sigma = 10.0 * sim::kMicrosecond,
-                                  .warmup = 3,
-                                  .one_sided = true};
+constexpr EwmaConfig kLatencyEwma{.min_deviation = 50.0 * sim::kMicrosecond,
+                                  .min_sigma = 10.0 * sim::kMicrosecond};
 
 /// Baseline deviation of windowed counter rates (token misses,
 /// retransmits); the min_deviation floor is in events per window.
-constexpr EwmaConfig kRateEwma{.alpha = 0.3,
-                               .sigmas = 4.0,
-                               .clear_sigmas = 2.0,
-                               .min_deviation = 8.0,
-                               .min_sigma = 2.0,
-                               .warmup = 3,
-                               .one_sided = true};
+constexpr EwmaConfig kRateEwma{.min_deviation = 8.0, .min_sigma = 2.0};
 
 /// Delivery-latency SLO, applied to every `host.*.e2e_latency_ps`
 /// histogram: at most 1% of deliveries may exceed 5 ms; SloBurnRate
 /// fires when the budget burns at 10x or faster.
-constexpr BurnRateConfig kSlo{.objective = 5 * sim::kMillisecond,
-                              .error_budget = 0.01,
-                              .burn_limit = 10.0,
-                              .clear_burn = 1.0,
-                              .min_samples = 8};
+constexpr BurnRateConfig kSlo{.objective = 5 * sim::kMillisecond};
+
+/// A rule template: a metric named `<prefix>*<suffix>` gets the alert
+/// `alert` from a `kind` detector.  Each series kind has its own table.
+struct Template {
+  std::string_view prefix, suffix, alert;
+  DetectorKind kind;
+};
+
+constexpr Template kCounterTemplates[] = {
+    {"port.", ".wire_loss", "LinkWireLoss", kThreshold},
+    {"port.", ".down_drops", "LinkDownDrops", kThreshold},
+    {"viper.", ".token_rejected", "TokenRejects", kThreshold},
+    {"viper.", ".token_miss_optimistic", "TokenMissSurge", kEwma},
+    {"viper.", ".token_miss_blocking", "TokenMissSurge", kEwma},
+    {"viper.", ".token_miss_drop", "TokenMissSurge", kEwma},
+    {"vmtp.", ".retransmits", "RetransmitSurge", kEwma},
+};
+constexpr Template kGaugeTemplates[] = {
+    {"port.", ".link_up", "LinkDown", kThreshold}};
+constexpr Template kHistogramTemplates[] = {
+    {"port.", ".queue_wait_ps", "QueueWaitSurge", kEwma},
+    {"vmtp.", ".rtt_ps", "RttSurge", kEwma},
+    {"host.", ".e2e_latency_ps", "SloBurnRate", kBurnRate},
+};
 
 /// value - previous, clamped at 0 against resets.
 std::uint64_t clamped_delta(std::uint64_t value, std::uint64_t previous) {
@@ -168,125 +179,96 @@ void HealthMonitor::publish_probe_mirrors() {
   }
 }
 
-void HealthMonitor::instantiate_rules(const stats::MetricsSnapshot& snap) {
-  const auto add_rule = [&](const std::string& metric, std::string alert,
-                            Reading reading, DetectorKind kind,
-                            auto detector) {
+void HealthMonitor::discover_rules() {
+  // Names are never removed, so a registry of unchanged size holds no
+  // series that the last walk did not see.
+  if (registry_.size() == discovered_size_) return;
+  discovered_size_ = registry_.size();
+
+  using Series = decltype(Rule::series);
+  const auto consider = [&](const std::string& metric, Series series,
+                            std::span<const Template> templates) {
+    const auto matches = [&](const Template& t) {
+      return starts_with(metric, t.prefix) && ends_with(metric, t.suffix);
+    };
+    const auto ruled = [&](const Alert& cell) {
+      return cell.labels.metric == metric;
+    };
+    const auto t = std::ranges::find_if(templates, matches);
+    if (t == templates.end() || std::ranges::any_of(engine_.cells(), ruled)) {
+      return;
+    }
     AlertLabels labels;
-    labels.alert = std::move(alert);
+    labels.alert = t->alert;
     labels.metric = metric;
-    labels.detector = kind;
-    const auto instance = instance_segment(metric);
+    labels.detector = t->kind;
     labels.component = owner_of(metric);
-    if (const auto it = instance_port_.find(instance);
+    if (const auto it = instance_port_.find(instance_segment(metric));
         it != instance_port_.end()) {
       labels.port = it->second;
     }
-    Rule rule{metric, reading, engine_.add_rule(std::move(labels)),
-              std::move(detector), std::uint64_t{0}};
-    if (reading == Reading::kHistogramP99 ||
-        reading == Reading::kHistogramBurn) {
-      rule.previous = stats::HistogramSnapshot{};
+    const bool histogram =
+        std::holds_alternative<const stats::Histogram*>(series);
+    Rule rule{engine_.add_rule(std::move(labels)), ThresholdDetector(kAnyEvent),
+              series, std::uint64_t{0}};
+    if (t->kind == kEwma) {
+      rule.detector = EwmaDetector(histogram ? kLatencyEwma : kRateEwma);
+    } else if (t->kind == kBurnRate) {
+      rule.detector = BurnRateDetector(kSlo);
     }
+    if (histogram) rule.previous = stats::HistogramSnapshot{};
     rules_.push_back(std::move(rule));
   };
 
-  const auto consider = [&](const std::string& name, bool histogram) {
-    if (ruled_metrics_.contains(name)) return;
-    ruled_metrics_[name] = true;
-    if (!histogram) {
-      if (starts_with(name, "port.") && ends_with(name, ".wire_loss")) {
-        add_rule(name, "LinkWireLoss", Reading::kCounterRate,
-                 DetectorKind::kThreshold,
-                 ThresholdDetector(kAnyEvent));
-      } else if (starts_with(name, "port.") &&
-                 ends_with(name, ".down_drops")) {
-        add_rule(name, "LinkDownDrops", Reading::kCounterRate,
-                 DetectorKind::kThreshold,
-                 ThresholdDetector(kAnyEvent));
-      } else if (starts_with(name, "port.") && ends_with(name, ".link_up")) {
-        add_rule(name, "LinkDown", Reading::kGaugeInverted,
-                 DetectorKind::kThreshold,
-                 ThresholdDetector(kAnyEvent));
-      } else if (starts_with(name, "viper.") &&
-                 ends_with(name, ".token_rejected")) {
-        add_rule(name, "TokenRejects", Reading::kCounterRate,
-                 DetectorKind::kThreshold,
-                 ThresholdDetector(kAnyEvent));
-      } else if (starts_with(name, "viper.") &&
-                 (ends_with(name, ".token_miss_optimistic") ||
-                  ends_with(name, ".token_miss_blocking") ||
-                  ends_with(name, ".token_miss_drop"))) {
-        add_rule(name, "TokenMissSurge", Reading::kCounterRate,
-                 DetectorKind::kEwma, EwmaDetector(kRateEwma));
-      } else if (starts_with(name, "vmtp.") &&
-                 ends_with(name, ".retransmits")) {
-        add_rule(name, "RetransmitSurge", Reading::kCounterRate,
-                 DetectorKind::kEwma, EwmaDetector(kRateEwma));
-      }
-      return;
-    }
-    if (starts_with(name, "port.") && ends_with(name, ".queue_wait_ps")) {
-      add_rule(name, "QueueWaitSurge", Reading::kHistogramP99,
-               DetectorKind::kEwma, EwmaDetector(kLatencyEwma));
-    } else if (starts_with(name, "vmtp.") && ends_with(name, ".rtt_ps")) {
-      add_rule(name, "RttSurge", Reading::kHistogramP99, DetectorKind::kEwma,
-               EwmaDetector(kLatencyEwma));
-    } else if (starts_with(name, "host.") &&
-               ends_with(name, ".e2e_latency_ps")) {
-      add_rule(name, "SloBurnRate", Reading::kHistogramBurn,
-               DetectorKind::kBurnRate,
-               BurnRateDetector(kSlo));
-    }
-  };
-
-  for (const auto& [name, value] : snap.counters) consider(name, false);
-  for (const auto& [name, value] : snap.gauges) consider(name, false);
-  for (const auto& [name, hist] : snap.histograms) consider(name, true);
+  // Counters, then gauges, then histograms, each in name order: the
+  // order in which rules have always been created.
+  const auto snap = registry_.full_snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    consider(name, registry_.counter_sources(name), kCounterTemplates);
+  }
+  for (const auto& [name, level] : snap.gauges) {
+    consider(name, &registry_.gauge(name), kGaugeTemplates);
+  }
+  for (const auto& [name, hist] : snap.histograms) {
+    consider(name, &registry_.histogram(name), kHistogramTemplates);
+  }
 }
 
-void HealthMonitor::evaluate_rules(const stats::MetricsSnapshot& snap) {
+void HealthMonitor::evaluate_rules() {
   const sim::Time now = sim_.now();
   for (Rule& rule : rules_) {
     Verdict verdict;
-    switch (rule.reading) {
-      case Reading::kCounterRate: {
-        auto& previous = std::get<std::uint64_t>(rule.previous);
-        const std::uint64_t value = snap.counters.at(rule.metric);
-        const auto rate = static_cast<double>(clamped_delta(value, previous));
-        previous = value;
-        if (auto* d = std::get_if<ThresholdDetector>(&rule.detector)) {
-          verdict = d->evaluate(rate);
-        } else {
-          verdict = std::get<EwmaDetector>(rule.detector).evaluate(rate);
-        }
-        break;
+    if (const auto* counter =
+            std::get_if<const stats::Registry::CounterSources*>(&rule.series)) {
+      auto& previous = std::get<std::uint64_t>(rule.previous);
+      std::uint64_t value = 0;
+      for (const std::uint64_t* source : **counter) value += *source;
+      const auto rate = static_cast<double>(clamped_delta(value, previous));
+      previous = value;
+      if (auto* d = std::get_if<ThresholdDetector>(&rule.detector)) {
+        verdict = d->evaluate(rate);
+      } else {
+        verdict = std::get<EwmaDetector>(rule.detector).evaluate(rate);
       }
-      case Reading::kGaugeInverted: {
-        const auto level = static_cast<double>(snap.gauges.at(rule.metric));
-        verdict =
-            std::get<ThresholdDetector>(rule.detector).evaluate(1.0 - level);
-        break;
-      }
-      case Reading::kHistogramP99:
-      case Reading::kHistogramBurn: {
-        auto& previous = std::get<stats::HistogramSnapshot>(rule.previous);
-        const stats::HistogramSnapshot& value =
-            snap.histograms.at(rule.metric);
-        const stats::HistogramSnapshot window =
-            window_between(previous, value);
-        previous = value;
-        if (rule.reading == Reading::kHistogramBurn) {
-          verdict =
-              std::get<BurnRateDetector>(rule.detector).evaluate(window);
-          break;
-        }
+    } else if (const auto* gauge =
+                   std::get_if<const stats::Gauge*>(&rule.series)) {
+      const auto level = static_cast<double>((*gauge)->value());
+      verdict =
+          std::get<ThresholdDetector>(rule.detector).evaluate(1.0 - level);
+    } else {
+      auto& previous = std::get<stats::HistogramSnapshot>(rule.previous);
+      const stats::HistogramSnapshot value =
+          std::get<const stats::Histogram*>(rule.series)->snapshot();
+      const stats::HistogramSnapshot window = window_between(previous, value);
+      previous = value;
+      if (auto* burn = std::get_if<BurnRateDetector>(&rule.detector)) {
+        verdict = burn->evaluate(window);
+      } else {
         // An empty window is no evidence either way: keep state, do not
         // teach the baseline that "no traffic" means "zero latency".
         if (window.count == 0) continue;
         verdict = std::get<EwmaDetector>(rule.detector)
                       .evaluate(static_cast<double>(window.percentile(0.99)));
-        break;
       }
     }
     if (engine_.observe(rule.handle, now, verdict)) {
@@ -297,12 +279,11 @@ void HealthMonitor::evaluate_rules(const stats::MetricsSnapshot& snap) {
 
 void HealthMonitor::tick() {
   publish_probe_mirrors();
-  const auto snap = registry_.full_snapshot();
-  instantiate_rules(snap);
-  evaluate_rules(snap);
+  discover_rules();
+  evaluate_rules();
   ++windows_;
   rules_gauge_->set(static_cast<std::int64_t>(rules_.size()));
-  firing_gauge_->set(static_cast<std::int64_t>(engine_.firing().size()));
+  firing_gauge_->set(static_cast<std::int64_t>(engine_.firing_count()));
 }
 
 void HealthMonitor::on_transition(const Alert& alert) {

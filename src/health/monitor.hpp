@@ -22,17 +22,20 @@
 //     monitor never reads dropped_injected or any `fault.*` metric; the
 //     fault engine's own books are ground truth for scoring, not input.
 //
-//  2. Takes one registry snapshot and auto-instantiates rules from the
-//     built-in template table the first time a matching metric appears
-//     (a fabric's metric population is not known until traffic flows).
+//  2. Only on a tick where Registry::size() has grown, walks the names and
+//     creates rules from the built-in templates for the new ones (a
+//     fabric's metrics are not known until traffic flows).  A rule keeps
+//     its series where the registry holds it: a counter's source list, a
+//     Gauge or a Histogram.  Other ticks copy and look up nothing.
 //
 //  3. Evaluates every rule on its window.  The registry is cumulative, so
 //     each rule keeps its metric's previous reading and diffs against it:
-//     a counter's delta, a histogram's bucket-wise delta (the window's own
-//     samples), both clamped at zero against resets; a gauge is read as
-//     its level.  A rule created this tick diffs against zero.  Verdicts
-//     fold through the AlertEngine's pending→firing→resolved lifecycle;
-//     transitions emit kAlert instants into the flight recorder and bump
+//     a counter's delta (over all its sources, also ones bound later), a
+//     histogram's bucket-wise delta (the window's own samples), both
+//     clamped at zero against resets; a gauge is read as its level.  A
+//     rule created this tick diffs against zero.  Verdicts fold through
+//     the AlertEngine's pending→firing→resolved lifecycle; transitions
+//     emit kAlert instants into the flight recorder and bump
 //     `health.monitor.*` self-metrics.
 //
 // diagnose() turns a fired alert into a RootCause: the suspect device and
@@ -96,7 +99,7 @@ class HealthMonitor {
   /// Begins the periodic window tick (one sim event per window).
   void start();
 
-  /// Closes one window now: probe mirrors, snapshot, rule evaluation.
+  /// Closes one window now: probe mirrors, rule discovery, evaluation.
   /// start() calls this on its schedule; tests may drive it manually.
   void tick();
 
@@ -108,29 +111,27 @@ class HealthMonitor {
   [[nodiscard]] RootCause diagnose(const Alert& alert) const;
 
  private:
-  /// How a rule reads its windowed value from the registry snapshot.
-  enum class Reading : std::uint8_t {
-    kCounterRate,    // counter delta per window
-    kGaugeInverted,  // 1 - gauge level (for link_up-style booleans)
-    kHistogramP99,   // windowed p99; empty windows are skipped
-    kHistogramBurn,  // whole windowed histogram -> BurnRateDetector
-  };
-
+  /// One rule's detector reads one series, held where the registry
+  /// keeps it (found once, when the rule is created): a counter's bound
+  /// sources give a delta per window, a link_up-style gauge gives
+  /// 1 - level, and a histogram gives its windowed p99 to an EWMA (empty
+  /// windows skipped) or the whole window to a BurnRateDetector.
   struct Rule {
-    std::string metric;
-    Reading reading;
     std::size_t handle = 0;  // AlertEngine rule index
     std::variant<ThresholdDetector, EwmaDetector, BurnRateDetector> detector;
+    std::variant<const stats::Registry::CounterSources*, const stats::Gauge*,
+                 const stats::Histogram*>
+        series;
     /// The metric's cumulative reading at the previous tick (zero before
-    /// the first): a counter value, or a histogram for the two histogram
-    /// readings.  Advances every tick, whether or not the rule evaluates.
+    /// the first): a counter value, or a histogram's.  Advances every
+    /// tick, whether or not the rule evaluates.
     std::variant<std::uint64_t, stats::HistogramSnapshot> previous;
   };
 
   void on_window();
   void publish_probe_mirrors();
-  void instantiate_rules(const stats::MetricsSnapshot& snap);
-  void evaluate_rules(const stats::MetricsSnapshot& snap);
+  void discover_rules();
+  void evaluate_rules();
   void on_transition(const Alert& alert);
   /// Owner device of a metric instance ("r2_p1" -> "r2" via probes,
   /// else the instance segment itself).
@@ -157,7 +158,7 @@ class HealthMonitor {
   AlertEngine engine_;
   std::deque<LinkProbe> probes_;  // deque: bound probe fields never move
   std::vector<Rule> rules_;
-  std::map<std::string, bool> ruled_metrics_;  // metric -> rules created
+  std::size_t discovered_size_ = 0;  // Registry::size() at the last walk
   std::map<std::string, std::string> instance_owner_;  // "r2_p1" -> "r2"
   std::map<std::string, std::string> instance_port_;   // "r2_p1" -> "r2:p1"
   std::map<std::uint32_t, std::string> router_names_;

@@ -21,7 +21,7 @@ T& find_or_create(std::map<std::string, std::unique_ptr<T>>& map,
   return *slot;
 }
 
-std::uint64_t sum_of(const std::vector<const std::uint64_t*>& sources) {
+std::uint64_t sum_of(const Registry::CounterSources& sources) {
   std::uint64_t total = 0;
   for (const std::uint64_t* source : sources) total += *source;
   return total;
@@ -117,6 +117,12 @@ Gauge& Registry::gauge(const std::string& name) {
 Histogram& Registry::histogram(const std::string& name) {
   SIRPENT_EXPECTS(is_valid_metric_name(name));
   return find_or_create(histograms_, name);
+}
+
+const Registry::CounterSources* Registry::counter_sources(
+    const std::string& name) const {
+  const auto it = counters_.find(name);
+  return it == counters_.end() ? nullptr : &it->second;
 }
 
 std::map<std::string, std::uint64_t> Registry::snapshot() const {

@@ -16,9 +16,9 @@
 // read at snapshot time.
 //
 // Lifetime: a bound source must outlive every read of its registry —
-// snapshot(), full_snapshot() and everything built on them (exporters,
-// the health tick).  Destroying a registry reads no source, so a
-// component may be destroyed first as long as nothing snapshots after.
+// snapshot(), full_snapshot() (the exporters) and every counter_sources()
+// sum (the health tick's rules).  Destroying a registry reads no source,
+// so a component may be destroyed first as long as nothing reads after.
 //
 // Naming convention: `component.instance.metric` — 2 to 5 non-empty
 // segments of [A-Za-z0-9_-] joined by single dots, nothing else.  The
@@ -140,6 +140,9 @@ struct MetricsSnapshot {
 
 class Registry {
  public:
+  /// The sources bound to one counter name; the counter is their sum.
+  using CounterSources = std::vector<const std::uint64_t*>;
+
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -162,6 +165,19 @@ class Registry {
   /// The histogram named @p name; same lifetime and naming contract.
   Histogram& histogram(const std::string& name);
 
+  /// The number of named series.  Names are never removed, so an
+  /// unchanged size means no series was added; binding another source to
+  /// a known counter name does not change it.
+  [[nodiscard]] std::size_t size() const {
+    return counters_.size() + gauges_.size() + histograms_.size();
+  }
+
+  /// The sources bound to the counter named @p name, or null; creates
+  /// nothing.  The list keeps its address for the registry's lifetime and
+  /// later bindings join it, so a reader may keep it and sum it to read.
+  [[nodiscard]] const CounterSources* counter_sources(
+      const std::string& name) const;
+
   /// Point-in-time reading of every counter.
   [[nodiscard]] std::map<std::string, std::uint64_t> snapshot() const;
 
@@ -170,7 +186,7 @@ class Registry {
   [[nodiscard]] MetricsSnapshot full_snapshot() const;
 
  private:
-  std::map<std::string, std::vector<const std::uint64_t*>> counters_;
+  std::map<std::string, CounterSources> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };

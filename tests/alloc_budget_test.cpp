@@ -13,7 +13,7 @@
 // hop, a warm idle output port, a warm router control report (sent and
 // received) and a warm scheduler schedule + pop are each pinned at exactly
 // zero, and a warm VMTP transaction at the one response it hands its
-// caller.
+// caller.  So is a warm health tick, the health plane's whole cost.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +25,7 @@
 #include "congestion/controller.hpp"
 #include "directory/fabric.hpp"
 #include "flow/plane.hpp"
+#include "health/monitor.hpp"
 #include "sim/event_queue.hpp"
 #include "test_util.hpp"
 #include "transport/vmtp.hpp"
@@ -412,6 +413,54 @@ TEST(AllocBudget, HistogramRecordDoesNotAllocate) {
   for (std::uint64_t i = 0; i < 10'000; ++i) h.record(i);
   EXPECT_EQ(allocation_count(), before)
       << "stats::Histogram::record allocated on the hot path";
+}
+
+/// The health plane's tick reads each rule's series where the registry
+/// keeps it: on a tick where the registry gained no series it copies
+/// nothing and looks nothing up by name.  Pinned at zero over a registry
+/// with a series of every rule kind: a threshold counter, an EWMA
+/// counter, a link_up gauge, a p99 histogram and an SLO histogram, each
+/// fed steady traffic so every detector evaluates.
+TEST(AllocBudget, WarmHealthTickDoesNotAllocate) {
+  sim::Simulator sim;
+  stats::Registry registry;
+  health::HealthMonitor monitor{sim, registry};
+  std::uint64_t wire_loss = 0;
+  std::uint64_t retransmits = 0;
+  registry.counter("port.r1_p1.wire_loss", wire_loss);
+  registry.counter("vmtp.h1.retransmits", retransmits);
+  registry.gauge("port.r1_p1.link_up").set(1);
+  stats::Histogram& wait = registry.histogram("port.r1_p1.queue_wait_ps");
+  stats::Histogram& latency = registry.histogram("host.h1.e2e_latency_ps");
+
+  sim::Time at = 0;
+  const auto window = [&] {
+    retransmits += 3;
+    for (int k = 0; k < 20; ++k) {
+      wait.record(sim::kMicrosecond);
+      latency.record(100 * sim::kMicrosecond);
+    }
+    at += health::kDefaultWindow;
+    sim.run_until(at);
+    monitor.tick();
+  };
+  for (int i = 0; i < 10; ++i) window();  // past every detector's warmup
+  ASSERT_EQ(monitor.engine().rules(), 5u);
+  const std::uint64_t transitions =
+      registry.snapshot().at("health.monitor.transitions");
+
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 100; ++i) window();
+  const std::uint64_t allocations = allocation_count() - before;
+  std::printf("warm health tick allocations: %.2f per tick\n",
+              static_cast<double>(allocations) / 100.0);
+
+  EXPECT_EQ(registry.snapshot().at("health.monitor.transitions"),
+            transitions)
+      << "the measured ticks must see no alert transition";
+  EXPECT_EQ(allocations, 0u)
+      << "a warm health tick allocated; a rule must read its series "
+         "through the handle it took when it was created";
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST(HierarchicalSwitch, TwoStageFabricExtendsFanout) {
     fabric.connect(root, leaf);  // root ports 2..4, leaf port 1 up
     leaves.push_back(&leaf);
     for (int h = 0; h < 4; ++h) {
-      auto& host = fabric.add_host("h" + std::to_string(l) + "_" +
+      auto& host = fabric.add_host(test::numbered("h", l) + "_" +
                                    std::to_string(h) + ".h");
       fabric.connect(leaf, host);  // leaf ports 2..5
       hosts.push_back(&host);

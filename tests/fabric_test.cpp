@@ -111,7 +111,7 @@ TEST(ViperEdge, MaxLengthRouteTraversesFortySevenRouters) {
   auto& src = fabric.add_host("src.long");
   net::PortedNode* prev = &src;
   for (int i = 0; i < 47; ++i) {
-    auto& r = fabric.add_router("r" + std::to_string(i));
+    auto& r = fabric.add_router(test::numbered("r", i));
     fabric.connect(*prev, r);
     prev = &r;
   }

@@ -185,7 +185,7 @@ TEST(Sampler, OneInNAndDeterministic) {
   // individual collisions are expected and fine).
   std::set<std::vector<bool>> distinct;
   for (int c = 0; c < 16; ++c) {
-    distinct.insert(draw(1, "r" + std::to_string(c)));
+    distinct.insert(draw(1, test::numbered("r", c)));
   }
   EXPECT_GT(distinct.size(), 1u);
 }

@@ -269,7 +269,7 @@ HealthSoakOutcome run_health_soak(std::uint64_t seed) {
   sim.run_until(kDrainEnd);
 
   outcome.windows = monitor.windows();
-  outcome.firing = monitor.engine().firing().size();
+  outcome.firing = monitor.engine().firing_count();
   outcome.fired_total = monitor.engine().fired().size();
   outcome.alerts_json = health::to_alerts_json(monitor);
   return outcome;

@@ -145,6 +145,16 @@ TEST(RegistryBinding, RebindingASourceCountsItOnce) {
   registry.counter("health.monitor.windows", windows);
   registry.counter("health.monitor.windows", windows);  // set_observer twice
   EXPECT_EQ(registry.snapshot().at("health.monitor.windows"), 7u);
+  // size() counts names, not sources: a second source on a known name
+  // adds to its sum but not to the registry's size.
+  EXPECT_EQ(registry.size(), 1u);
+  const std::uint64_t other = 3;
+  registry.counter("health.monitor.windows", other);
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.snapshot().at("health.monitor.windows"), 10u);
+  registry.gauge("health.monitor.rules");
+  registry.histogram("health.monitor.tick_ps");
+  EXPECT_EQ(registry.size(), 3u);
 }
 
 #if SIRPENT_CONTRACTS_ENABLED
