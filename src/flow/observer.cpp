@@ -20,29 +20,17 @@ FlowObserver::FlowObserver(std::string name, const FlowConfig& config,
   }
 }
 
-SRP_HOT_PATH void FlowObserver::on_forward(const obs::FlowSample& sample) {
-  const FlowKey key{sample.route_digest, sample.account, sample.tos_class};
-  table_.record(key, sample.bytes, sample.cut_through, sample.now,
-                sample.in_port, sample.out_port);
+SRP_HOT_PATH void FlowObserver::on_forward(const obs::HopRecord& hop) {
+  const FlowKey key{hop.route_digest, hop.account, hop.tos_class};
+  table_.record(key, hop.bytes, hop.cut_through, hop.earliest, hop.in_port,
+                hop.out_port);
   if (flows_gauge_ != nullptr) {
     flows_gauge_->set(static_cast<std::int64_t>(table_.size()));
   }
   if (sampler_.sample()) {
     ++sampled_total_;
     if (recorder_ != nullptr) {
-      obs::SpanRecord span;
-      // Sampled captures are useful even for untraced packets; fall back
-      // to the packet id so the span still names a unique packet.
-      span.trace_id =
-          sample.trace_id != 0 ? sample.trace_id : sample.packet_id;
-      span.kind = obs::SpanKind::kSample;
-      span.cut_through = sample.cut_through;
-      span.in_port = sample.in_port;
-      span.out_port = sample.out_port;
-      span.start = span.decision = span.end = sample.now;
-      span.set_component(name_);
-      span.set_excerpt(sample.header);
-      recorder_->record(span);
+      recorder_->record(obs::span_of(hop, obs::SpanKind::kSample, name_));
     }
   }
 }

@@ -48,9 +48,9 @@ class FlowObserver {
   FlowObserver(const FlowObserver&) = delete;  // the registry reads counts
   FlowObserver& operator=(const FlowObserver&) = delete;
 
-  /// One packet forwarded by the component.  Hot path: called per packet
-  /// whenever flow accounting is wired.
-  void on_forward(const obs::FlowSample& sample);
+  /// One packet forwarded by the component, as its hop record.  Hot path:
+  /// called per packet whenever flow accounting is wired.
+  void on_forward(const obs::HopRecord& hop);
   /// One tokens::Ledger charge made by the component, reported with the
   /// same account and byte count — the exact mirror that makes per-account
   /// roll-ups reconcile with the ledger.

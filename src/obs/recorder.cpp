@@ -49,6 +49,29 @@ void SpanRecord::set_excerpt(std::span<const std::uint8_t> header) {
   excerpt_len = static_cast<std::uint8_t>(n);
 }
 
+SpanRecord span_of(const HopRecord& hop, SpanKind kind,
+                   std::string_view component) {
+  SpanRecord span;
+  span.kind = kind;
+  span.cut_through = hop.cut_through;
+  span.in_port = hop.in_port;
+  span.out_port = hop.out_port;
+  span.end = hop.earliest;
+  span.set_component(component);
+  if (kind == SpanKind::kSample) {
+    span.trace_id = hop.trace_id != 0 ? hop.trace_id : hop.packet_id;
+    span.start = span.decision = hop.earliest;
+    span.set_excerpt(hop.header);
+  } else {
+    span.trace_id = hop.trace_id;
+    span.hop = hop.hop;
+    span.token = hop.token;
+    span.start = hop.head;
+    span.decision = hop.decision;
+  }
+  return span;
+}
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(std::bit_ceil(capacity == 0 ? std::size_t{1} : capacity)),
       mask_(ring_.size() - 1) {}

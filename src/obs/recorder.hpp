@@ -117,25 +117,38 @@ class FlightRecorder {
   std::uint64_t head_ = 0;
 };
 
-/// One forwarded packet, as the flow-accounting plane (src/flow) sees it:
-/// ViperRouter publishes one per forward to its flow::FlowObserver.  The
-/// header span points into the router's buffer and is valid only for the
-/// duration of that call (the observer copies the excerpt it keeps).
-struct FlowSample {
-  std::uint64_t route_digest = 0;  ///< whole-route identity (0 = unknown)
-  std::uint64_t packet_id = 0;
+/// One forward at one router: every per-hop fact, worked out once.  The
+/// router fills one per forward when any plane is wired, and each reader
+/// takes the fields it needs: the hop-latency histogram, the flow plane
+/// (flow::FlowObserver::on_forward), the kHop span and the in-band
+/// telemetry stamp (obs::to_telemetry).  The header span points into the
+/// router's buffer and is valid only for the duration of the forward.
+struct HopRecord {
   std::uint64_t trace_id = 0;      ///< nonzero when the packet is traced
+  std::uint64_t packet_id = 0;
+  std::uint64_t route_digest = 0;  ///< whole-route identity (0 = unknown)
   std::uint32_t account = 0;       ///< from the validated token (0 = none)
+  std::uint32_t hop = 0;           ///< Packet::hops at this router
   std::uint8_t tos_class = 0;      ///< type-of-service priority field
+  TokenOutcome token = TokenOutcome::kNone;
   bool cut_through = false;        ///< vs store-and-forward for this hop
   std::uint16_t in_port = 0;
   std::uint16_t out_port = 0;
   std::uint32_t bytes = 0;         ///< wire bytes admitted (= bytes charged)
-  sim::Time now = 0;
+  sim::Time head = 0;              ///< head arrival at the router
+  sim::Time decision = 0;          ///< switch decision
+  sim::Time earliest = 0;          ///< earliest forward (decision + setup)
   /// Link header + first VIPER segment as received — the excerpt source
   /// for sampled-packet capture.
   std::span<const std::uint8_t> header;
 };
+
+/// The span @p hop makes at @p component: kHop (arrival, decision and
+/// earliest forward, under the packet's trace id) or kSample (an instant
+/// at the earliest forward carrying the header excerpt; an untraced
+/// packet falls back to its packet id so the span still names it).
+[[nodiscard]] SpanRecord span_of(const HopRecord& hop, SpanKind kind,
+                                 std::string_view component);
 
 /// The sinks a component needs to be observable.  Any pointer may be null
 /// (metrics without tracing, tracing without flow accounting, ...);

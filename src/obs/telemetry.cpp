@@ -82,6 +82,19 @@ SRP_HOT_PATH void HopTelemetry::encode(std::span<std::uint8_t> out) const {
   put_u16(p + 30, in_port);
 }
 
+HopTelemetry to_telemetry(const HopRecord& hop, std::uint32_t router_id) {
+  HopTelemetry t;
+  t.router_id = router_id;
+  t.hop = static_cast<std::uint8_t>(hop.hop);
+  t.egress_port = static_cast<std::uint8_t>(hop.out_port);
+  t.token = hop.token;
+  t.cut_through = hop.cut_through;
+  t.in_port = hop.in_port;
+  t.arrival_ps = static_cast<std::uint64_t>(hop.head);
+  t.depart_ps = static_cast<std::uint64_t>(hop.earliest);
+  return t;
+}
+
 std::optional<HopTelemetry> decode_hop_telemetry(
     std::span<const std::uint8_t> payload) {
   if (payload.size() != kHopTelemetryWire) return std::nullopt;

@@ -81,6 +81,12 @@ struct HopTelemetry {
   SRP_HOT_PATH void encode(std::span<std::uint8_t> out) const;
 };
 
+/// The record router @p router_id stamps for @p hop.  The egress-port
+/// sample (egress_down, queue_wait_ps, queue_depth) is left for the
+/// router, which owns the port.
+[[nodiscard]] HopTelemetry to_telemetry(const HopRecord& hop,
+                                        std::uint32_t router_id);
+
 /// Decodes one payload; nullopt unless it is exactly kHopTelemetryWire
 /// bytes with a representable token outcome.
 [[nodiscard]] std::optional<HopTelemetry> decode_hop_telemetry(

@@ -1,6 +1,7 @@
 #include "viper/codec.hpp"
 
 #include <array>
+#include <cstring>
 #include <optional>
 
 #include "check/analysis.hpp"
@@ -36,18 +37,6 @@ core::SegmentFlags decode_flags(std::uint8_t v) {
   return f;
 }
 
-void encode_length_byte(wire::Writer& w, std::size_t len) {
-  w.u8(len > 254 ? static_cast<std::uint8_t>(kLengthEscape)
-                 : static_cast<std::uint8_t>(len));
-}
-
-void encode_field(wire::Writer& w, const wire::Bytes& field) {
-  if (field.size() > 254) {
-    w.u32(static_cast<std::uint32_t>(field.size()));
-  }
-  w.bytes(field);
-}
-
 /// Frames one variable-length field behind @p length_byte (a byte of 255
 /// escapes to a big-endian u32 length, which must exceed 254): returns a
 /// view over @p base, or nullopt if the escape or the field runs past
@@ -72,15 +61,18 @@ std::optional<std::span<const std::uint8_t>> frame_field(
   return view;
 }
 
-/// Raw-append twin of encode_length_byte / encode_field (big-endian u32
-/// escape, same as wire::Writer).  The appends land in a capacity-warm
-/// arena buffer, so they amortize to zero allocations; srp-lint sees them
-/// via the SRP_ALLOC_OK blessings at the call sites in append_segment_raw.
-void append_u32_raw(wire::Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+/// Writes one field at @p p — its escaped big-endian u32 length when it is
+/// longer than 254 octets, then its bytes — and returns the end.
+std::uint8_t* put_field(std::uint8_t* p, std::span<const std::uint8_t> field) {
+  if (field.size() > 254) {
+    const auto len = static_cast<std::uint32_t>(field.size());
+    *p++ = static_cast<std::uint8_t>(len >> 24);
+    *p++ = static_cast<std::uint8_t>(len >> 16);
+    *p++ = static_cast<std::uint8_t>(len >> 8);
+    *p++ = static_cast<std::uint8_t>(len);
+  }
+  if (!field.empty()) std::memcpy(p, field.data(), field.size());
+  return p + field.size();
 }
 
 }  // namespace
@@ -92,21 +84,8 @@ std::size_t segment_wire_size(const core::HeaderSegment& segment) {
 
 SRP_HOT_PATH void encode_segment(wire::Writer& w,
                                  const core::HeaderSegment& segment) {
-  if (segment.token.size() > 0xFFFFFFFFull ||
-      segment.port_info.size() > 0xFFFFFFFFull) {
-    throw wire::CodecError("VIPER: field too large");
-  }
-  [[maybe_unused]] const std::size_t before = w.size();
-  encode_length_byte(w, segment.port_info.size());
-  encode_length_byte(w, segment.token.size());
-  w.u8(segment.port);
-  w.u8(static_cast<std::uint8_t>(encode_flags(segment.flags) << 4 |
-                                 (segment.tos.priority & 0x0F)));
-  encode_field(w, segment.token);
-  encode_field(w, segment.port_info);
-  // Cut-through hardware sizes the segment from the fixed prefix alone; the
-  // encoder must agree with that arithmetic exactly.
-  SIRPENT_ENSURES(w.size() - before == segment_wire_size(segment));
+  append_segment_raw(w.buffer(), segment.port, segment.tos, segment.flags,
+                     segment.token, segment.port_info);
 }
 
 SRP_HOT_PATH std::optional<SegmentView> parse_segment(
@@ -181,38 +160,25 @@ SRP_HOT_PATH void append_segment_raw(wire::Bytes& out, std::uint8_t port,
   if (token.size() > 0xFFFFFFFFull || port_info.size() > 0xFFFFFFFFull) {
     throw wire::CodecError("VIPER: field too large");
   }
-  [[maybe_unused]] const std::size_t before = out.size();
-  // Every append below lands in a caller-owned buffer that the router
-  // keeps capacity-warm (arena slabs), so the blessed sites
-  // amortize to zero allocations (pinned by tests/alloc_budget_test.cpp).
-  // The fixed prefix goes in as one insert, not four push_backs: the
-  // per-byte growth checks are measurable on the per-hop path.
-  const std::uint8_t prefix[4] = {
-      port_info.size() > 254 ? static_cast<std::uint8_t>(kLengthEscape)
-                             : static_cast<std::uint8_t>(port_info.size()),
-      token.size() > 254 ? static_cast<std::uint8_t>(kLengthEscape)
-                         : static_cast<std::uint8_t>(token.size()),
-      port,
-      static_cast<std::uint8_t>(encode_flags(flags) << 4 |
-                                (tos.priority & 0x0F))};
-  SRP_ALLOC_OK(out.insert(out.end(), prefix, prefix + 4));
-  if (token.size() > 254) {
-    SRP_ALLOC_OK(append_u32_raw(out, static_cast<std::uint32_t>(token.size())));
-  }
-  if (!token.empty()) {
-    SRP_ALLOC_OK(out.insert(out.end(), token.begin(), token.end()));
-  }
-  if (port_info.size() > 254) {
-    SRP_ALLOC_OK(
-        append_u32_raw(out, static_cast<std::uint32_t>(port_info.size())));
-  }
-  if (!port_info.empty()) {
-    SRP_ALLOC_OK(out.insert(out.end(), port_info.begin(), port_info.end()));
-  }
-  // Byte-identical to encode_segment of the equivalent HeaderSegment; the
-  // size agreement is the same contract encode_segment carries.
-  SIRPENT_ENSURES(out.size() - before == 4 + field_wire_size(token.size()) +
-                                             field_wire_size(port_info.size()));
+  // Cut-through hardware sizes the segment from the fixed prefix alone; the
+  // encoder writes exactly that many octets.  The buffer grows once: the
+  // router keeps it capacity-warm (arena slabs), so the blessed resize
+  // amortizes to zero allocations (pinned by tests/alloc_budget_test.cpp).
+  const std::size_t at = out.size();
+  const std::size_t size =
+      4 + field_wire_size(token.size()) + field_wire_size(port_info.size());
+  SRP_ALLOC_OK(out.resize(at + size));
+  std::uint8_t* p = out.data() + at;
+  *p++ = port_info.size() > 254 ? static_cast<std::uint8_t>(kLengthEscape)
+                                : static_cast<std::uint8_t>(port_info.size());
+  *p++ = token.size() > 254 ? static_cast<std::uint8_t>(kLengthEscape)
+                            : static_cast<std::uint8_t>(token.size());
+  *p++ = port;
+  *p++ = static_cast<std::uint8_t>(encode_flags(flags) << 4 |
+                                   (tos.priority & 0x0F));
+  p = put_field(p, token);
+  p = put_field(p, port_info);
+  SIRPENT_ENSURES(p == out.data() + out.size());
 }
 
 bool reverse_trailer_in_place(std::span<std::uint8_t> trailer,

@@ -48,7 +48,7 @@ inline constexpr std::uint8_t kFlagTrm = 0x1;
 /// Encoded size of @p segment in octets.
 std::size_t segment_wire_size(const core::HeaderSegment& segment);
 
-/// Appends one encoded segment.
+/// Appends one encoded segment (through append_segment_raw).
 void encode_segment(wire::Writer& w, const core::HeaderSegment& segment);
 
 /// A parsed segment whose variable fields are *views* into the packet
@@ -96,11 +96,11 @@ SegmentView decode_segment_view(std::span<const std::uint8_t> bytes,
 /// the benchmark change (ROADMAP item 5).
 core::HeaderSegment decode_segment(wire::Reader& r);
 
-/// Appends the encoding of one segment to @p out by raw byte appends —
-/// byte-identical to encode_segment of the equivalent HeaderSegment, but
-/// writing into a caller-owned (typically arena-backed, capacity-warm)
-/// buffer instead of a Writer.  The zero-copy rewrite must not move a
-/// single byte on the wire: golden_wire_test pins the agreement.
+/// Appends the encoding of one segment to @p out by raw byte appends — the
+/// one VIPER segment encoder.  The router writes into a caller-owned
+/// (typically arena-backed, capacity-warm) buffer; encode_segment writes
+/// into a Writer's.  Throws wire::CodecError on a field wider than 32
+/// bits; the golden wire vectors pin the bytes.
 void append_segment_raw(wire::Bytes& out, std::uint8_t port,
                         const core::TypeOfService& tos,
                         const core::SegmentFlags& flags,
@@ -184,7 +184,7 @@ DeliveredBody decode_delivered_body(wire::Reader& r);
 /// Stable 64-bit digest of a source route's *path* — per-segment port,
 /// priority, flags and port_info, excluding tokens — so the same physical
 /// route hashes identically no matter which tokens were minted for it.
-/// Used as the flow-accounting key (obs::FlowSample::route_digest).
+/// Used as the flow-accounting key (obs::HopRecord::route_digest).
 /// @p scratch holds the serialization; the caller keeps it between calls
 /// so its capacity is reused.
 std::uint64_t route_digest(const core::SourceRoute& route,

@@ -139,13 +139,20 @@ void ViperRouter::set_observer(const obs::Observer& observer) {
     const auto instance = stats::metric_component(name());
     obs_hop_latency_ =
         &observer.registry->histogram("viper." + instance + ".hop_latency_ps");
-    // Indexed by obs::TokenOutcome; kNone (index 0) is never counted.
-    static constexpr std::array<const char*, 6> kOutcomeMetric = {
-        nullptr,          "token_hit",       "token_miss_optimistic",
-        "token_miss_blocking", "token_miss_drop", "token_rejected"};
-    for (std::size_t i = 1; i < kOutcomeMetric.size(); ++i) {
-      observer.registry->counter("viper." + instance + "." + kOutcomeMetric[i],
-                                 token_outcomes_[i]);
+    // One series per obs::TokenOutcome; `token_rejected` sums the three
+    // reject counts.
+    stats::Registry& registry = *observer.registry;
+    registry.counter("viper." + instance + ".token_hit", stats_.token_hits);
+    registry.counter("viper." + instance + ".token_miss_optimistic",
+                     stats_.token_miss_optimistic);
+    registry.counter("viper." + instance + ".token_miss_blocking",
+                     stats_.token_miss_blocking);
+    registry.counter("viper." + instance + ".token_miss_drop",
+                     stats_.dropped_uncached);
+    for (const std::uint64_t* rejected :
+         {&stats_.dropped_unauthorized, &stats_.dropped_expired_token,
+          &stats_.dropped_token_limit}) {
+      registry.counter("viper." + instance + ".token_rejected", *rejected);
     }
     token_cache_.set_occupancy_gauge(
         &observer.registry->gauge("tokens." + instance + ".cache_entries"));
@@ -348,7 +355,6 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
   }
   if (seg.token.empty()) {
     ++stats_.dropped_unauthorized;
-    count_token_outcome(obs::TokenOutcome::kRejected);
     return std::nullopt;
   }
 
@@ -357,7 +363,6 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
   if (entry.has_value()) {
     if (entry->flagged) {
       ++stats_.dropped_unauthorized;
-      count_token_outcome(obs::TokenOutcome::kRejected);
       return std::nullopt;
     }
     // Cached, valid: real-time checks against the cached body.  A token
@@ -370,27 +375,24 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
     if (!port_ok || core::priority_rank(seg.tos.priority) >
                         core::priority_rank(entry->body.max_priority)) {
       ++stats_.dropped_unauthorized;
-      count_token_outcome(obs::TokenOutcome::kRejected);
       return std::nullopt;
     }
     if (entry->body.expiry_sec != 0 &&
         sim_.now() > static_cast<sim::Time>(entry->body.expiry_sec) *
                          sim::kSecond) {
       ++stats_.dropped_expired_token;
-      count_token_outcome(obs::TokenOutcome::kRejected);
       return std::nullopt;
     }
     SIRPENT_INVARIANT(ledger_ != nullptr);
     if (token_cache_.charge(seg.token, packet_bytes, *ledger_) !=
         tokens::TokenCache::ChargeResult::kCharged) {
       ++stats_.dropped_token_limit;
-      count_token_outcome(obs::TokenOutcome::kRejected);
       return std::nullopt;
     }
     if (obs_flow_ != nullptr) {
       obs_flow_->on_charge(entry->body.account, packet_bytes);
     }
-    count_token_outcome(obs::TokenOutcome::kHit);
+    ++stats_.token_hits;
     return TokenDecision{0, entry->body.reverse_ok, obs::TokenOutcome::kHit,
                          entry->body.account};
   }
@@ -434,42 +436,31 @@ ViperRouter::admit_token(const SegmentView& seg, std::size_t packet_bytes) {
       // through without significant problems."  The token is also echoed
       // into the trailer optimistically: by the time a reply presents it,
       // verification has landed and a bad token is flagged.
-      count_token_outcome(obs::TokenOutcome::kMissOptimistic);
+      ++stats_.token_miss_optimistic;
       return TokenDecision{0, true, obs::TokenOutcome::kMissOptimistic};
     case tokens::UncachedPolicy::kBlocking:
       // "the initial packet can be handled as a blocked packet ... the
       // blocking action allows some time for the token to be processed."
-      count_token_outcome(obs::TokenOutcome::kMissBlocking);
+      ++stats_.token_miss_blocking;
       return TokenDecision{verify_delay_, false,
                            obs::TokenOutcome::kMissBlocking};
     case tokens::UncachedPolicy::kDrop:
       ++stats_.dropped_uncached;
-      count_token_outcome(obs::TokenOutcome::kMissDrop);
       return std::nullopt;
   }
   return std::nullopt;
 }
 
-SRP_HOT_PATH void ViperRouter::stamp_telemetry(
-    wire::Bytes& out_bytes, const net::Arrival& arrival, int out_port,
-    const net::TxPort* out, const ForwardTiming& timing,
-    obs::TokenOutcome outcome) {
-  const net::Packet& src = *arrival.packet;
-  if (src.hops >= obs::kMaxTelemetryHops) {
+SRP_HOT_PATH void ViperRouter::stamp_telemetry(wire::Bytes& out_bytes,
+                                               const obs::HopRecord& hop,
+                                               const net::TxPort* out) {
+  if (hop.hop >= obs::kMaxTelemetryHops) {
     // The record would outgrow any legal route; skip, but count the skip
     // so the sink can see its hop profile is a prefix.
     ++stats_.telemetry_overflow;
     return;
   }
-  obs::HopTelemetry t;
-  t.router_id = config_.router_id;
-  t.hop = static_cast<std::uint8_t>(src.hops);
-  t.egress_port = static_cast<std::uint8_t>(out_port);
-  t.token = outcome;
-  t.cut_through = timing.cut_through;
-  t.in_port = static_cast<std::uint16_t>(arrival.in_port);
-  t.arrival_ps = static_cast<std::uint64_t>(arrival.head);
-  t.depart_ps = static_cast<std::uint64_t>(timing.earliest);
+  obs::HopTelemetry t = obs::to_telemetry(hop, config_.router_id);
   if (out != nullptr) {
     t.egress_down = !out->is_up();
     t.queue_depth = static_cast<std::uint16_t>(
@@ -531,7 +522,7 @@ SRP_HOT_PATH void ViperRouter::forward_to_port(
   net::TxPort& out = port(physical_port);
   const SegmentView& seg = front.segment;
 
-  const auto decision = admit_token(seg, bytes.size());
+  auto decision = admit_token(seg, bytes.size());
   if (!decision.has_value()) return;
   if (decision->extra_delay > 0 &&
       uncached_policy_ == tokens::UncachedPolicy::kBlocking) {
@@ -544,8 +535,7 @@ SRP_HOT_PATH void ViperRouter::forward_to_port(
     ++stats_.dropped_malformed;
     return;
   }
-  const obs::TokenOutcome outcome =
-      was_blocked ? obs::TokenOutcome::kMissBlocking : decision->outcome;
+  if (was_blocked) decision->outcome = obs::TokenOutcome::kMissBlocking;
 
   // The zero-copy rewrite into a recycled arena slab whose capacity is
   // warm: the next network's link header (the segment's portInfo) when the
@@ -561,13 +551,12 @@ SRP_HOT_PATH void ViperRouter::forward_to_port(
   }
   append_rewrite(out_bytes, bytes, front, decision->reversible);
 
-  // forward_timing is pure; computed here so the telemetry stamp can
-  // carry the hop's departure time before the MTU cut decides its fate.
+  // Accounted before the MTU cut, so a telemetry stamp carries the hop's
+  // departure time and a cut slices the newest stamp first.
   const ForwardTiming timing =
       forward_timing(arrival, front.consumed, physical_port);
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    stamp_telemetry(out_bytes, arrival, physical_port, &out, timing, outcome);
-  }
+  record_forward(arrival, front, physical_port, bytes, timing, *decision,
+                 out_bytes, &out);
 
   bool truncated = false;
   const std::size_t mtu = out.config().mtu_bytes;
@@ -603,8 +592,6 @@ SRP_HOT_PATH void ViperRouter::forward_to_port(
   // read by this router's congested-port monitor (paper §2.2).
   derived->feedforward = src.feedforward;
 
-  record_forward(arrival, front, physical_port, bytes, timing, outcome,
-                 decision->account);
   const net::TxMeta meta = meta_for(seg.tos);
   // The shaper lookahead is the only consumer of the next-hop peek, so
   // the second segment is never read when no congestion layer is attached.
@@ -659,14 +646,10 @@ void ViperRouter::forward_into_tunnel(const net::Arrival& arrival,
   ForwardTiming timing;
   timing.decision = arrival.tail;
   timing.earliest = std::max(arrival.tail, sim_.now());
-  if (telemetry_enabled_ && arrival.packet->telemetry) {
-    // No TxPort to sample; the record still pins the hop's identity and
-    // times.
-    stamp_telemetry(encap, arrival, seg.port, nullptr, timing,
-                    decision->outcome);
-  }
-  record_forward(arrival, front, seg.port, bytes, timing, decision->outcome,
-                 decision->account);
+  // No TxPort to sample; a telemetry stamp still pins the hop's identity
+  // and times.
+  record_forward(arrival, front, seg.port, bytes, timing, *decision, encap,
+                 nullptr);
   transmit(wire::Bytes(seg.port_info.begin(), seg.port_info.end()),
            std::move(encap), seg.tos);
 }
@@ -674,46 +657,42 @@ void ViperRouter::forward_into_tunnel(const net::Arrival& arrival,
 SRP_HOT_PATH void ViperRouter::record_forward(
     const net::Arrival& arrival, const Front& front, int out_port,
     std::span<const std::uint8_t> bytes, const ForwardTiming& timing,
-    obs::TokenOutcome outcome, std::uint32_t account) {
+    const TokenDecision& decision, wire::Bytes& out_bytes,
+    const net::TxPort* out) {
   ++stats_.forwarded;
+  const net::Packet& src = *arrival.packet;
+  const bool stamp = telemetry_enabled_ && src.telemetry;
+  const bool span = obs_recorder_ != nullptr && src.trace_id != 0;
+  if (!stamp && !span && obs_hop_latency_ == nullptr && obs_flow_ == nullptr) {
+    return;  // no plane wired: no record
+  }
+  obs::HopRecord hop;
+  hop.trace_id = src.trace_id;
+  hop.packet_id = src.id;
+  hop.route_digest = src.route_digest;
+  hop.account = decision.account;
+  hop.hop = src.hops;
+  hop.tos_class = front.segment.tos.priority;
+  hop.token = decision.outcome;
+  hop.cut_through = timing.cut_through;
+  hop.in_port = static_cast<std::uint16_t>(arrival.in_port);
+  hop.out_port = static_cast<std::uint16_t>(out_port);
+  // The admitted byte count — the same value admit_token charged, which
+  // is what makes per-account roll-ups reconcile with the ledger.
+  hop.bytes = static_cast<std::uint32_t>(bytes.size());
+  hop.head = arrival.head;
+  hop.decision = timing.decision;
+  hop.earliest = timing.earliest;
+  hop.header = bytes.first(std::min(front.consumed, bytes.size()));
+
+  if (stamp) stamp_telemetry(out_bytes, hop, out);
   if (obs_hop_latency_ != nullptr) {
     obs_hop_latency_->record(
-        static_cast<std::uint64_t>(timing.earliest - arrival.head));
+        static_cast<std::uint64_t>(hop.earliest - hop.head));
   }
-  const net::Packet& src = *arrival.packet;
-  if (obs_flow_ != nullptr) {
-    obs::FlowSample sample;
-    sample.route_digest = src.route_digest;
-    sample.packet_id = src.id;
-    sample.trace_id = src.trace_id;
-    sample.account = account;
-    sample.tos_class = front.segment.tos.priority;
-    sample.cut_through = timing.cut_through;
-    sample.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    sample.out_port = static_cast<std::uint16_t>(out_port);
-    // The admitted byte count — the same value admit_token charged, which
-    // is what makes per-account roll-ups reconcile with the ledger.
-    sample.bytes = static_cast<std::uint32_t>(bytes.size());
-    sample.now = timing.earliest;
-    // Link header + first segment, exactly as received: the excerpt
-    // source for sampled-packet capture.
-    sample.header = bytes.first(std::min(front.consumed, bytes.size()));
-    obs_flow_->on_forward(sample);
-  }
-  if (obs_recorder_ != nullptr && src.trace_id != 0) {
-    obs::SpanRecord span;
-    span.trace_id = src.trace_id;
-    span.hop = src.hops;
-    span.kind = obs::SpanKind::kHop;
-    span.token = outcome;
-    span.cut_through = timing.cut_through;
-    span.in_port = static_cast<std::uint16_t>(arrival.in_port);
-    span.out_port = static_cast<std::uint16_t>(out_port);
-    span.start = arrival.head;
-    span.decision = timing.decision;
-    span.end = timing.earliest;
-    span.set_component(name());
-    obs_recorder_->record(span);
+  if (obs_flow_ != nullptr) obs_flow_->on_forward(hop);
+  if (span) {
+    obs_recorder_->record(obs::span_of(hop, obs::SpanKind::kHop, name()));
   }
 }
 

@@ -119,6 +119,11 @@ class ViperRouter : public ViperNode {
     std::uint64_t telemetry_stamped = 0;   ///< HopTelemetry records appended
     std::uint64_t telemetry_overflow = 0;  ///< marked packets past the
                                            ///  kMaxTelemetryHops stamp bound
+    // Token admissions that let the packet on; the drops are counted above
+    // (dropped_uncached, and the three token rejects).
+    std::uint64_t token_hits = 0;
+    std::uint64_t token_miss_optimistic = 0;
+    std::uint64_t token_miss_blocking = 0;
   };
 
   /// Handler for locally addressed (port 0) packets — congestion reports
@@ -186,17 +191,17 @@ class ViperRouter : public ViperNode {
 
   /// Wires the router (and its token cache) to an observability sink:
   /// a `viper.<name>.hop_latency_ps` histogram (head arrival to earliest
-  /// forward), `viper.<name>.token_*` outcome counters, a
-  /// `tokens.<name>.cache_entries` gauge, and — when a recorder is
-  /// present — one kHop span per forwarded traced packet capturing the
-  /// arrival / switch-decision / earliest-forward times, the cut-through
-  /// vs store-and-forward choice and the token outcome.  When the observer
-  /// carries a flow plane, every forwarded packet additionally publishes an
-  /// obs::FlowSample (flow accounting + sampled capture) to this router's
-  /// flow::FlowObserver and every ledger charge is mirrored to it.  All
-  /// handles are resolved here once; an unobserved router pays one untaken
-  /// branch per instrumentation point.  Call set_observer after the last
-  /// add_port().
+  /// forward), `viper.<name>.token_*` outcome counters (bound to Stats
+  /// fields), a `tokens.<name>.cache_entries` gauge, and — when a
+  /// recorder is present — one kHop span per forwarded traced packet
+  /// capturing the arrival / switch-decision / earliest-forward times, the
+  /// cut-through vs store-and-forward choice and the token outcome.  When
+  /// the observer carries a flow plane, every forwarded packet's
+  /// obs::HopRecord (flow accounting + sampled capture) goes to this
+  /// router's flow::FlowObserver and every ledger charge is mirrored to
+  /// it.  All handles are resolved here once; an unobserved router pays
+  /// one untaken branch per instrumentation point and builds no hop
+  /// record.  Call set_observer after the last add_port().
   void set_observer(const obs::Observer& observer);
 
   /// Enables in-band path telemetry stamping: every forwarded packet whose
@@ -330,25 +335,23 @@ class ViperRouter : public ViperNode {
                                              std::size_t consumed,
                                              int out_port) const;
 
-  /// Counts one token-cache @p outcome (the `viper.<name>.token_*` source).
-  void count_token_outcome(obs::TokenOutcome outcome) {
-    ++token_outcomes_[static_cast<std::size_t>(outcome)];
-  }
+  /// Appends the telemetry record of @p hop to @p out_bytes (the
+  /// rewritten image, return entry already in place).  @p out is the
+  /// egress TxPort whose queue state the record samples — null for tunnel
+  /// egress.
+  void stamp_telemetry(wire::Bytes& out_bytes, const obs::HopRecord& hop,
+                       const net::TxPort* out);
 
-  /// Appends this hop's telemetry record to @p out_bytes (the rewritten
-  /// image, return entry already in place).  @p out is the egress TxPort
-  /// whose queue state the record samples — null for tunnel egress.
-  void stamp_telemetry(wire::Bytes& out_bytes, const net::Arrival& arrival,
-                       int out_port, const net::TxPort* out,
-                       const ForwardTiming& timing,
-                       obs::TokenOutcome outcome);
-
-  /// Accounts one forwarded packet: the forwarded counter, the hop
-  /// latency, the flow sample and the hop span.
+  /// Accounts one forward, the one site both egress kinds share: counts
+  /// it, then — when any plane is wired — fills its obs::HopRecord once
+  /// and hands it to the telemetry stamp (into @p out_bytes, before the
+  /// MTU cut), the hop-latency histogram, the flow plane and the kHop
+  /// span.  @p out is as for stamp_telemetry.
   void record_forward(const net::Arrival& arrival, const Front& front,
                       int out_port, std::span<const std::uint8_t> bytes,
-                      const ForwardTiming& timing, obs::TokenOutcome outcome,
-                      std::uint32_t account);
+                      const ForwardTiming& timing,
+                      const TokenDecision& decision, wire::Bytes& out_bytes,
+                      const net::TxPort* out);
 
   RouterConfig config_;
   std::map<std::uint8_t, LogicalPort> logical_ports_;
@@ -372,9 +375,6 @@ class ViperRouter : public ViperNode {
   core::SourceRoute control_route_;
   Shaper shaper_;
   Stats stats_;
-  /// Token-cache outcomes by obs::TokenOutcome (kNone is never counted);
-  /// set_observer() binds them as `viper.<router>.token_*`.
-  std::array<std::uint64_t, 6> token_outcomes_{};
   bool telemetry_enabled_ = false;  ///< set_path_telemetry()
 
   // Observability handles, resolved once by set_observer(); null = off.

@@ -52,6 +52,8 @@ class Writer {
   /// Consumes the writer, returning the accumulated buffer.
   Bytes take() && { return std::move(out_); }
   [[nodiscard]] const Bytes& view() const { return out_; }
+  /// The accumulated buffer, for encoders that append to it directly.
+  [[nodiscard]] Bytes& buffer() { return out_; }
 
  private:
   Bytes out_;

@@ -10,10 +10,10 @@
 // accounting — the budget assertion moves and the regression is
 // attributable to the change that made it, not discovered in a profile
 // much later.  The end-to-end cost of a warm 2-router line, a warm router
-// hop, a warm idle output port, a warm router control report (sent and
-// received) and a warm scheduler schedule + pop are each pinned at exactly
-// zero, and a warm VMTP transaction at the one response it hands its
-// caller.  So is a warm health tick, the health plane's whole cost.
+// hop (bare, and with every observability plane wired), a warm idle output
+// port, a warm router control report (sent and received) and a warm
+// scheduler schedule + pop are each pinned at exactly zero, and a warm
+// VMTP transaction at the one response it hands its caller.  So is a warm health tick, the health plane's whole cost.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include "directory/fabric.hpp"
 #include "flow/plane.hpp"
 #include "health/monitor.hpp"
+#include "obs/recorder.hpp"
 #include "sim/event_queue.hpp"
 #include "test_util.hpp"
 #include "transport/vmtp.hpp"
@@ -163,6 +164,59 @@ TEST(AllocBudget, PerPacketForwardIsAllocationFreeOnceWarm) {
   EXPECT_EQ(router.stats().forwarded, kWarm + kPackets);
   EXPECT_EQ(router.port(2).stats().dropped_down, kWarm + kPackets);
   EXPECT_EQ(router.arena().stats().fresh, 1u);
+}
+
+/// The same hop with every plane wired: a registry, a recorder, a flow
+/// plane that samples every packet and path telemetry, on a traced and
+/// marked packet.  The router fills one hop record per forward for the
+/// histogram, the flow table and its sampled capture, the kHop span and
+/// the telemetry stamp; once warm, none of them allocates.
+TEST(AllocBudget, ObservedForwardIsAllocationFreeOnceWarm) {
+  sim::Simulator sim;
+  stats::Registry registry;
+  obs::FlightRecorder recorder(64);
+  flow::FlowPlane plane(flow::FlowConfig{128, 1, 0x5EED}, &registry,
+                        &recorder);
+  viper::ViperRouter router(sim, "r.hop", {});
+  const net::LinkConfig link;
+  router.add_port(link);         // port 1: ingress side
+  router.add_port(link);         // port 2: egress
+  router.port(2).set_up(false);  // drop at enqueue, zero events
+  router.set_observer({&registry, &recorder, &plane});
+  router.set_path_telemetry(true);
+
+  core::SourceRoute route;
+  route.segments.push_back(test::p2p_segment(2));
+  route.segments.push_back(test::local_segment());
+  net::PacketFactory packets;
+  net::Arrival arrival;
+  arrival.packet =
+      packets.make(viper::encode_packet(route, pattern_bytes(256)), 0);
+  arrival.packet->trace_id = arrival.packet->id;
+  arrival.packet->telemetry = true;
+  arrival.in_port = 1;
+  arrival.head = 0;
+  arrival.tail = 2048;
+  arrival.rate_bps = link.rate_bps;
+
+  constexpr std::uint64_t kWarm = 16;
+  for (std::uint64_t i = 0; i < kWarm; ++i) router.on_arrival(arrival);
+
+  constexpr std::uint64_t kPackets = 10'000;
+  const std::uint64_t before = allocation_count();
+  for (std::uint64_t i = 0; i < kPackets; ++i) router.on_arrival(arrival);
+  const std::uint64_t total = allocation_count() - before;
+  std::printf("observed forward allocations: %llu\n",
+              static_cast<unsigned long long>(total));
+  EXPECT_EQ(total, 0u)
+      << "a warm observed router hop must not allocate: each plane costs "
+         "0 allocations per packet (DESIGN.md §7)";
+
+  EXPECT_EQ(router.stats().forwarded, kWarm + kPackets);
+  EXPECT_EQ(router.stats().telemetry_stamped, kWarm + kPackets);
+  ASSERT_NE(plane.observer("r.hop"), nullptr);
+  EXPECT_EQ(plane.observer("r.hop")->sampled(), kWarm + kPackets);
+  EXPECT_GE(recorder.recorded(), 2 * (kWarm + kPackets));
 }
 
 /// An output port that is idle at every enqueue — the common case on a

@@ -23,6 +23,8 @@
 #include "obs/recorder.hpp"
 #include "test_util.hpp"
 #include "tokens/token.hpp"
+#include "viper/codec.hpp"
+#include "viper/router.hpp"
 #include "wire/buffer.hpp"
 
 namespace srp {
@@ -192,10 +194,10 @@ TEST(Sampler, OneInNAndDeterministic) {
 
 // --- observer + plane ------------------------------------------------------
 
-obs::FlowSample sample_of(std::uint64_t digest, std::uint32_t bytes,
-                          sim::Time now, std::uint16_t in_port = 1,
-                          std::uint16_t out_port = 2) {
-  obs::FlowSample s;
+obs::HopRecord sample_of(std::uint64_t digest, std::uint32_t bytes,
+                         sim::Time now, std::uint16_t in_port = 1,
+                         std::uint16_t out_port = 2) {
+  obs::HopRecord s;
   s.route_digest = digest;
   s.packet_id = digest;
   s.account = 7;
@@ -204,7 +206,7 @@ obs::FlowSample sample_of(std::uint64_t digest, std::uint32_t bytes,
   s.in_port = in_port;
   s.out_port = out_port;
   s.bytes = bytes;
-  s.now = now;
+  s.earliest = now;
   return s;
 }
 
@@ -263,6 +265,51 @@ TEST(FlowObserver, SamplerCapturesExcerptIntoRecorder) {
   EXPECT_EQ(spans[0].excerpt_len, obs::SpanRecord::kExcerptSize);
   EXPECT_EQ(spans[0].excerpt[0], header[0]);
   EXPECT_EQ(spans[0].component_view(), "r1");
+
+  // Through a router: a traced forward's kSample span and its kHop span
+  // are made from one hop record, so they agree on every shared fact.
+  sim::Simulator sim;
+  viper::ViperRouter router(sim, "r2", {});
+  const net::LinkConfig link;
+  router.add_port(link);
+  router.add_port(link);
+  router.port(2).set_up(false);  // drop at enqueue, zero events
+  obs::FlightRecorder hop_spans(64);
+  flow::FlowPlane plane(config, nullptr, &hop_spans);
+  router.set_observer({nullptr, &hop_spans, &plane});
+  core::SourceRoute route;
+  route.segments = {test::p2p_segment(2), test::local_segment()};
+  net::PacketFactory packets;
+  net::Arrival arrival;
+  arrival.packet =
+      packets.make(viper::encode_packet(route, test::pattern_bytes(64)), 0);
+  arrival.packet->trace_id = 77;
+  arrival.in_port = 1;
+  arrival.head = 1000;
+  arrival.tail = 2000;
+  arrival.rate_bps = link.rate_bps;
+  router.on_arrival(arrival);
+
+  const auto both = hop_spans.spans();
+  ASSERT_EQ(both.size(), 2u);
+  const auto kind_is = [](obs::SpanKind kind) {
+    return [kind](const obs::SpanRecord& s) { return s.kind == kind; };
+  };
+  const auto hop = std::find_if(both.begin(), both.end(),
+                                kind_is(obs::SpanKind::kHop));
+  const auto sampled = std::find_if(both.begin(), both.end(),
+                                    kind_is(obs::SpanKind::kSample));
+  ASSERT_NE(hop, both.end());
+  ASSERT_NE(sampled, both.end());
+  EXPECT_EQ(hop->in_port, 1u);
+  EXPECT_EQ(hop->out_port, 2u);
+  EXPECT_TRUE(hop->cut_through);
+  EXPECT_GT(hop->end, hop->start);
+  EXPECT_EQ(sampled->trace_id, hop->trace_id);
+  EXPECT_EQ(sampled->in_port, hop->in_port);
+  EXPECT_EQ(sampled->out_port, hop->out_port);
+  EXPECT_EQ(sampled->cut_through, hop->cut_through);
+  EXPECT_EQ(sampled->end, hop->end);
 }
 
 // --- export goldens --------------------------------------------------------

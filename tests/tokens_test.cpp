@@ -5,6 +5,7 @@
 #include <map>
 
 #include "directory/fabric.hpp"
+#include "stats/registry.hpp"
 #include "test_util.hpp"
 #include "tokens/cache.hpp"
 #include "tokens/token.hpp"
@@ -283,6 +284,60 @@ TEST_F(TokenRouterTest, ByteLimitEnforced) {
   sim.run();
   EXPECT_LT(delivered, 5);
   EXPECT_GT(r->stats().dropped_token_limit, 0u);
+}
+
+TEST_F(TokenRouterTest, RegistryTokenCountersReadTheStats) {
+  build(UncachedPolicy::kDrop);
+  stats::Registry registry;
+  r->set_observer({&registry, nullptr, nullptr});
+  viper::SendOptions send_options;
+
+  // Unauthorized: no token at all.
+  core::SourceRoute bare;
+  bare.segments = {p2p_segment(2), local_segment()};
+  a->send(bare, pattern_bytes(64));
+  sim.run();
+
+  // Over the byte limit; the first packet of the fresh token is a kDrop
+  // miss, and the background verification caches it for the rest.
+  dir::QueryOptions limited;
+  limited.token_byte_limit = 300;
+  const auto capped =
+      fabric.directory().query(fabric.id_of(*a), "b.test", limited);
+  ASSERT_FALSE(capped.empty());
+  send_options.out_port = capped[0].host_out_port;
+  a->send(capped[0].route, pattern_bytes(64), send_options);
+  sim.run();
+  for (int i = 0; i < 5; ++i) {
+    a->send(capped[0].route, pattern_bytes(64), send_options);
+  }
+  sim.run();
+
+  // Expired: valid for the first simulated second only.
+  dir::QueryOptions short_lived;
+  short_lived.token_expiry_sec = 1;
+  const auto expiring =
+      fabric.directory().query(fabric.id_of(*a), "b.test", short_lived);
+  ASSERT_FALSE(expiring.empty());
+  send_options.out_port = expiring[0].host_out_port;
+  a->send(expiring[0].route, pattern_bytes(64), send_options);
+  sim.run();
+  sim.run_until(2 * sim::kSecond);
+  a->send(expiring[0].route, pattern_bytes(64), send_options);
+  sim.run();
+
+  const viper::ViperRouter::Stats& s = r->stats();
+  EXPECT_EQ(s.dropped_unauthorized, 1u);
+  EXPECT_GT(s.dropped_token_limit, 0u);
+  EXPECT_EQ(s.dropped_expired_token, 1u);
+  EXPECT_EQ(s.dropped_uncached, 2u);
+  const auto counters = registry.snapshot();
+  EXPECT_EQ(counters.at("viper.r1.token_rejected"),
+            s.dropped_unauthorized + s.dropped_expired_token +
+                s.dropped_token_limit);
+  EXPECT_EQ(counters.at("viper.r1.token_miss_drop"), s.dropped_uncached);
+  EXPECT_EQ(counters.at("viper.r1.token_hit"), s.token_hits);
+  EXPECT_GT(s.token_hits, 0u);
 }
 
 // --- Determinism of the token-enforcing data path -------------------------

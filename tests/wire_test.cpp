@@ -3,7 +3,6 @@
 
 #include "wire/buffer.hpp"
 #include "wire/checksum.hpp"
-#include "wire/crc32.hpp"
 
 namespace srp::wire {
 namespace {
@@ -108,19 +107,6 @@ TEST(Checksum, IncrementalUpdateMatchesRecompute) {
   data[8] = 0x3f;
   const std::uint16_t recomputed = internet_checksum(data);
   EXPECT_EQ(checksum_update16(before, old_word, new_word), recomputed);
-}
-
-TEST(Crc32, KnownVectors) {
-  const Bytes check{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(check), 0xCBF43926u);
-  EXPECT_EQ(crc32(Bytes{}), 0x00000000u);
-}
-
-TEST(Crc32, DetectsBitFlip) {
-  Bytes data(100, 0x5A);
-  const std::uint32_t before = crc32(data);
-  data[50] ^= 0x04;
-  EXPECT_NE(crc32(data), before);
 }
 
 }  // namespace
